@@ -12,10 +12,11 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, nstr
 
-from . import kramers, ladder2d, laguerre_me, oracle, spectrum
-from .corrections import epsilon1_general, epsilon1_rewritten, epsilon2_general
-from .ladder2d import FockState2D, map_Nm_to_nl, normal_order, p2_expr, p4_expr
-from .states import InvalidQuantumNumbers, QuantumNumbers, energy_unperturbed
+from . import checks, kramers, ladder2d, laguerre_me, oracle, spectrum
+from .corrections import epsilon1_general, epsilon2_general
+from .ladder2d import FockState2D, map_Nm_to_nl
+from .spectrum import _fmt
+from .states import InvalidQuantumNumbers, QuantumNumbers, _to_mpf, energy_unperturbed
 
 USAGE_ERROR, VERIFY_ERROR, IO_ERROR = 2, 1, 3
 
@@ -27,14 +28,8 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _fmt(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def _dec(x) -> str:
-    if isinstance(x, Fraction):
-        x = mpf(x.numerator) / x.denominator
-    return nstr(x, 12)
+    return nstr(_to_mpf(x), 12)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -59,7 +54,9 @@ def _state_from_args(args) -> QuantumNumbers:
         raise InvalidQuantumNumbers("--N/--m addressing is only for d=1 or d=2")
     if args.n is None:
         raise InvalidQuantumNumbers("specify --n/--l, or --N (d=1), or --N/--m (d=2)")
-    return QuantumNumbers(args.d, Fraction(args.n), args.l)
+    if args.d == 2 and args.m is not None and abs(args.m) != args.l:
+        raise InvalidQuantumNumbers(f"--m {args.m} contradicts --l {args.l}: need |m| = l")
+    return QuantumNumbers(args.d, args.n, args.l)
 
 
 def cmd_correct(args) -> int:
@@ -153,7 +150,7 @@ def cmd_oracle(args) -> int:
     except (InvalidQuantumNumbers, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    rel = abs(approx - mpf(exact.numerator) / exact.denominator) / abs(approx)
+    rel = checks.rel_error(approx, exact)
     print(f"<eta^{args.s}> exact      = {_fmt(exact)} (~{_dec(exact)})")
     print(f"<eta^{args.s}> quadrature = {nstr(approx, 30)}")
     print(f"relative difference = {nstr(rel, 3)}")
@@ -162,158 +159,86 @@ def cmd_oracle(args) -> int:
 
 # --- verification suite -----------------------------------------------------
 
-GRIDS = {
-    "small": {"d_max": 6, "nl_max": 10, "N1_max": 20, "ladder_N": 12},
-    "large": {"d_max": 10, "nl_max": 25, "N1_max": 50, "ladder_N": 40},
-}
+
+def _perturbed_eps1(q: QuantumNumbers) -> Fraction:
+    return epsilon1_general(q) - Fraction(q.n * q.n, 8)  # flipped coefficient: 6n^2 -> 7n^2
 
 
-def _radial_grid(d_max: int, nl_max: int, N1_max: int):
-    for N in range(N1_max + 1):
-        yield QuantumNumbers.one_dim(N)
-    for d in range(2, d_max + 1):
-        for n in range(nl_max + 1):
-            for l in range(nl_max + 1):
-                yield QuantumNumbers(d, Fraction(n), l)
+def _record(case, method, value, ok, detail="") -> dict:
+    return {
+        "case": case if not detail else f"{case} [{detail}]",
+        "method": method,
+        "value_pq": _fmt(value) if isinstance(value, Fraction) else str(value),
+        "value_dec": _dec(value) if isinstance(value, (Fraction, mpf, float)) else "",
+        "status": "pass" if ok else "FAIL",
+    }
+
+
+def _first_failure_record(case, method, q, value) -> dict:
+    """Record of an exact check over radial states; q is its first failure or None."""
+    if q is None:
+        return _record(case, method, Fraction(0), True)
+    return _record(case, method, value(q), False, f"first failure at d={q.d} n={q.n} l={q.l}")
 
 
 def run_verification(grid: str = "small", perturb: bool = False) -> tuple[bool, list[dict]]:
     """Run cross-method and oracle checks; returns (all_passed, records)."""
-    sizes = GRIDS[grid]
-    records: list[dict] = []
-
-    def record(case, method, value, ok, detail=""):
-        records.append(
-            {
-                "case": case if not detail else f"{case} [{detail}]",
-                "method": method,
-                "value_pq": _fmt(value) if isinstance(value, Fraction) else str(value),
-                "value_dec": _dec(value) if isinstance(value, (Fraction, mpf, float)) else "",
-                "status": "pass" if ok else "FAIL",
-            }
-        )
-        return ok
-
-    def eps1_target(q):
-        value = epsilon1_general(q)
-        if perturb:
-            value -= Fraction(q.n * q.n, 8)  # flipped coefficient: 6n^2 -> 7n^2
-        return value
-
-    ok_all = True
-
-    # cross-method equalities on the radial grid
-    first_fail = None
-    for q in _radial_grid(sizes["d_max"], sizes["nl_max"], sizes["N1_max"]):
-        target = eps1_target(q)
-        if not (
-            kramers.first_order_method1(q) == target
-            and laguerre_me.first_order_method2(q) == target
-            and epsilon1_rewritten(q) == target
-        ):
-            first_fail = q
-            break
-    ok_all &= record(
-        "first-order cross-method equality (I = II = closed form)",
-        "kramers/laguerre/closed",
-        Fraction(0) if first_fail is None else eps1_target(first_fail),
-        first_fail is None,
-        "" if first_fail is None else f"first failure at d={first_fail.d} n={first_fail.n} l={first_fail.l}",
-    )
-
-    first_fail = None
-    for q in _radial_grid(sizes["d_max"], sizes["nl_max"], sizes["N1_max"]):
-        if laguerre_me.second_order_method2(q) != epsilon2_general(q):
-            first_fail = q
-            break
-    ok_all &= record(
-        "second-order cross-method equality (part I + II = closed form)",
-        "laguerre/closed",
-        Fraction(0) if first_fail is None else epsilon2_general(first_fail),
-        first_fail is None,
-        "" if first_fail is None else f"first failure at d={first_fail.d} n={first_fail.n} l={first_fail.l}",
-    )
-
-    # 2D ladder equivalence
-    first_fail = None
-    for N in range(sizes["ladder_N"] + 1):
-        for m in range(-N, N + 1, 2):
-            s = FockState2D(N, m)
-            q = map_Nm_to_nl(s)
-            if ladder2d.first_order_2d(s) != epsilon1_general(q) or ladder2d.second_order_2d(
-                s
-            ) != epsilon2_general(q):
-                first_fail = s
-                break
-        if first_fail:
-            break
-    ok_all &= record(
-        "2D ladder equivalence under N=2n+l, m^2=l^2",
-        "ladder/closed",
-        Fraction(0),
-        first_fail is None,
-        "" if first_fail is None else f"first failure at N={first_fail.N} m={first_fail.m}",
-    )
-
-    # paper spot values
-    spots = [
-        (QuantumNumbers(3, 0, 0), Fraction(-15, 32), Fraction(255, 512)),
-        (QuantumNumbers.one_dim(0), Fraction(-3, 32), Fraction(39, 512)),
-        (QuantumNumbers(2, 0, 0), Fraction(-1, 4), Fraction(15, 64)),
+    sizes = checks.GRIDS[grid]
+    states = checks.radial_grid(sizes["d_max"], sizes["nl_max"], sizes["N1_max"])
+    eps1_target = _perturbed_eps1 if perturb else epsilon1_general
+    records = [
+        _first_failure_record(
+            "first-order cross-method equality (I = II = closed form)",
+            "kramers/laguerre/closed",
+            checks.first_order_failure(states, eps1_target),
+            eps1_target,
+        ),
+        _first_failure_record(
+            "second-order cross-method equality (part I + II = closed form)",
+            "laguerre/closed",
+            checks.second_order_failure(states),
+            epsilon2_general,
+        ),
     ]
-    for q, e1, e2 in spots:
-        ok = epsilon1_general(q) == e1 and epsilon2_general(q) == e2
-        ok_all &= record(
-            f"spot value d={q.d} n={_fmt(q.n)} l={q.l}", "closed", e1, ok
+    fock = checks.ladder_failure(sizes["ladder_N"])
+    records.append(
+        _record(
+            "2D ladder equivalence under N=2n+l, m^2=l^2",
+            "ladder/closed",
+            Fraction(0),
+            fock is None,
+            "" if fock is None else f"first failure at N={fock.N} m={fock.m}",
         )
-
-    # degeneracy sum rule
-    ok = all(
-        sum(spectrum.degeneracy_level(l, d) for l in spectrum.allowed_l(N))
-        == spectrum.degeneracy_total(N, d)
-        and len(spectrum.allowed_l(N)) == spectrum.split_count(N)
-        for N in range(31)
-        for d in range(2, 11)
     )
-    ok_all &= record("degeneracy sum rule and split count, N<=30, d<=10", "spectrum", Fraction(0), ok)
-
-    # sign and ordering properties
-    ok = True
-    for q in _radial_grid(sizes["d_max"], sizes["nl_max"], sizes["N1_max"]):
-        if epsilon1_general(q) >= 0 or epsilon2_general(q) <= 0:
-            ok = False
-            break
-    ok_all &= record("sign invariants eps1<0, eps2>0", "closed", Fraction(0), ok)
-
-    # ladder algebra self-test
-    ok = normal_order(p2_expr() * p2_expr()) == normal_order(p4_expr())
-    for N in range(5):
-        for m in range(-N, N + 1, 2):
-            s = FockState2D(N, m)
-            mono = ladder2d.LadderExpr.mono
-            ok &= ladder2d.expectation(mono("a", "ad") - mono("ad", "a"), s) == 1
-            ok &= ladder2d.expectation(mono("b", "bd") - mono("bd", "b"), s) == 1
-    ok_all &= record("p^4 expansion self-test and commutators", "ladder", Fraction(0), bool(ok))
+    for q, e1, e2 in checks.SPOTS:
+        ok = checks.spot_value_holds(q, e1, e2)
+        records.append(_record(f"spot value d={q.d} n={_fmt(q.n)} l={q.l}", "closed", e1, ok))
+    for case, method, ok in [
+        (
+            "degeneracy sum rule and split count, N<=30, d<=10",
+            "spectrum",
+            checks.degeneracy_sum_rule_holds(),
+        ),
+        ("sign invariants eps1<0, eps2>0", "closed", checks.sign_failure(states) is None),
+        ("p^4 expansion self-test and commutators", "ladder", checks.operator_self_test_holds()),
+    ]:
+        records.append(_record(case, method, Fraction(0), ok))
 
     # oracle spot checks (kept small: the full grid lives in the test suite)
-    tol12, tol10 = mpf("1e-12"), mpf("1e-10")
     for d, n, l, s in [(2, 0, 0, 2), (3, 1, 1, 4), (5, 2, 0, 2)]:
-        q = QuantumNumbers(d, Fraction(n), l)
-        exact = kramers.moment_eta(q, s)
-        approx = oracle.quad_expectation(q, s)
-        rel = abs(approx - mpf(exact.numerator) / exact.denominator) / abs(approx)
-        ok_all &= record(
-            f"quadrature <eta^{s}> at d={d} n={n} l={l}", "oracle", exact, rel <= tol12
-        )
+        q = QuantumNumbers(d, n, l)
+        ok = checks.expectation_error([(q, s)]) <= checks.TOL_EXPECT
+        case = f"quadrature <eta^{s}> at d={d} n={n} l={l}"
+        records.append(_record(case, "oracle", kramers.moment_eta(q, s), ok))
     q = QuantumNumbers(3, 0, 0)
-    sos = oracle.sum_over_states_check(q, 6)
-    exact = laguerre_me.second_order_part2(q)
-    rel = abs(sos - mpf(exact.numerator) / exact.denominator) / abs(sos)
-    ok_all &= record("sum-over-states part II at d=3 ground state", "oracle", exact, rel <= tol10)
+    ok = checks.sum_over_states_error([(q, 6)]) <= checks.TOL_SUM
+    case = "sum-over-states part II at d=3 ground state"
+    records.append(_record(case, "oracle", laguerre_me.second_order_part2(q), ok))
     residual = oracle.radial_residual(QuantumNumbers(3, 2, 1), [Fraction(1, 2), 1, 2])
-    ok_all &= record("radial-equation residual d=3 n=2 l=1", "oracle", residual, residual <= tol10)
+    ok = residual <= checks.TOL_RESIDUAL
+    records.append(_record("radial-equation residual d=3 n=2 l=1", "oracle", residual, ok))
 
-    return bool(ok_all), records
+    return all(rec["status"] == "pass" for rec in records), records
 
 
 def cmd_verify(args) -> int:
@@ -338,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correct", help="corrections for one state, all methods")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=str, default=None, help="radial number (rational for d=1)")
+    p.add_argument("--n", type=_parse_rational, help="radial number (rational for d=1)")
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--N", dest="big_N", type=int, default=None, help="principal number (d=1 or d=2)")
     p.add_argument("--m", type=int, default=None, help="angular momentum for d=2 ladder mode")
@@ -383,8 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    mp.dps = max(mp.dps, oracle.working_precision())
-    return args.func(args)
+    try:
+        dps = oracle.working_precision()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    with mp.workdps(max(mp.dps, dps)):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -6,21 +6,11 @@ Moments are in units (hbar/(m omega))^(s/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .states import QuantumNumbers, energy_unperturbed
 
-__all__ = ["RadialMoment", "moment_r2", "moment_r_even", "moment_eta", "first_order_method1"]
-
-
-@dataclass(frozen=True)
-class RadialMoment:
-    """Expectation value <r^s> of an even power of r."""
-
-    q: QuantumNumbers
-    s: int
-    value: Fraction
+__all__ = ["moment_r2", "moment_r_even", "moment_eta", "first_order_method1"]
 
 
 def moment_r2(q: QuantumNumbers) -> Fraction:

@@ -22,6 +22,7 @@ from mpmath import matrix, mp, mpf
 from .states import (
     QuantumNumbers,
     UnsupportedDimension,
+    _to_mpf,
     energy_unperturbed,
     laguerre_eval,
     normalization,
@@ -49,15 +50,9 @@ def working_precision() -> int:
     value = os.environ.get("SALPETER_PRECISION")
     if value is None:
         return DEFAULT_DPS
-    digits = int(value)
-    if digits < 15:
-        raise ValueError(f"SALPETER_PRECISION must be >= 15, got {digits}")
-    return digits
-
-
-def _to_mpf(x) -> mpf:
-    x = Fraction(x)
-    return mpf(x.numerator) / x.denominator
+    if not value.isdecimal() or int(value) < 15:
+        raise ValueError(f"SALPETER_PRECISION must be an integer >= 15, got {value!r}")
+    return int(value)
 
 
 def gauss_laguerre_rule(alpha, npoints: int) -> tuple[list, list]:

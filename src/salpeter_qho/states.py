@@ -8,7 +8,7 @@ evaluation is high-precision floating point via mpmath.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -17,7 +17,6 @@ __all__ = [
     "InvalidQuantumNumbers",
     "UnsupportedDimension",
     "QuantumNumbers",
-    "RadialEigenfunction",
     "energy_unperturbed",
     "laguerre_coefficients",
     "series_coefficients",
@@ -231,27 +230,3 @@ def u_derivatives(q: QuantumNumbers, r) -> tuple[mpf, mpf, mpf]:
     )
     d2u = a * e * (hp - r * h)
     return u, du, d2u
-
-
-@dataclass(frozen=True)
-class RadialEigenfunction:
-    """Exact polynomial data of a radial eigenstate plus its normalization."""
-
-    q: QuantumNumbers
-    coefficients: tuple[Fraction, ...] = field(default=None)
-
-    def __post_init__(self):
-        if self.q.d < 2:
-            raise UnsupportedDimension("eigenfunction construction requires d >= 2")
-        if self.coefficients is None:
-            coeffs = tuple(laguerre_coefficients(int(self.q.n), self.q.alpha))
-            object.__setattr__(self, "coefficients", coeffs)
-        if len(self.coefficients) != int(self.q.n) + 1:
-            raise ValueError("polynomial degree must equal n")
-
-    @property
-    def norm_constant(self) -> mpf:
-        return normalization(self.q)
-
-    def __call__(self, eta) -> mpf:
-        return u_eval(self.q, eta)

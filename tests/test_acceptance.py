@@ -3,6 +3,11 @@
 Criteria 1, 2, 3, 4, 7, 8 and 9 are exact (rational equality, zero
 tolerance); criteria 5 and 6 compare against the arbitrary-precision
 quadrature oracle at the stated tolerances.
+
+The checks, grids and tolerances shared with `salpeter-qho verify` live in
+salpeter_qho.checks; this suite runs them on the "large" grid.  Criterion 4's
+printed specializations, criterion 6 and criterion 8's ordering within a
+level are checked here only.
 """
 
 import time
@@ -10,18 +15,12 @@ from fractions import Fraction
 
 from mpmath import mpf
 
-from salpeter_qho import kramers, ladder2d, laguerre_me, oracle, spectrum
+from salpeter_qho import checks, oracle, spectrum
 from salpeter_qho.corrections import epsilon1_general, epsilon2_general
-from salpeter_qho.ladder2d import FockState2D, map_Nm_to_nl, normal_order, p2_expr, p4_expr
 from salpeter_qho.states import QuantumNumbers
 
 F = Fraction
-
-TOL_EXPECT = mpf("1e-12")
-TOL_SUM = mpf("1e-10")
-TOL_ORTHO = mpf("1e-12")
-TOL_RESIDUAL = mpf("1e-10")
-TOL_SPARSE = mpf("1e-12")
+LARGE = checks.GRIDS["large"]
 
 
 def report(number: int, description: str, ok: bool):
@@ -30,22 +29,12 @@ def report(number: int, description: str, ok: bool):
 
 
 def full_grid():
-    for N in range(51):
-        yield QuantumNumbers.one_dim(N)
-    for d in range(2, 11):
-        for n in range(26):
-            for l in range(26):
-                yield QuantumNumbers(d, n, l)
+    return checks.radial_grid(LARGE["d_max"], LARGE["nl_max"], LARGE["N1_max"])
 
 
 def test_criterion_1_first_order_cross_method():
     start = time.monotonic()
-    ok = all(
-        kramers.first_order_method1(q)
-        == laguerre_me.first_order_method2(q)
-        == epsilon1_general(q)
-        for q in full_grid()
-    )
+    ok = checks.first_order_failure(full_grid()) is None
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 10
     report(1, f"first-order methods agree exactly on the full grid ({elapsed:.1f}s)", ok)
@@ -53,32 +42,19 @@ def test_criterion_1_first_order_cross_method():
 
 def test_criterion_2_second_order_cross_method():
     start = time.monotonic()
-    ok = all(laguerre_me.second_order_method2(q) == epsilon2_general(q) for q in full_grid())
+    ok = checks.second_order_failure(full_grid()) is None
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 10
     report(2, f"second-order method agrees exactly on the full grid ({elapsed:.1f}s)", ok)
 
 
 def test_criterion_3_ladder_equivalence():
-    ok = True
-    for N in range(41):
-        for m in range(-N, N + 1, 2):
-            s = FockState2D(N, m)
-            q = map_Nm_to_nl(s)
-            ok &= ladder2d.first_order_2d(s) == epsilon1_general(q)
-            ok &= ladder2d.second_order_2d(s) == epsilon2_general(q)
-    report(3, "2D ladder corrections equal the general formulas for N <= 40", bool(ok))
+    ok = checks.ladder_failure(LARGE["ladder_N"]) is None
+    report(3, "2D ladder corrections equal the general formulas for N <= 40", ok)
 
 
 def test_criterion_4_spot_values_and_specializations():
-    spots = [
-        (QuantumNumbers(3, 0, 0), F(-15, 32), F(255, 512)),
-        (QuantumNumbers.one_dim(0), F(-3, 32), F(39, 512)),
-        (QuantumNumbers(2, 0, 0), F(-1, 4), F(15, 64)),
-    ]
-    ok = all(
-        epsilon1_general(q) == e1 and epsilon2_general(q) == e2 for q, e1, e2 in spots
-    )
+    ok = all(checks.spot_value_holds(*spot) for spot in checks.SPOTS)
     # printed d=1 specializations as polynomial identities over N in [0, 25]
     for N in range(26):
         q = QuantumNumbers.one_dim(N)
@@ -99,32 +75,14 @@ def test_criterion_4_spot_values_and_specializations():
 
 
 def test_criterion_5_oracle_agreement():
-    ok = True
-    worst_expect = mpf(0)
-    for d in (2, 3, 5):
-        for n in range(9):
-            for l in range(9):
-                q = QuantumNumbers(d, n, l)
-                for s in range(9):
-                    exact = kramers.moment_eta(q, s)
-                    approx = oracle.quad_expectation(q, s)
-                    rel = abs(approx - mpf(exact.numerator) / exact.denominator) / abs(approx)
-                    worst_expect = max(worst_expect, rel)
-    ok &= worst_expect <= TOL_EXPECT
-
-    worst_sum = mpf(0)
-    for d in (2, 3, 5):
-        for n in range(9):
-            for l in range(9):
-                q = QuantumNumbers(d, n, l)
-                exact = laguerre_me.second_order_part2(q)
-                approx = oracle.sum_over_states_check(q, n + 4)
-                rel = abs(approx - mpf(exact.numerator) / exact.denominator) / abs(approx)
-                worst_sum = max(worst_sum, rel)
-    ok &= worst_sum <= TOL_SUM
+    states = [QuantumNumbers(d, n, l) for d in (2, 3, 5) for n in range(9) for l in range(9)]
+    worst_expect = checks.expectation_error((q, s) for q in states for s in range(9))
+    ok = worst_expect <= checks.TOL_EXPECT
+    worst_sum = checks.sum_over_states_error((q, int(q.n) + 4) for q in states)
+    ok &= worst_sum <= checks.TOL_SUM
 
     worst_ortho = max(oracle.orthonormality_check(l, d, 8) for d in (2, 3, 5) for l in (0, 3, 8))
-    ok &= worst_ortho <= TOL_ORTHO
+    ok &= worst_ortho <= checks.TOL_ORTHO
 
     etas = [F(1, 10), F(1, 2), 1, 2, F(7, 2), 5]
     worst_res = max(
@@ -133,7 +91,7 @@ def test_criterion_5_oracle_agreement():
         for n in (0, 3, 8)
         for l in (0, 2, 8)
     )
-    ok &= worst_res <= TOL_RESIDUAL
+    ok &= worst_res <= checks.TOL_RESIDUAL
     report(
         5,
         "oracle agreement: expectations {:.1e}, sum-over-states {:.1e}, "
@@ -153,21 +111,16 @@ def test_criterion_6_sparsity():
                     value = oracle.quad_matrix_element(n + delta, n, l, d, 2)
                     worst = max(worst, abs(value))
     report(6, f"eta^2 matrix elements vanish for |dn| in {{3,4}} (worst {float(worst):.1e})",
-           worst <= TOL_SPARSE)
+           worst <= checks.TOL_SPARSE)
 
 
 def test_criterion_7_degeneracy_sum_rule():
-    ok = True
-    for N in range(31):
-        for d in range(2, 11):
-            total = sum(spectrum.degeneracy_level(l, d) for l in spectrum.allowed_l(N))
-            ok &= total == spectrum.degeneracy_total(N, d)
-        ok &= len(spectrum.allowed_l(N)) == spectrum.split_count(N)
-    report(7, "degeneracy sum rule and split count for N <= 30, d in [2,10]", bool(ok))
+    ok = checks.degeneracy_sum_rule_holds()
+    report(7, "degeneracy sum rule and split count for N <= 30, d in [2,10]", ok)
 
 
 def test_criterion_8_sign_and_ordering():
-    ok = all(epsilon1_general(q) < 0 < epsilon2_general(q) for q in full_grid())
+    ok = checks.sign_failure(full_grid()) is None
     for d in range(2, 11):
         for N in range(26):
             values = [
@@ -180,21 +133,5 @@ def test_criterion_8_sign_and_ordering():
 
 
 def test_criterion_9_operator_self_test():
-    ok = normal_order(p2_expr() * p2_expr()) == normal_order(p4_expr())
-    mono = ladder2d.LadderExpr.mono
-    comm_a = mono("a", "ad") - mono("ad", "a")
-    comm_b = mono("b", "bd") - mono("bd", "b")
-    cross = [
-        mono("a", "b") - mono("b", "a"),
-        mono("a", "bd") - mono("bd", "a"),
-        mono("ad", "b") - mono("b", "ad"),
-        mono("ad", "bd") - mono("bd", "ad"),
-    ]
-    for N in range(13):
-        for m in range(-N, N + 1, 2):
-            s = FockState2D(N, m)
-            ok &= ladder2d.expectation(comm_a, s) == 1
-            ok &= ladder2d.expectation(comm_b, s) == 1
-            for expr in cross:
-                ok &= ladder2d.expectation(expr, s) == 0
-    report(9, "p^4 expansion matches its printed form; commutators hold for N <= 12", bool(ok))
+    ok = checks.operator_self_test_holds()
+    report(9, "p^4 expansion matches its printed form; commutators hold for N <= 12", ok)

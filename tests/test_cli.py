@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from mpmath import mp
 
 from salpeter_qho.cli import main
 
@@ -140,7 +141,10 @@ class TestVerify:
         assert code == 1
         report = json.loads(out)
         assert report["passed"] is False
-        assert any(rec["status"] == "FAIL" for rec in report["checks"])
+        first, *rest = report["checks"]
+        assert first["method"] == "kramers/laguerre/closed" and first["status"] == "FAIL"
+        assert first["case"].endswith("[first failure at d=1 n=1/2 l=0]")
+        assert all(rec["status"] == "pass" for rec in rest)
 
     def test_report_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -162,6 +166,43 @@ class TestOracleCommand:
     def test_invalid_state(self, capsys):
         code, _, err = run(capsys, "oracle", "--d", "3", "--n", "-1", "--l", "0")
         assert code == 2 and "error" in err
+
+
+VALID_ARGV = [
+    ["correct", "--d", "3", "--n", "0"],
+    ["table", "--d", "3", "--Nmax", "1"],
+    ["diagram", "--d", "3", "--Nmax", "1"],
+    ["verify"],
+    ["oracle", "--d", "3", "--n", "0"],
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "precision,argv",
+        [
+            (None, ["correct", "--d", "2", "--n", "0", "--l", "2", "--m", "0"]),
+            (None, ["correct", "--d", "2", "--n", "0", "--l", "2", "--m", "5"]),
+            (None, ["correct", "--d", "3", "--n", "abc"]),
+            (None, ["correct", "--d", "3", "--n", "1/0"]),
+        ]
+        + [(precision, argv) for precision in ("abc", "14") for argv in VALID_ARGV],
+    )
+    def test_exit_2_with_one_error_line(self, capsys, monkeypatch, precision, argv):
+        if precision is not None:
+            monkeypatch.setenv("SALPETER_PRECISION", precision)
+        try:
+            code, _, err = run(capsys, *argv)
+        except SystemExit as exc:
+            code, err = exc.code, capsys.readouterr().err
+        assert code == 2
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_precision_is_scoped(self, capsys):
+        with mp.workdps(20):
+            run(capsys, "correct", "--d", "3", "--n", "0")
+            assert mp.dps == 20
 
 
 class TestParser:

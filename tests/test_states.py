@@ -10,7 +10,6 @@ from mpmath import mp, mpf
 from salpeter_qho.states import (
     InvalidQuantumNumbers,
     QuantumNumbers,
-    RadialEigenfunction,
     UnsupportedDimension,
     energy_unperturbed,
     gamma_rational,
@@ -159,17 +158,3 @@ class TestUEval:
         x = mpf(3) / 2
         direct = sum(mpf(c.numerator) / c.denominator * x**k for k, c in enumerate(coeffs))
         assert abs(laguerre_eval(6, q.alpha, x) - direct) < mpf("1e-40")
-
-
-class TestRadialEigenfunction:
-    def test_degree_equals_n(self):
-        f = RadialEigenfunction(QuantumNumbers(3, 4, 2))
-        assert len(f.coefficients) == 5
-
-    def test_callable(self):
-        f = RadialEigenfunction(QuantumNumbers(2, 1, 0))
-        assert f(F(1, 2)) == u_eval(QuantumNumbers(2, 1, 0), F(1, 2))
-
-    def test_d1_rejected(self):
-        with pytest.raises(UnsupportedDimension):
-            RadialEigenfunction(QuantumNumbers.one_dim(0))
