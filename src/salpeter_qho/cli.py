@@ -45,7 +45,11 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _state_from_args(args) -> QuantumNumbers:
+    if args.m is not None and args.d != 2:
+        raise InvalidQuantumNumbers(f"--m is only for d=2, got --d {args.d}")
     if args.big_N is not None:
+        if args.n is not None or args.l is not None:
+            raise InvalidQuantumNumbers("give either --N or --n/--l, not both")
         if args.d == 1:
             return QuantumNumbers.one_dim(args.big_N)
         if args.d == 2:
@@ -54,9 +58,10 @@ def _state_from_args(args) -> QuantumNumbers:
         raise InvalidQuantumNumbers("--N/--m addressing is only for d=1 or d=2")
     if args.n is None:
         raise InvalidQuantumNumbers("specify --n/--l, or --N (d=1), or --N/--m (d=2)")
-    if args.d == 2 and args.m is not None and abs(args.m) != args.l:
-        raise InvalidQuantumNumbers(f"--m {args.m} contradicts --l {args.l}: need |m| = l")
-    return QuantumNumbers(args.d, args.n, args.l)
+    l = 0 if args.l is None else args.l
+    if args.m is not None and abs(args.m) != l:
+        raise InvalidQuantumNumbers(f"--m {args.m} contradicts --l {l}: need |m| = l")
+    return QuantumNumbers(args.d, args.n, l)
 
 
 def cmd_correct(args) -> int:
@@ -264,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correct", help="corrections for one state, all methods")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=_parse_rational, help="radial number (rational for d=1)")
-    p.add_argument("--l", type=int, default=0)
+    p.add_argument("--l", type=int, default=None)
     p.add_argument("--N", dest="big_N", type=int, default=None, help="principal number (d=1 or d=2)")
     p.add_argument("--m", type=int, default=None, help="angular momentum for d=2 ladder mode")
     p.add_argument(

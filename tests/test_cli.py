@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from salpeter_qho.cli import main
@@ -186,7 +192,12 @@ class TestUsageErrors:
             (None, ["correct", "--d", "3", "--n", "abc"]),
             (None, ["correct", "--d", "3", "--n", "1/0"]),
         ]
-        + [(precision, argv) for precision in ("abc", "14") for argv in VALID_ARGV],
+        + [(precision, argv) for precision in ("abc", "14") for argv in VALID_ARGV]
+        + [
+            (None, ["correct", "--d", "3", "--n", "0", "--l", "0", "--m", "1"]),
+            (None, ["correct", "--d", "1", "--N", "2", "--n", "5"]),
+            (None, ["correct", "--d", "3", "--n", "0", "--l", "1", "--m", "1"]),
+        ],
     )
     def test_exit_2_with_one_error_line(self, capsys, monkeypatch, precision, argv):
         if precision is not None:
@@ -203,6 +214,61 @@ class TestUsageErrors:
         with mp.workdps(20):
             run(capsys, "correct", "--d", "3", "--n", "0")
             assert mp.dps == 20
+
+
+REQUIRED = {
+    "correct": ["--d", "--n"],
+    "table": ["--d", "--Nmax"],
+    "diagram": ["--d", "--Nmax"],
+    "verify": [],
+    "oracle": ["--d", "--n"],
+}
+OPTIONAL = {
+    "correct": ["--l", "--N", "--m", "--method", "--format", "--out"],
+    "table": ["--lambda", "--format", "--out"],
+    "diagram": ["--lambda", "--exaggeration", "--out"],
+    "verify": ["--grid", "--perturb", "--report"],
+    "oracle": ["--l", "--s"],
+}
+# small magnitudes keep every run cheap; "--grid large" is left out for the same reason
+NUMBERS = ["-1", "0", "1", "2", "3", "1/2", "3/2"]
+WORDS = ["-1/2", "1/0", "abc", "", "all", "closed", "ladder", "json", "text", "csv",
+         "small", "-", "/nonexistent/dir/out"]
+
+
+@st.composite
+def argv_lists(draw):
+    command = draw(st.sampled_from(sorted(REQUIRED)))
+    value = st.sampled_from(NUMBERS) | st.sampled_from(WORDS)
+    argv = [command]
+    for flag in REQUIRED[command]:
+        if draw(st.integers(0, 9)):  # now and then leave a required flag out
+            argv += [flag, draw(st.sampled_from(["1", "2", "3", "5"]))]
+    for flag in draw(st.lists(st.sampled_from(OPTIONAL[command] + ["--bogus"]), max_size=4)):
+        argv += [flag] if flag == "--perturb" else [flag, draw(value)]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(argv_lists())
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        # values such as "abc" are relative --out/--report paths: write them in a scratch dir
+        with tempfile.TemporaryDirectory() as scratch:
+            os.chdir(scratch)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert "DISAGREE" in out.getvalue() or "FAIL" in out.getvalue()
 
 
 class TestParser:

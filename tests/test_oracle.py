@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from salpeter_qho import oracle
 from salpeter_qho.kramers import moment_eta
 from salpeter_qho.laguerre_me import second_order_part2
 from salpeter_qho.oracle import (
@@ -13,6 +14,7 @@ from salpeter_qho.oracle import (
     quad_expectation,
     quad_matrix_element,
     radial_residual,
+    rule_cache_stats,
     sum_over_states_check,
     working_precision,
 )
@@ -25,6 +27,25 @@ SAMPLE_ETAS = [F(1, 10), F(1, 2), 1, 2, F(7, 2), 5, 8]
 
 def to_float(x: Fraction) -> mpf:
     return mpf(x.numerator) / x.denominator
+
+
+def golub_welsch_rule(alpha: Fraction, npoints: int) -> tuple[list, list]:
+    """Reference rule from the eigenpairs of the Jacobi matrix (Golub & Welsch,
+    Math. Comp. 23 (1969) 221): nodes are the eigenvalues, weights Gamma(alpha+1)
+    times the squared first components of the eigenvectors."""
+    a = to_float(alpha)
+    jacobi = mp.matrix(npoints, npoints)
+    for k in range(npoints):
+        jacobi[k, k] = 2 * k + a + 1
+    for k in range(1, npoints):
+        jacobi[k, k - 1] = jacobi[k - 1, k] = mp.sqrt(k * (k + a))
+    values, vectors = mp.eigsy(jacobi)
+    pairs = sorted((values[i], mp.gamma(a + 1) * vectors[0, i] ** 2) for i in range(npoints))
+    return [x for x, _ in pairs], [w for _, w in pairs]
+
+
+def max_rel_diff(a: list, b: list) -> mpf:
+    return max(abs(x / y - 1) for x, y in zip(a, b))
 
 
 class TestRule:
@@ -46,6 +67,59 @@ class TestRule:
 
     def test_memoized(self):
         assert gauss_laguerre_rule(1, 5) is gauss_laguerre_rule(1, 5)
+
+    @pytest.mark.parametrize("alpha", [F(k, 2) for k in range(20)])
+    def test_matches_golub_welsch(self, alpha):
+        with mp.workdps(working_precision() + 10):
+            for npoints in range(1, 17):
+                nodes, weights = gauss_laguerre_rule(alpha, npoints)
+                ref_nodes, ref_weights = golub_welsch_rule(alpha, npoints)
+                assert max_rel_diff(nodes, ref_nodes) < mpf("1e-45")
+                assert max_rel_diff(weights, ref_weights) < mpf("1e-45")
+
+    def test_guard_digits(self, monkeypatch):
+        # rules carry 10 digits beyond working precision; check 5 of them
+        # against the same rule built with 30 more
+        dps = working_precision()
+        nodes, weights = gauss_laguerre_rule(F(9, 2), 60)
+        monkeypatch.setenv("SALPETER_PRECISION", str(dps + 30))
+        ref_nodes, ref_weights = gauss_laguerre_rule(F(9, 2), 60)
+        with mp.workdps(dps + 10):
+            assert max_rel_diff(nodes, ref_nodes) < mpf(10) ** -(dps + 5)
+            assert max_rel_diff(weights, ref_weights) < mpf(10) ** -(dps + 5)
+
+    def test_large_alpha(self):
+        # a large order, where asymptotic starting guesses for the zeros break down
+        nodes, weights = gauss_laguerre_rule(30, 60)
+        assert nodes[0] > 0
+        assert all(a < b for a, b in zip(nodes, nodes[1:]))
+        with mp.workdps(working_precision()):
+            assert abs(mp.fsum(weights) / mp.gamma(31) - 1) < mpf("1e-45")
+
+    def test_one_point(self):
+        # L_1^(alpha) = 1 + alpha - x: one node at alpha + 1 carrying Gamma(alpha + 1)
+        (node,), (weight,) = gauss_laguerre_rule(F(5, 2), 1)
+        with mp.workdps(working_precision()):
+            assert abs(node - mpf(7) / 2) < mpf("1e-45")
+            assert abs(weight / mp.gamma(mpf(7) / 2) - 1) < mpf("1e-45")
+
+    def test_failed_build_raises_and_is_not_cached(self, monkeypatch):
+        alpha, npoints = F(11, 3), 4
+        monkeypatch.setattr(oracle, "_seed_zeros", lambda a, n: [float(a) + 1] * n)
+        with pytest.raises(ArithmeticError):
+            gauss_laguerre_rule(alpha, npoints)
+        monkeypatch.undo()
+        nodes, _ = gauss_laguerre_rule(alpha, npoints)
+        assert all(a < b for a, b in zip(nodes, nodes[1:]))
+
+    def test_cache_stats(self):
+        before = rule_cache_stats()
+        first = gauss_laguerre_rule(F(7, 3), 3)  # a rule no other test builds
+        assert gauss_laguerre_rule(F(7, 3), 3) is first
+        after = rule_cache_stats()
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 1
+        assert after["build_s"] > before["build_s"]
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
