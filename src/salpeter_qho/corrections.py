@@ -2,6 +2,10 @@
 
 epsilon0 is the coefficient of hbar*omega, epsilon1 of lambda*hbar*omega and
 epsilon2 of lambda^2*hbar*omega, where lambda = hbar*omega/(m c^2).
+
+In m = 2n = N - l, 32*epsilon1 and 512*epsilon2 are integer polynomials in
+(d, m, l); that holds for d = 1 too, where n = N/2 and m = N.  Both are
+evaluated in int arithmetic and one Fraction is built per result.
 """
 
 from __future__ import annotations
@@ -34,13 +38,36 @@ class CorrectionTriple:
         return self.epsilon0 + lam * self.epsilon1 + lam * lam * self.epsilon2
 
 
+def _scaled_corrections(d: int, m: int, l: int) -> tuple[int, int]:
+    """(32*epsilon1, 512*epsilon2) as ints, with m = 2n = N - l.
+
+    32*epsilon1 = -(6m^2 + 4l^2 + 12ml + 6md + 4ld + 4l + d^2 + 2d)
+    512*epsilon2 = 46m^3 + 69m^2 d + (27d^2 + 30d + 44)m + 16l^3
+                   + (24d + 60)l^2 + (12d^2 + 60d + 44)l + 138m^2 l + 108ml^2
+                   + (108d + 60)ml + 2d^3 + 15d^2 + 22d
+
+    evaluated in nested (Horner) form.
+    """
+    e1 = -(6 * m * (m + 2 * l + d) + 4 * l * (l + d + 1) + d * (d + 2))
+    e2 = (
+        m * (
+            m * (46 * m + 69 * d + 138 * l)
+            + 108 * l * l
+            + (108 * d + 60) * l
+            + 27 * d * d
+            + 30 * d
+            + 44
+        )
+        + l * (l * (16 * l + 24 * d + 60) + 12 * d * d + 60 * d + 44)
+        + d * (d * (2 * d + 15) + 22)
+    )
+    return e1, e2
+
+
 def epsilon1_general(q: QuantumNumbers) -> Fraction:
     """First-order correction, always negative."""
-    d, n, l = q.d, q.n, q.l
-    bracket = (
-        6 * n * n + l * l + 6 * n * l + 3 * n * d + l * d + l + Fraction(d * d + 2 * d, 4)
-    )
-    return -bracket / 8
+    m = 2 * q.n.numerator // q.n.denominator  # 2n is an integer (n = N/2 when d = 1)
+    return Fraction(_scaled_corrections(q.d, m, q.l)[0], 32)
 
 
 def epsilon1_rewritten(q: QuantumNumbers) -> Fraction:
@@ -61,20 +88,8 @@ def epsilon1_rewritten(q: QuantumNumbers) -> Fraction:
 
 def epsilon2_general(q: QuantumNumbers) -> Fraction:
     """Second-order correction, always positive."""
-    d, n, l = q.d, q.n, q.l
-    bracket = (
-        184 * n**3
-        + 138 * n**2 * d
-        + (27 * d * d + 30 * d + 44) * n
-        + 8 * l**3
-        + (12 * d + 30) * l**2
-        + (6 * d * d + 30 * d + 22) * l
-        + 276 * n**2 * l
-        + 108 * n * l**2
-        + (108 * d + 60) * n * l
-        + (d * d + Fraction(15, 2) * d + 11) * d
-    )
-    return bracket / 256
+    m = 2 * q.n.numerator // q.n.denominator
+    return Fraction(_scaled_corrections(q.d, m, q.l)[1], 512)
 
 
 def correction_triple(q: QuantumNumbers) -> CorrectionTriple:

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corrections import correction_triple
-from .states import QuantumNumbers
+from .corrections import _scaled_corrections
 
 __all__ = [
     "LevelRow",
@@ -91,23 +90,26 @@ def level_table(N_max: int, d: int, lam) -> LevelTable:
         raise ValueError(f"lambda must be positive, got {lam}")
     if N_max < 0 or d < 1:
         raise ValueError(f"need N_max >= 0 and d >= 1, got N_max={N_max}, d={d}")
+    # With lam = p/q, eps0 = (2N+d)/2, eps1 = e1/32 and eps2 = e2/512, the
+    # energy eps0 + lam*eps1 + lam^2*eps2 is (c0*(2N+d) + c1*e1 + c2*e2)/(2*c0).
+    p, q = lam.numerator, lam.denominator
+    c0, c1, c2 = 256 * q * q, 16 * p * q, p * p
+    degeneracy = [degeneracy_level(l, d) for l in range(N_max + 1 if d > 1 else 1)]
     rows = []
     for N in range(N_max + 1):
-        if d == 1:
-            states = [QuantumNumbers.one_dim(N)]
-        else:
-            states = [QuantumNumbers(d, Fraction(N - l, 2), l) for l in allowed_l(N)]
-        for q in states:
-            triple = correction_triple(q)
+        eps0 = Fraction(2 * N + d, 2)
+        base = c0 * (2 * N + d)
+        for l in allowed_l(N) if d > 1 else (0,):
+            e1, e2 = _scaled_corrections(d, N - l, l)
             rows.append(
                 LevelRow(
                     N=N,
-                    l=q.l,
-                    eps0=triple.epsilon0,
-                    eps1=triple.epsilon1,
-                    eps2=triple.epsilon2,
-                    energy=triple.shifted_energy(lam),
-                    degeneracy=degeneracy_level(q.l, d),
+                    l=l,
+                    eps0=eps0,
+                    eps1=Fraction(e1, 32),
+                    eps2=Fraction(e2, 512),
+                    energy=Fraction(base + c1 * e1 + c2 * e2, 2 * c0),
+                    degeneracy=degeneracy[l],
                 )
             )
     return LevelTable(d=d, lam=lam, rows=tuple(rows))
@@ -157,6 +159,8 @@ def diagram_data(table: LevelTable, exaggeration=None) -> DiagramModel:
     sub-levels ordered by l, shifts exaggerated uniformly (default 0.1/lambda)
     since the layout is not to scale."""
     exag = Fraction(exaggeration) if exaggeration is not None else Fraction(1, 10) / table.lam
+    if exag <= 0:
+        raise ValueError(f"exaggeration must be positive, got {exag}")
     by_n: dict[int, list[LevelRow]] = {}
     for row in table.rows:
         by_n.setdefault(row.N, []).append(row)

@@ -197,6 +197,8 @@ class TestUsageErrors:
             (None, ["correct", "--d", "3", "--n", "0", "--l", "0", "--m", "1"]),
             (None, ["correct", "--d", "1", "--N", "2", "--n", "5"]),
             (None, ["correct", "--d", "3", "--n", "0", "--l", "1", "--m", "1"]),
+            (None, ["diagram", "--d", "3", "--Nmax", "2", "--exaggeration", "0"]),
+            (None, ["diagram", "--d", "3", "--Nmax", "2", "--exaggeration", "-1"]),
         ],
     )
     def test_exit_2_with_one_error_line(self, capsys, monkeypatch, precision, argv):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from salpeter_qho import kramers, laguerre_me
 from salpeter_qho.corrections import (
     correction_triple,
     epsilon1_general,
@@ -135,3 +136,27 @@ class TestTripleAndInvariants:
         t = correction_triple(QuantumNumbers(2, 0, 0))
         lam = F(1, 100)
         assert t.shifted_energy(lam) == 1 - F(1, 400) + F(15, 640000)
+
+
+large_states = st.one_of(
+    st.builds(
+        QuantumNumbers, st.integers(2, 100), st.integers(0, 10**6), st.integers(0, 10**6)
+    ),
+    st.builds(QuantumNumbers.one_dim, st.integers(0, 2 * 10**6)),
+)
+
+
+class TestLargeQuantumNumbers:
+    """The closed forms against the other derivations far beyond the acceptance grid."""
+
+    @given(q=large_states)
+    def test_scaled_corrections_are_integers(self, q):
+        assert (32 * epsilon1_general(q)).denominator == 1
+        assert (512 * epsilon2_general(q)).denominator == 1
+
+    @given(q=large_states)
+    def test_cross_method_agreement(self, q):
+        e1 = epsilon1_general(q)
+        assert kramers.first_order_method1(q) == e1
+        assert epsilon1_rewritten(q) == e1
+        assert laguerre_me.second_order_method2(q) == epsilon2_general(q)

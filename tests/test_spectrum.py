@@ -1,11 +1,14 @@
 """Degeneracies, level tables, diagram data and the Landau analogue."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
+from salpeter_qho.corrections import correction_triple
 from salpeter_qho.spectrum import (
+    LevelRow,
     allowed_l,
     degeneracy_level,
     degeneracy_total,
@@ -17,8 +20,33 @@ from salpeter_qho.spectrum import (
     render_svg,
     split_count,
 )
+from salpeter_qho.states import QuantumNumbers
 
 F = Fraction
+
+
+def reference_rows(N_max, d, lam):
+    """The level table one state at a time, through the public per-state API."""
+    rows = []
+    for N in range(N_max + 1):
+        if d == 1:
+            states = [QuantumNumbers.one_dim(N)]
+        else:
+            states = [QuantumNumbers(d, F(N - l, 2), l) for l in allowed_l(N)]
+        for q in states:
+            t = correction_triple(q)
+            rows.append(
+                LevelRow(
+                    N=N,
+                    l=q.l,
+                    eps0=t.epsilon0,
+                    eps1=t.epsilon1,
+                    eps2=t.epsilon2,
+                    energy=t.shifted_energy(lam),
+                    degeneracy=degeneracy_level(q.l, d),
+                )
+            )
+    return tuple(rows)
 
 
 class TestDegeneracy:
@@ -93,6 +121,18 @@ class TestLevelTable:
         table = level_table(3, 1, F(1, 1000))
         assert len(table.rows) == 4
         assert all(r.l == 0 and r.degeneracy == 1 for r in table.rows)
+
+    @pytest.mark.parametrize("lam", [F(1, 1000), F(3, 70), F(9, 100000)])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 100])
+    def test_matches_per_state_reference(self, d, lam):
+        for N_max in (0, 1, 60):
+            table = level_table(N_max, d, lam)
+            assert table.rows == reference_rows(N_max, d, lam)
+        assert all(
+            type(x) is Fraction
+            for r in table.rows
+            for x in (r.eps0, r.eps1, r.eps2, r.energy)
+        )
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -181,3 +221,36 @@ class TestRenderers:
     def test_svg_labels(self):
         svg = render_svg(diagram_data(level_table(2, 3, F(1, 1000))))
         assert "l=0" in svg and "l=2" in svg and "N=2" in svg
+
+
+# sha256 of render_csv, render_json and render_svg(diagram_data(table)), recorded
+# from the per-state level_table that reference_rows reproduces.
+GOLDEN = {
+    (200, 1, F(3, 70)): (
+        "62f9298fff3591a6b099abf474b6b56202d32c6044a9faf98d88b464f5f40095",
+        "cc6a3a4a9ccf14bd879ad8ad34aacf8c311614a08316d31d1bb05d2d0632c81a",
+        "4e4d9c2c74eb231d024e2d02b3ccf650e6ec7b49bf91a8dd1949932f9412b5b5",
+    ),
+    (30, 2, F(9, 100000)): (
+        "3315f981987d572a372c36748c64ee4139412362a09a474dd89f3ebc659cb0cd",
+        "e806a15ff515e0df28dd4c5d139a0038c424e4b5f2dd5e0fe46f4eb086a821f3",
+        "c496aa0932782991c622acaba3841493067d227863359c2fb4f97598a45615fe",
+    ),
+    (6, 3, F(1, 1000)): (
+        "ba27672ae874c5622b9bfd2c751dc5e1814f63a8cd2447d25bad879806681400",
+        "2d1879550eb073b0d8bfd0809358cd91c86ad60a9227e8e92dbe18f54d8d98fb",
+        "4575efa0abd6f4fedad7140bdf6345e412ebecb14358ac983363f15734edc30a",
+    ),
+    (20, 100, F(1, 7)): (
+        "685e6c004a972cf2c67c1498d74d1e978ed0955b5c5a83f187dfef136b951f9a",
+        "e786be4d4663980b931e44e690f64c160241ebcddb2b914a3652a6b5da81ad1b",
+        "9299dc7edd2553537727181634258d6cde08b9c566ac0f9c800c58c16a456568",
+    ),
+}
+
+
+@pytest.mark.parametrize("N_max,d,lam", list(GOLDEN))
+def test_rendered_bytes_unchanged(N_max, d, lam):
+    table = level_table(N_max, d, lam)
+    texts = (render_csv(table), render_json(table), render_svg(diagram_data(table)))
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == GOLDEN[N_max, d, lam]
