@@ -1,10 +1,11 @@
 """Method III: polar ladder operators for the two-dimensional oscillator.
 
 States |N m> carry the energy number N and angular momentum m (|m| <= N,
-N - m even).  Ladder amplitudes are square roots of rationals, so they are
-stored as a sign plus an exact squared magnitude; sums of amplitudes are
-combined by factoring a common radical, which every operator built here
-admits.
+N - m even), with occupations n_a = (N - m)/2 and n_b = (N + m)/2.
+Operators act on the unnormalized Fock states |n_a n_b) = ad^n_a bd^n_b |0>,
+where a|n) = n|n - 1) and ad|n) = |n + 1), so every coefficient is rational.
+Since |n) = sqrt(n!)|n>, each path from ket to bra carries the same factor
+sqrt(n_a'! n_b'! / (n_a! n_b!)), which squared is a short rational product.
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ from fractions import Fraction
 from .states import InvalidQuantumNumbers, QuantumNumbers
 
 __all__ = [
-    "IncompatibleRadical",
     "FockState2D",
-    "Amplitude",
     "Monomial",
     "LadderExpr",
     "GENERATORS",
-    "apply_generator",
-    "apply_monomial",
     "matrix_element_squared",
     "expectation",
     "p2_expr",
@@ -42,10 +39,6 @@ __all__ = [
 GENERATORS = ("a", "ad", "b", "bd")
 
 
-class IncompatibleRadical(ValueError):
-    """Amplitudes with non-proportional radicals cannot be summed exactly."""
-
-
 @dataclass(frozen=True)
 class FockState2D:
     N: int
@@ -62,21 +55,6 @@ class FockState2D:
     @property
     def n_b(self) -> int:
         return (self.N + self.m) // 2
-
-
-@dataclass(frozen=True)
-class Amplitude:
-    """sign * sqrt(mag2) with mag2 an exact non-negative rational."""
-
-    sign: int
-    mag2: Fraction
-
-    def __post_init__(self):
-        if (self.sign == 0) != (self.mag2 == 0):
-            raise ValueError("sign must be 0 exactly when the magnitude is 0")
-
-
-ZERO_AMPLITUDE = Amplitude(0, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -127,88 +105,51 @@ class LadderExpr:
     __rmul__ = __mul__
 
 
-def apply_generator(g: str, s: FockState2D) -> tuple[FockState2D | None, Amplitude]:
-    """Act with one generator; annihilation past the vacuum gives amplitude 0."""
-    N, m = s.N, s.m
-    if g == "a":
-        mag2 = Fraction(N - m, 2)
-        target = (N - 1, m + 1)
-    elif g == "b":
-        mag2 = Fraction(N + m, 2)
-        target = (N - 1, m - 1)
-    elif g == "ad":
-        mag2 = Fraction(N - m + 2, 2)
-        target = (N + 1, m - 1)
-    elif g == "bd":
-        mag2 = Fraction(N + m + 2, 2)
-        target = (N + 1, m + 1)
-    else:
-        raise ValueError(f"unknown generator {g!r}")
-    if mag2 == 0:
-        return None, ZERO_AMPLITUDE
-    return FockState2D(*target), Amplitude(1, mag2)
+def _image(expr: LadderExpr, n_a: int, n_b: int) -> dict[tuple[int, int], Fraction]:
+    """expr applied to the unnormalized |n_a n_b): coefficient per image (n_a', n_b').
 
-
-def apply_monomial(mono: Monomial, s: FockState2D) -> tuple[FockState2D | None, Amplitude]:
-    """Right-to-left composition; squared magnitudes multiply along the path."""
-    sign = 1 if mono.coeff > 0 else -1 if mono.coeff < 0 else 0
-    mag2 = mono.coeff * mono.coeff
-    state = s
-    for g in reversed(mono.gens):
-        state, amp = apply_generator(g, state)
-        if state is None:
-            return None, ZERO_AMPLITUDE
-        mag2 *= amp.mag2
-    if sign == 0 or mag2 == 0:
-        return None, ZERO_AMPLITUDE
-    return state, Amplitude(sign, mag2)
-
-
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    """sqrt(x) if it is rational, else None."""
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn != x.numerator or rd * rd != x.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
-def _amplitude_sum(expr: LadderExpr, bra: FockState2D, ket: FockState2D) -> tuple[Fraction, Fraction]:
-    """<bra|expr|ket> = c * sqrt(r) with c rational and r a common radicand."""
-    base = None
-    total = Fraction(0)
+    a takes a factor n_a and lowers n_a, ad raises n_a; b and bd act on n_b.
+    Annihilating past the vacuum gives a factor 0.
+    """
+    image: dict[tuple[int, int], Fraction] = {}
     for term in expr.terms:
-        state, amp = apply_monomial(term, ket)
-        if state != bra or amp.sign == 0:
-            continue
-        if base is None:
-            base = amp.mag2
-        ratio = _rational_sqrt(amp.mag2 / base)
-        if ratio is None:
-            raise IncompatibleRadical(
-                f"amplitudes {amp.mag2} and {base} have non-proportional radicals"
-            )
-        total += amp.sign * ratio
-    if base is None:
-        return Fraction(0), Fraction(0)
-    return total, base
+        c, i, j = 1, n_a, n_b
+        for g in reversed(term.gens):
+            if g == "a":
+                c, i = c * i, i - 1
+            elif g == "ad":
+                i += 1
+            elif g == "b":
+                c, j = c * j, j - 1
+            elif g == "bd":
+                j += 1
+            else:
+                raise ValueError(f"unknown generator {g!r}")
+        if c:
+            image[i, j] = image.get((i, j), 0) + term.coeff * c
+    return image
+
+
+def _factorial_ratio(top: int, bottom: int) -> Fraction:
+    """top!/bottom! as the short product of the factors between the two."""
+    if top >= bottom:
+        return Fraction(math.perm(top, top - bottom))
+    return Fraction(1, math.perm(bottom, bottom - top))
 
 
 def matrix_element_squared(expr: LadderExpr, bra: FockState2D, ket: FockState2D) -> Fraction:
-    """|<bra|expr|ket>|^2, exact."""
-    c, r = _amplitude_sum(expr, bra, ket)
-    return c * c * r
+    """|<bra|expr|ket>|^2 = c^2 (n_a'!/n_a!) (n_b'!/n_b!), exact.
+
+    |n) = sqrt(n!)|n>, so the coefficient c of the unnormalized image carries
+    the same radical sqrt(n_a'! n_b'! / (n_a! n_b!)) on every path.
+    """
+    c = _image(expr, ket.n_a, ket.n_b).get((bra.n_a, bra.n_b), 0)
+    return c * c * _factorial_ratio(bra.n_a, ket.n_a) * _factorial_ratio(bra.n_b, ket.n_b)
 
 
 def expectation(expr: LadderExpr, s: FockState2D) -> Fraction:
-    """<s|expr|s>; diagonal radicands are perfect squares, so this is rational."""
-    c, r = _amplitude_sum(expr, s, s)
-    root = _rational_sqrt(r)
-    if root is None:
-        raise IncompatibleRadical(f"diagonal radicand {r} is not a perfect square")
-    return c * root
+    """<s|expr|s>: the diagonal coefficient, where the normalizations cancel."""
+    return Fraction(_image(expr, s.n_a, s.n_b).get((s.n_a, s.n_b), 0))
 
 
 def p2_expr() -> LadderExpr:
@@ -323,11 +264,11 @@ def map_Nm_to_nl(s: FockState2D) -> QuantumNumbers:
 def build_state(N: int, m: int) -> tuple[FockState2D, Fraction]:
     """Build |N m> from the vacuum with raising operators.
 
-    Returns the reached state and the squared amplitude normalized by
-    n_a! n_b!, which is exactly 1 for every valid (N, m).
+    Returns the target state and the squared amplitude
+    |<N m| ad^n_a bd^n_b |0 0>|^2 normalized by n_a! n_b!, which is exactly 1
+    for every valid (N, m).
     """
     target = FockState2D(N, m)
-    mono = Monomial(Fraction(1), ("ad",) * target.n_a + ("bd",) * target.n_b)
-    state, amp = apply_monomial(mono, FockState2D(0, 0))
-    norm = Fraction(math.factorial(target.n_a) * math.factorial(target.n_b))
-    return state, amp.mag2 / norm
+    raising = LadderExpr.mono(*("ad",) * target.n_a, *("bd",) * target.n_b)
+    amp2 = matrix_element_squared(raising, target, FockState2D(0, 0))
+    return target, amp2 / (math.factorial(target.n_a) * math.factorial(target.n_b))

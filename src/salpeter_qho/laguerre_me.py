@@ -15,7 +15,6 @@ from .states import QuantumNumbers, energy_unperturbed
 __all__ = [
     "TridiagonalAction",
     "PentadiagonalAction",
-    "coeff_D_squared",
     "eta_action",
     "eta2_action",
     "eta2_expectation",
@@ -43,11 +42,6 @@ def _e0_at(q: QuantumNumbers, k: Fraction) -> Fraction:
     return 2 * Fraction(k) + q.l + Fraction(q.d, 2)
 
 
-def coeff_D_squared(q: QuantumNumbers) -> Fraction:
-    """Squared off-diagonal coefficient (n+1)(n+l+d/2)."""
-    return _d_squared(q, q.n)
-
-
 @dataclass(frozen=True)
 class TridiagonalAction:
     """Action of multiplication by eta on u_{n,l}.
@@ -57,7 +51,6 @@ class TridiagonalAction:
     exact u_{n,l} coefficient, equal to epsilon0.
     """
 
-    q: QuantumNumbers
     up2: Fraction
     diag: Fraction
     down2: Fraction
@@ -73,7 +66,6 @@ class PentadiagonalAction:
     entries are zero.
     """
 
-    q: QuantumNumbers
     up2_sq: Fraction
     up1_sq: Fraction
     diag: Fraction
@@ -84,7 +76,6 @@ class PentadiagonalAction:
 def eta_action(q: QuantumNumbers) -> TridiagonalAction:
     """Tridiagonal recurrence eta u_n = D_n u_{n+1} + eps0 u_n + D_{n-1} u_{n-1}."""
     return TridiagonalAction(
-        q=q,
         up2=_d_squared(q, q.n),
         diag=energy_unperturbed(q),
         down2=_d_squared(q, q.n - 1),
@@ -98,7 +89,6 @@ def eta2_action(q: QuantumNumbers) -> PentadiagonalAction:
     d_nm1 = _d_squared(q, n - 1)
     e_n = _e0_at(q, n)
     return PentadiagonalAction(
-        q=q,
         up2_sq=d_n * _d_squared(q, n + 1),
         up1_sq=d_n * (e_n + _e0_at(q, n + 1)) ** 2,
         diag=d_n + e_n * e_n + d_nm1,

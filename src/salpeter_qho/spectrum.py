@@ -209,27 +209,33 @@ def render_json(table: LevelTable) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def render_svg(model: DiagramModel, width: int = 640, height: int = 480) -> str:
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 480, 50.0
+
+
+def render_svg(model: DiagramModel) -> str:
     """Deterministic SVG energy-level diagram."""
-    margin = 50.0
-    positions = [float(lvl.baseline) for lvl in model.levels]
-    positions += [float(pos) for lvl in model.levels for (_, pos, _) in lvl.sublevels]
+    levels = [
+        (lvl, float(lvl.baseline), [float(pos) for (_, pos, _) in lvl.sublevels])
+        for lvl in model.levels
+    ]
+    positions = [y for (_, base, subs) in levels for y in (base, *subs)]
     lo, hi = min(positions), max(positions)
     span = (hi - lo) or 1.0
 
     def y_of(value: float) -> float:
-        return height - margin - (value - lo) / span * (height - 2 * margin)
+        return SVG_HEIGHT - SVG_MARGIN - (value - lo) / span * (SVG_HEIGHT - 2 * SVG_MARGIN)
 
-    x0, x1 = margin, margin + (width - 2 * margin) * 0.35
-    x2, x3 = margin + (width - 2 * margin) * 0.5, width - margin
+    plot_width = SVG_WIDTH - 2 * SVG_MARGIN
+    x0, x1 = SVG_MARGIN, SVG_MARGIN + plot_width * 0.35
+    x2, x3 = SVG_MARGIN + plot_width * 0.5, SVG_WIDTH - SVG_MARGIN
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<title>Relativistic level splitting, d={model.d}, lambda={_fmt(model.lam)}</title>',
         '<style>text{font-family:monospace;font-size:11px}</style>',
     ]
-    for lvl in model.levels:
-        yb = y_of(float(lvl.baseline))
+    for lvl, base, subs in levels:
+        yb = y_of(base)
         parts.append(
             f'<line x1="{x0:.2f}" y1="{yb:.2f}" x2="{x1:.2f}" y2="{yb:.2f}" '
             'stroke="black" stroke-width="1.5"/>'
@@ -237,8 +243,8 @@ def render_svg(model: DiagramModel, width: int = 640, height: int = 480) -> str:
         parts.append(f'<text x="{x0 - 38:.2f}" y="{yb + 4:.2f}">N={lvl.N}</text>')
         count = len(lvl.sublevels)
         seg = (x3 - x2) / count
-        for idx, (l, pos, h) in enumerate(lvl.sublevels):
-            ys = y_of(float(pos))
+        for idx, ((l, _, h), pos) in enumerate(zip(lvl.sublevels, subs)):
+            ys = y_of(pos)
             xa, xb = x2 + idx * seg, x2 + (idx + 1) * seg - 6
             parts.append(
                 f'<line x1="{xa:.2f}" y1="{ys:.2f}" x2="{xb:.2f}" y2="{ys:.2f}" '

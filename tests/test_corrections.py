@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from salpeter_qho import kramers, laguerre_me
+from salpeter_qho import kramers, ladder2d, laguerre_me
 from salpeter_qho.corrections import (
     correction_triple,
     epsilon1_general,
@@ -145,6 +145,13 @@ large_states = st.one_of(
     st.builds(QuantumNumbers.one_dim, st.integers(0, 2 * 10**6)),
 )
 
+# |N m> with N <= 2*10^6 and m = -N, -N+2, ..., N
+large_fock_states = st.integers(0, 2 * 10**6).flatmap(
+    lambda N: st.builds(
+        ladder2d.FockState2D, st.just(N), st.integers(0, N).map(lambda k: 2 * k - N)
+    )
+)
+
 
 class TestLargeQuantumNumbers:
     """The closed forms against the other derivations far beyond the acceptance grid."""
@@ -160,3 +167,9 @@ class TestLargeQuantumNumbers:
         assert kramers.first_order_method1(q) == e1
         assert epsilon1_rewritten(q) == e1
         assert laguerre_me.second_order_method2(q) == epsilon2_general(q)
+
+    @given(s=large_fock_states)
+    def test_ladder_agreement(self, s):
+        q = ladder2d.map_Nm_to_nl(s)
+        assert ladder2d.first_order_2d(s) == epsilon1_general(q)
+        assert ladder2d.second_order_2d(s) == epsilon2_general(q)

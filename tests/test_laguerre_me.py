@@ -7,7 +7,6 @@ import pytest
 from salpeter_qho.corrections import epsilon1_general, epsilon2_general
 from salpeter_qho.kramers import first_order_method1, moment_eta
 from salpeter_qho.laguerre_me import (
-    coeff_D_squared,
     eta2_action,
     eta2_expectation,
     eta3_expectation,
@@ -24,9 +23,9 @@ F = Fraction
 
 class TestCoeffD:
     def test_examples(self):
-        assert coeff_D_squared(QuantumNumbers(2, 0, 0)) == 1
-        assert coeff_D_squared(QuantumNumbers(3, 0, 0)) == F(3, 2)
-        assert coeff_D_squared(QuantumNumbers(3, 1, 1)) == 7
+        assert eta_action(QuantumNumbers(2, 0, 0)).up2 == 1
+        assert eta_action(QuantumNumbers(3, 0, 0)).up2 == F(3, 2)
+        assert eta_action(QuantumNumbers(3, 1, 1)).up2 == 7
 
 
 class TestEtaAction:
