@@ -152,8 +152,9 @@ def cmd_oracle(args) -> int:
         q = QuantumNumbers(args.d, Fraction(args.n), args.l)
         exact = kramers.moment_eta(q, args.s)
         approx = oracle.quad_expectation(q, args.s)
-    except (InvalidQuantumNumbers, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InvalidQuantumNumbers, ValueError, ArithmeticError) as exc:
+        hint = "; try a higher SALPETER_PRECISION" if isinstance(exc, ArithmeticError) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return USAGE_ERROR
     rel = checks.rel_error(approx, exact)
     print(f"<eta^{args.s}> exact      = {_fmt(exact)} (~{_dec(exact)})")

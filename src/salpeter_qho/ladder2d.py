@@ -143,7 +143,12 @@ def matrix_element_squared(expr: LadderExpr, bra: FockState2D, ket: FockState2D)
     |n) = sqrt(n!)|n>, so the coefficient c of the unnormalized image carries
     the same radical sqrt(n_a'! n_b'! / (n_a! n_b!)) on every path.
     """
-    c = _image(expr, ket.n_a, ket.n_b).get((bra.n_a, bra.n_b), 0)
+    return _element_squared(_image(expr, ket.n_a, ket.n_b), bra, ket)
+
+
+def _element_squared(image: dict, bra: FockState2D, ket: FockState2D) -> Fraction:
+    """|<bra|expr|ket>|^2 read from expr's unnormalized image of ket."""
+    c = image.get((bra.n_a, bra.n_b), 0)
     return c * c * _factorial_ratio(bra.n_a, ket.n_a) * _factorial_ratio(bra.n_b, ket.n_b)
 
 
@@ -198,6 +203,12 @@ def p6_zero_expr() -> LadderExpr:
     return number_plus_one * ops["K0"] - m("ad", "bd") * ops["L2"] - m("a", "b") * ops["R2"]
 
 
+# LadderExpr is immutable, so the corrections share one build of each operator
+_P4 = p4_operators()
+_HOPPING = _P4["R2"] + _P4["L2"] + _P4["R4"] + _P4["L4"]
+_P6_ZERO = p6_zero_expr()
+
+
 def _normal_order_species(seq: tuple[str, ...]) -> dict[tuple[int, int], Fraction]:
     """Normal order a single-species word ('+' = creation, '-' = annihilation)."""
     for i in range(len(seq) - 1):
@@ -229,26 +240,19 @@ def normal_order(expr: LadderExpr) -> dict[tuple[int, int, int, int], Fraction]:
 
 def first_order_2d(s: FockState2D) -> Fraction:
     """epsilon1 = -<K0>/8, computed by applying the operator."""
-    return -expectation(p4_operators()["K0"], s) / 8
+    return -expectation(_P4["K0"], s) / 8
 
 
 def second_order_2d_partI(s: FockState2D) -> Fraction:
     """Diagonal second-order part, <p6_0>/16 by operator application."""
-    return expectation(p6_zero_expr(), s) / 16
+    return expectation(_P6_ZERO, s) / 16
 
 
 def second_order_2d_partII(s: FockState2D) -> Fraction:
     """Sum-over-states part from the squared R2/L2/R4/L4 transitions."""
-    ops = p4_operators()
-    hopping = ops["R2"] + ops["L2"] + ops["R4"] + ops["L4"]
-    total = Fraction(0)
-    for delta in (-4, -2, 2, 4):
-        n_prime = s.N + delta
-        if n_prime < 0 or abs(s.m) > n_prime:
-            continue
-        bra = FockState2D(n_prime, s.m)
-        total += matrix_element_squared(hopping, bra, s) / (s.N - n_prime)
-    return total / 64
+    image = _image(_HOPPING, s.n_a, s.n_b)
+    bras = [FockState2D(s.N + delta, s.m) for delta in (-4, -2, 2, 4) if s.N + delta >= abs(s.m)]
+    return sum(_element_squared(image, bra, s) / (s.N - bra.N) for bra in bras) / 64
 
 
 def second_order_2d(s: FockState2D) -> Fraction:

@@ -5,8 +5,10 @@ Nodes are the zeros of L_n^(alpha): seeded in double precision by Newton
 with deflation, then polished by Newton steps on the three-term recurrence
 at working precision, O(n^2) per rule (Glaser, Liu & Rokhlin, SIAM J. Sci.
 Comput. 29 (2007) 1420).  Weights come from the derivative at each node,
-w_i = Gamma(n + alpha + 1) / (n! x_i L_n^(alpha)'(x_i)^2).  Working
-precision defaults to 50 significant digits and can be overridden with the
+w_i = Gamma(n + alpha + 1) / (n! x_i L_n^(alpha)'(x_i)^2).  The recurrence
+is the single one in states.laguerre_values; each quadrature node takes both
+polynomials of a matrix element from one pass of it.  Working precision
+defaults to 50 significant digits and can be overridden with the
 SALPETER_PRECISION environment variable.  All integrands here are
 polynomials times the weight function, so the rules are exact up to rounding
 and the two-rule convergence check is a pure sanity assertion.
@@ -27,7 +29,7 @@ from .states import (
     UnsupportedDimension,
     _to_mpf,
     energy_unperturbed,
-    laguerre_eval,
+    laguerre_values,
     normalization,
     u_derivatives,
 )
@@ -67,13 +69,8 @@ def rule_cache_stats() -> dict:
 
 
 def _laguerre_and_derivative(n: int, alpha, x):
-    """L_n^(alpha)(x) and its derivative at x > 0 by the three-term recurrence.
-
-    Works on floats and mpf alike: x L_n' = n L_n - (n + alpha) L_{n-1}.
-    """
-    prev, curr = 1, 1 + alpha - x
-    for k in range(1, n):
-        prev, curr = curr, ((2 * k + 1 + alpha - x) * curr - (k + alpha) * prev) / (k + 1)
+    """L_n^(alpha)(x) and L_n' at x > 0, n >= 1: x L_n' = n L_n - (n + alpha) L_{n-1}."""
+    *_, prev, curr = laguerre_values(n, alpha, x)
     return curr, (n * curr - (n + alpha) * prev) / x
 
 
@@ -151,14 +148,14 @@ def gauss_laguerre_rule(alpha, npoints: int) -> tuple[list, list]:
 
 def _bracket(n1: int, n2: int, l: int, d: int, s: int, npoints: int) -> mpf:
     """(A1 A2 / 2) * integral of eta^(alpha+s) e^(-eta) L_n1 L_n2 deta."""
-    alpha = l + Fraction(d, 2) - 1
-    nodes, weights = gauss_laguerre_rule(alpha, npoints)
-    q1 = QuantumNumbers(d, Fraction(n1), l)
-    q2 = QuantumNumbers(d, Fraction(n2), l)
+    q1, q2 = QuantumNumbers(d, n1, l), QuantumNumbers(d, n2, l)
+    nodes, weights = gauss_laguerre_rule(q1.alpha, npoints)
     prefactor = normalization(q1) * normalization(q2) / 2
+    alpha = _to_mpf(q1.alpha)
     total = mpf(0)
     for x, w in zip(nodes, weights):
-        total += w * x**s * laguerre_eval(n1, alpha, x) * laguerre_eval(n2, alpha, x)
+        values = laguerre_values(max(n1, n2), alpha, x)
+        total += w * x**s * values[n1] * values[n2]
     return prefactor * total
 
 

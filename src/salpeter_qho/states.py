@@ -20,7 +20,7 @@ __all__ = [
     "energy_unperturbed",
     "laguerre_coefficients",
     "series_coefficients",
-    "laguerre_eval",
+    "laguerre_values",
     "u_eval",
     "u_derivatives",
     "gamma_rational",
@@ -172,18 +172,18 @@ def _to_mpf(x) -> mpf:
     return mpf(x)
 
 
-def laguerre_eval(n: int, alpha, x):
-    """Evaluate L_n^(alpha)(x) with the stable three-term recurrence in n."""
-    alpha = _to_mpf(alpha)
+def laguerre_values(n: int, alpha, x) -> list:
+    """[L_0^(alpha)(x), ..., L_n^(alpha)(x)] by the three-term recurrence in n.
+
+    Works on float and mpf alike; pass alpha in x's type.  L_0 is the int 1,
+    and n < 0 gives [].
+    """
     if n < 0:
-        return mpf(0)
-    prev = mpf(1)
-    if n == 0:
-        return prev
-    curr = 1 + alpha - x
+        return []
+    values = [1, 1 + alpha - x][: n + 1]
     for k in range(1, n):
-        prev, curr = curr, ((2 * k + 1 + alpha - x) * curr - (k + alpha) * prev) / (k + 1)
-    return curr
+        values.append(((2 * k + 1 + alpha - x) * values[k] - (k + alpha) * values[k - 1]) / (k + 1))
+    return values
 
 
 def u_eval(q: QuantumNumbers, eta) -> mpf:
@@ -193,8 +193,7 @@ def u_eval(q: QuantumNumbers, eta) -> mpf:
     eta = _to_mpf(eta)
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    n = int(q.n)
-    value = laguerre_eval(n, q.alpha, eta)
+    value = laguerre_values(int(q.n), _to_mpf(q.alpha), eta)[-1]
     return normalization(q) * mp.power(eta, mpf(q.l + 1) / 2) * mp.exp(-eta / 2) * value
 
 
@@ -210,9 +209,11 @@ def u_derivatives(q: QuantumNumbers, r) -> tuple[mpf, mpf, mpf]:
         raise ValueError("r must be > 0")
     n, l = int(q.n), q.l
     eta = r * r
-    p0 = laguerre_eval(n, q.alpha, eta)
-    p1 = -laguerre_eval(n - 1, q.alpha + 1, eta)
-    p2 = laguerre_eval(n - 2, q.alpha + 2, eta)
+
+    def p(k):  # L_{n-k}^(alpha+k)(eta), 0 for a negative index
+        return (laguerre_values(n - k, _to_mpf(q.alpha + k), eta) or [0])[-1]
+
+    p0, p1, p2 = p(0), -p(1), p(2)
     a = normalization(q)
     e = mp.exp(-eta / 2)
     # u = A r^(l+1) e^(-r^2/2) P(r^2)

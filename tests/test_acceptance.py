@@ -23,8 +23,9 @@ F = Fraction
 LARGE = checks.GRIDS["large"]
 
 
-def report(number: int, description: str, ok: bool):
-    print(f"criterion {number} [{'PASS' if ok else 'FAIL'}]: {description}")
+def report(number: int, description: str, ok: bool, start: float):
+    elapsed = time.monotonic() - start
+    print(f"criterion {number} [{'PASS' if ok else 'FAIL'}]: {description} ({elapsed:.1f}s)")
     assert ok, f"criterion {number} failed: {description}"
 
 
@@ -35,25 +36,25 @@ def full_grid():
 def test_criterion_1_first_order_cross_method():
     start = time.monotonic()
     ok = checks.first_order_failure(full_grid()) is None
-    elapsed = time.monotonic() - start
-    ok = ok and elapsed < 10
-    report(1, f"first-order methods agree exactly on the full grid ({elapsed:.1f}s)", ok)
+    ok = ok and time.monotonic() - start < 10
+    report(1, "first-order methods agree exactly on the full grid", ok, start)
 
 
 def test_criterion_2_second_order_cross_method():
     start = time.monotonic()
     ok = checks.second_order_failure(full_grid()) is None
-    elapsed = time.monotonic() - start
-    ok = ok and elapsed < 10
-    report(2, f"second-order method agrees exactly on the full grid ({elapsed:.1f}s)", ok)
+    ok = ok and time.monotonic() - start < 10
+    report(2, "second-order method agrees exactly on the full grid", ok, start)
 
 
 def test_criterion_3_ladder_equivalence():
+    start = time.monotonic()
     ok = checks.ladder_failure(LARGE["ladder_N"]) is None
-    report(3, "2D ladder corrections equal the general formulas for N <= 40", ok)
+    report(3, "2D ladder corrections equal the general formulas for N <= 40", ok, start)
 
 
 def test_criterion_4_spot_values_and_specializations():
+    start = time.monotonic()
     ok = all(checks.spot_value_holds(*spot) for spot in checks.SPOTS)
     # printed d=1 specializations as polynomial identities over N in [0, 25]
     for N in range(26):
@@ -71,10 +72,11 @@ def test_criterion_4_spot_values_and_specializations():
                 + 276 * n**2 * l + 108 * n * l**2 + 384 * n * l + F(255, 2)
             )
             ok &= epsilon2_general(q) == bracket2 / 256
-    report(4, "spot values and printed d=1/d=3 specializations hold", bool(ok))
+    report(4, "spot values and printed d=1/d=3 specializations hold", bool(ok), start)
 
 
 def test_criterion_5_oracle_agreement():
+    start = time.monotonic()
     states = [QuantumNumbers(d, n, l) for d in (2, 3, 5) for n in range(9) for l in range(9)]
     worst_expect = checks.expectation_error((q, s) for q in states for s in range(9))
     ok = worst_expect <= checks.TOL_EXPECT
@@ -99,10 +101,12 @@ def test_criterion_5_oracle_agreement():
             float(worst_expect), float(worst_sum), float(worst_ortho), float(worst_res)
         ),
         bool(ok),
+        start,
     )
 
 
 def test_criterion_6_sparsity():
+    start = time.monotonic()
     worst = mpf(0)
     for d in (2, 3, 5):
         for n in range(7):
@@ -111,15 +115,17 @@ def test_criterion_6_sparsity():
                     value = oracle.quad_matrix_element(n + delta, n, l, d, 2)
                     worst = max(worst, abs(value))
     report(6, f"eta^2 matrix elements vanish for |dn| in {{3,4}} (worst {float(worst):.1e})",
-           worst <= checks.TOL_SPARSE)
+           worst <= checks.TOL_SPARSE, start)
 
 
 def test_criterion_7_degeneracy_sum_rule():
+    start = time.monotonic()
     ok = checks.degeneracy_sum_rule_holds()
-    report(7, "degeneracy sum rule and split count for N <= 30, d in [2,10]", ok)
+    report(7, "degeneracy sum rule and split count for N <= 30, d in [2,10]", ok, start)
 
 
 def test_criterion_8_sign_and_ordering():
+    start = time.monotonic()
     ok = checks.sign_failure(full_grid()) is None
     for d in range(2, 11):
         for N in range(26):
@@ -129,9 +135,11 @@ def test_criterion_8_sign_and_ordering():
             ]
             ok &= all(a < b for a, b in zip(values, values[1:]))
             ok &= len(set(values)) == len(values)
-    report(8, "eps1 < 0 < eps2 everywhere; eps1 strictly increasing in l within a level", bool(ok))
+    report(8, "eps1 < 0 < eps2 everywhere; eps1 strictly increasing in l within a level",
+           bool(ok), start)
 
 
 def test_criterion_9_operator_self_test():
+    start = time.monotonic()
     ok = checks.operator_self_test_holds()
-    report(9, "p^4 expansion matches its printed form; commutators hold for N <= 12", ok)
+    report(9, "p^4 expansion matches its printed form; commutators hold for N <= 12", ok, start)

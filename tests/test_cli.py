@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from salpeter_qho import oracle
 from salpeter_qho.cli import main
 
 
@@ -172,6 +173,16 @@ class TestOracleCommand:
     def test_invalid_state(self, capsys):
         code, _, err = run(capsys, "oracle", "--d", "3", "--n", "-1", "--l", "0")
         assert code == 2 and "error" in err
+
+    def test_quadrature_failure_is_usage_error(self, capsys, monkeypatch):
+        def fail(q, s):
+            raise ArithmeticError("quadrature failed to converge")
+
+        monkeypatch.setattr(oracle, "quad_expectation", fail)
+        code, out, err = run(capsys, "oracle", "--d", "3", "--n", "150")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "SALPETER_PRECISION" in err
 
 
 VALID_ARGV = [

@@ -14,7 +14,7 @@ from salpeter_qho.states import (
     energy_unperturbed,
     gamma_rational,
     laguerre_coefficients,
-    laguerre_eval,
+    laguerre_values,
     norm_squared_parts,
     series_coefficients,
     u_eval,
@@ -153,8 +153,17 @@ class TestUEval:
         assert abs(u_eval(q, eta)) < mpf("1e-10")
 
     def test_recurrence_matches_monomial_expansion(self):
-        q = QuantumNumbers(3, 6, 2)
-        coeffs = laguerre_coefficients(6, q.alpha)
-        x = mpf(3) / 2
-        direct = sum(mpf(c.numerator) / c.denominator * x**k for k, c in enumerate(coeffs))
-        assert abs(laguerre_eval(6, q.alpha, x) - direct) < mpf("1e-40")
+        for alpha in (F(0), F(1, 2), F(7, 2), F(30)):
+            float_values = laguerre_values(12, float(alpha), 1.5)
+            with mp.workdps(50):
+                x = mpf(3) / 2
+                mp_values = laguerre_values(12, mpf(alpha.numerator) / alpha.denominator, x)
+                assert len(mp_values) == len(float_values) == 13
+                for n in range(13):
+                    coeffs = laguerre_coefficients(n, alpha)
+                    terms = (mpf(c.numerator) / c.denominator * x**i for i, c in enumerate(coeffs))
+                    direct = sum(terms)
+                    assert abs(mp_values[n] - direct) < mpf("1e-40") * max(1, abs(direct))
+                    assert abs(float_values[n] - float(direct)) <= 1e-9 * abs(float(direct))
+        assert laguerre_values(0, mpf(2), mpf(3)) == laguerre_values(0, 2.0, 3.0) == [1]
+        assert laguerre_values(-1, mpf(2), mpf(3)) == laguerre_values(-2, 2.0, 3.0) == []
