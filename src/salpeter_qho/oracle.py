@@ -12,6 +12,16 @@ defaults to 50 significant digits and can be overridden with the
 SALPETER_PRECISION environment variable.  All integrands here are
 polynomials times the weight function, so the rules are exact up to rounding
 and the two-rule convergence check is a pure sanity assertion.
+
+Node counts come from a fixed set of buckets, 8, 12, 16, 24, 32, 48, ...
+(2^k and 3 * 2^(k-1)): an integrand of polynomial degree D is summed on the
+smallest bucket exact for D and on the next bucket up, so both rules are
+exact and still differ, and one rule serves many (n, s).  Each cached rule
+keeps a node table next to it, under the same key and lock: the rows
+L_0..L_K^(alpha)(x_i) at its nodes, recomputed for a higher K when a caller
+needs one.  A quadrature sum then reads both polynomials from the table; no
+per-call result is cached.  The double-precision seeds overflow above about
+360 nodes; such a rule raises OverflowError before any mpf work.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ __all__ = [
 
 DEFAULT_DPS = 50
 
+# (alpha, npoints, dps) -> [(nodes, weights), rows]; rows[i] = [L_0..L_K](nodes[i])
 _rule_cache: dict = {}
 _rule_lock = threading.Lock()
 _rule_stats = {"hits": 0, "misses": 0, "build_s": 0.0}
@@ -92,6 +103,8 @@ def _seed_zeros(alpha: float, n: int) -> list[float]:
             z -= step
             if abs(step) <= 1e-15 * z:
                 break
+        if not math.isfinite(z):
+            raise OverflowError(f"{n}-node rule out of reach: its double-precision seeds overflow")
         zeros.append(z)
         z += (z - (zeros[-2] if i else 0)) / 100
     return zeros
@@ -104,8 +117,14 @@ def gauss_laguerre_rule(alpha, npoints: int) -> tuple[list, list]:
     memoized per (alpha, npoints, precision) behind a lock; the returned
     lists must not be mutated.  Raises ArithmeticError if a built rule fails
     its checks: positive, strictly increasing nodes and weights summing to
-    Gamma(alpha + 1).
+    Gamma(alpha + 1); OverflowError (an ArithmeticError) if its seeds
+    overflow.
     """
+    return _rule_entry(alpha, npoints)[0]
+
+
+def _rule_entry(alpha, npoints: int) -> list:
+    """The cache entry [(nodes, weights), rows] of a rule, built on a miss."""
     alpha = Fraction(alpha)
     if alpha <= -1:
         raise ValueError(f"alpha must be > -1, got {alpha}")
@@ -119,13 +138,14 @@ def gauss_laguerre_rule(alpha, npoints: int) -> tuple[list, list]:
             return _rule_cache[key]
         _rule_stats["misses"] += 1
     start = time.perf_counter()
+    seeds = _seed_zeros(float(alpha), npoints)
     with mp.workdps(dps + 10):
         alpha_f = _to_mpf(alpha)
         scale = mp.gamma(npoints + alpha_f + 1) / mp.factorial(npoints)
         # the seeds hold about 12 digits and each Newton step doubles them
         steps = math.ceil(math.log2((dps + 10) / 12))
         nodes, weights = [], []
-        for z in _seed_zeros(float(alpha), npoints):
+        for z in seeds:
             x = mpf(z)
             for _ in range(steps):
                 p, dp = _laguerre_and_derivative(npoints, alpha_f, x)
@@ -139,36 +159,75 @@ def gauss_laguerre_rule(alpha, npoints: int) -> tuple[list, list]:
         increasing = nodes[0] > 0 and all(a < b for a, b in zip(nodes, nodes[1:]))
         if not increasing or abs(mp.fsum(weights) - mu0) > mpf(10) ** (5 - dps) * mu0:
             raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
-        rule = (nodes, weights)
+        entry = [(nodes, weights), [[] for _ in nodes]]
     with _rule_lock:
-        _rule_cache[key] = rule
+        _rule_cache[key] = entry
         _rule_stats["build_s"] += time.perf_counter() - start
-    return rule
+    return entry
 
 
-def _bracket(n1: int, n2: int, l: int, d: int, s: int, npoints: int) -> mpf:
-    """(A1 A2 / 2) * integral of eta^(alpha+s) e^(-eta) L_n1 L_n2 deta."""
+def _node_table(alpha: Fraction, npoints: int, order: int) -> tuple[list, list, list]:
+    """Nodes, weights and rows [L_0..L_K^(alpha)] at each node of a rule, K >= order.
+
+    The rows are recomputed from the nodes, at the rule's precision, when a
+    caller needs a higher order than the cache entry holds.
+    """
+    entry = _rule_entry(alpha, npoints)
+    (nodes, weights), rows = entry
+    if len(rows[0]) <= order:
+        # at least double K, so that n = 0, 1, 2, ... rebuilds each table O(log n) times
+        order = max(order, 2 * len(rows[0]) - 2)
+        with mp.workdps(working_precision() + 10):
+            alpha_f = _to_mpf(alpha)
+            rows = [laguerre_values(order, alpha_f, x) for x in nodes]
+        with _rule_lock:
+            if len(entry[1][0]) <= order:
+                entry[1] = rows
+            rows = entry[1]
+    return nodes, weights, rows
+
+
+def _bucket(degree: int) -> int:
+    """Smallest npoints in 8, 12, 16, 24, 32, 48, ... with 2 * npoints - 1 >= degree.
+
+    _bucket(2 * npoints) is the next bucket above npoints.
+    """
+    npoints = 8
+    while 2 * npoints - 1 < degree:
+        # 2^k -> 3 * 2^(k-1) -> 2^(k+1)
+        npoints = npoints * 3 // 2 if npoints & (npoints - 1) == 0 else npoints * 4 // 3
+    return npoints
+
+
+def _weighted_sum(alpha: Fraction, n1: int, n2: int, s: int, npoints: int) -> mpf:
+    """sum_i w_i x_i^s L_n1(x_i) L_n2(x_i) on the npoints-node rule for x^alpha e^(-x)."""
+    nodes, weights, rows = _node_table(alpha, npoints, max(n1, n2))
+    return mp.fdot((w * x**s, row[n1] * row[n2]) for x, w, row in zip(nodes, weights, rows))
+
+
+def _bracket(n1: int, n2: int, l: int, d: int, s: int) -> tuple[mpf, mpf]:
+    """(A1 A2 / 2) * integral of eta^(alpha+s) e^(-eta) L_n1 L_n2 deta on two rules.
+
+    Returns (fine, coarse): the value on the next bucket above the coarse
+    one, and on the smallest bucket exact for the degree n1 + n2 + s.
+    """
     q1, q2 = QuantumNumbers(d, n1, l), QuantumNumbers(d, n2, l)
-    nodes, weights = gauss_laguerre_rule(q1.alpha, npoints)
     prefactor = normalization(q1) * normalization(q2) / 2
-    alpha = _to_mpf(q1.alpha)
-    total = mpf(0)
-    for x, w in zip(nodes, weights):
-        values = laguerre_values(max(n1, n2), alpha, x)
-        total += w * x**s * values[n1] * values[n2]
-    return prefactor * total
+    npoints = _bucket(n1 + n2 + s)
+    # the larger rule first: if its seeds overflow, fail before building the smaller
+    fine = prefactor * _weighted_sum(q1.alpha, n1, n2, s, _bucket(2 * npoints))
+    return fine, prefactor * _weighted_sum(q1.alpha, n1, n2, s, npoints)
 
 
 def quad_expectation(q: QuantumNumbers, s: int) -> mpf:
-    """<eta^s> by quadrature, cross-checked on two node counts."""
+    """<eta^s> by quadrature, cross-checked on two buckets of nodes."""
     if q.d < 2:
         raise UnsupportedDimension("quadrature oracle requires d >= 2")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     n = int(q.n)
     with mp.workdps(working_precision()):
-        coarse = _bracket(n, n, q.l, q.d, s, n + s + 2)
-        fine = _bracket(n, n, q.l, q.d, s, 2 * (n + s) + 8)
+        fine, coarse = _bracket(n, n, q.l, q.d, s)
         rel = abs(coarse - fine) / abs(fine)
         if rel > mpf("1e-14"):
             raise ArithmeticError(f"quadrature failed to converge: rel diff {rel}")
@@ -180,9 +239,7 @@ def quad_matrix_element(n1: int, n2: int, l: int, d: int, s: int) -> mpf:
     if d < 2:
         raise UnsupportedDimension("quadrature oracle requires d >= 2")
     with mp.workdps(working_precision()):
-        degree = n1 + n2 + s
-        coarse = _bracket(n1, n2, l, d, s, degree // 2 + 2)
-        fine = _bracket(n1, n2, l, d, s, degree + 8)
+        fine, coarse = _bracket(n1, n2, l, d, s)
         if abs(coarse - fine) > mpf("1e-14") * (1 + abs(fine)):
             raise ArithmeticError("quadrature failed to converge")
         return fine

@@ -1,11 +1,13 @@
 """Gauss-Laguerre quadrature oracle: floating cross-checks of exact results."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from salpeter_qho import oracle
+from salpeter_qho import checks, oracle
 from salpeter_qho.kramers import moment_eta
 from salpeter_qho.laguerre_me import second_order_part2
 from salpeter_qho.oracle import (
@@ -18,7 +20,7 @@ from salpeter_qho.oracle import (
     sum_over_states_check,
     working_precision,
 )
-from salpeter_qho.states import QuantumNumbers, UnsupportedDimension
+from salpeter_qho.states import QuantumNumbers, UnsupportedDimension, laguerre_values
 
 F = Fraction
 
@@ -126,6 +128,150 @@ class TestRule:
             gauss_laguerre_rule(-1, 5)
         with pytest.raises(ValueError):
             gauss_laguerre_rule(0, 0)
+
+    def test_overflowing_seeds_fail_before_mpf_work(self, monkeypatch):
+        # the double-precision seeds of a 384-node rule overflow, whatever the
+        # working precision: the build must stop there, before polishing
+        evaluate = oracle._laguerre_and_derivative
+        polished = []
+
+        def spy(n, alpha, x):
+            if not isinstance(x, float):
+                polished.append(x)
+            return evaluate(n, alpha, x)
+
+        monkeypatch.setattr(oracle, "_laguerre_and_derivative", spy)
+        with pytest.raises(ArithmeticError, match="384-node"):
+            gauss_laguerre_rule(F(1, 2), 384)
+        assert polished == []
+
+
+BUCKETS = sorted({2**k for k in range(3, 12)} | {3 * 2 ** (k - 1) for k in range(3, 12)})
+
+
+class TestBuckets:
+    def test_smallest_exact_bucket_and_the_next_one_up(self):
+        for degree in range(2001):
+            coarse = oracle._bucket(degree)
+            fine = oracle._bucket(2 * coarse)
+            assert coarse == min(b for b in BUCKETS if 2 * b - 1 >= degree)
+            assert fine == BUCKETS[BUCKETS.index(coarse) + 1]
+            assert 2 * coarse - 1 >= degree and fine > coarse
+            if degree >= 4:
+                # no larger than the fine rule of quad_matrix_element before buckets
+                assert fine <= degree + 8
+
+    def test_one_state_family_builds_few_rules(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        before = rule_cache_stats()["misses"]
+        for n in range(9):
+            q = QuantumNumbers(3, n, 2)
+            for s in range(9):
+                quad_expectation(q, s)
+            sum_over_states_check(q, n + 4)
+        assert rule_cache_stats()["misses"] - before <= 5
+
+
+class TestNodeTable:
+    def test_rows_are_laguerre_values_at_the_nodes(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        alpha = F(5, 2)
+        nodes, _, rows = oracle._node_table(alpha, 12, 7)
+        with mp.workdps(working_precision() + 10):
+            for x, row in zip(nodes, rows):
+                assert row == laguerre_values(7, to_float(alpha), x)
+
+    def test_extended_rows_match_a_direct_build(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        *_, low = oracle._node_table(F(3, 2), 16, 3)
+        *_, extended = oracle._node_table(F(3, 2), 16, 12)
+        assert oracle._node_table(F(3, 2), 16, 5)[2] is extended
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        *_, direct = oracle._node_table(F(3, 2), 16, 12)
+        assert all(len(row) == 4 for row in low)
+        assert extended == direct
+
+    def test_each_precision_has_its_own_table(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        alpha = F(1, 2)
+        *_, rows50 = oracle._node_table(alpha, 8, 4)
+        monkeypatch.setenv("SALPETER_PRECISION", "80")
+        nodes80, _, rows80 = oracle._node_table(alpha, 8, 4)
+        assert len(oracle._rule_cache) == 2
+        assert rows80 != rows50
+        with mp.workdps(90):
+            for x, row in zip(nodes80, rows80):
+                assert row == laguerre_values(4, to_float(alpha), x)
+
+    def test_concurrent_extensions_keep_the_highest_order(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        alpha = F(7, 2)
+        gauss_laguerre_rule(alpha, 12)
+        orders = range(1, 17)
+        barrier = threading.Barrier(len(orders))
+        results = {}
+
+        def ask(order):
+            barrier.wait(timeout=60)
+            results[order] = oracle._node_table(alpha, 12, order)[2]
+
+        threads = [threading.Thread(target=ask, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(orders)
+        assert all(len(rows[0]) > order for order, rows in results.items())
+        assert len(oracle._node_table(alpha, 12, 0)[2][0]) > max(orders)
+
+    def test_a_lower_order_finishing_last_keeps_the_higher(self, monkeypatch):
+        # the lower order reads the empty table first and installs its rows last
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        alpha = F(7, 2)
+        gauss_laguerre_rule(alpha, 12)
+        low_started, high_done = threading.Event(), threading.Event()
+
+        def values(order, a, x):
+            if order < 12:
+                low_started.set()
+                assert high_done.wait(timeout=60)
+            return laguerre_values(order, a, x)
+
+        monkeypatch.setattr(oracle, "laguerre_values", values)
+        low = threading.Thread(target=oracle._node_table, args=(alpha, 12, 3))
+        low.start()
+        assert low_started.wait(timeout=60)
+        oracle._node_table(alpha, 12, 12)
+        high_done.set()
+        low.join(timeout=60)
+        assert not low.is_alive()
+        assert len(oracle._node_table(alpha, 12, 0)[2][0]) == 13
+
+
+class TestFaultyRule:
+    @staticmethod
+    def scale_weights(alpha, npoints):
+        _, weights = gauss_laguerre_rule(alpha, npoints)
+        with mp.workdps(working_precision() + 10):
+            weights[:] = [w * (1 + mpf("1e-9")) for w in weights]
+
+    def test_scaled_weights_are_caught(self, monkeypatch):
+        # the node tables hold no weights, so a faulty rule still shows
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        q, s = QuantumNumbers(3, 2, 1), 2
+        coarse = oracle._bucket(2 * 2 + s)
+        quad_expectation(q, s)
+        self.scale_weights(q.alpha, coarse)
+        with pytest.raises(ArithmeticError, match="converge"):
+            quad_expectation(q, s)
+        self.scale_weights(q.alpha, oracle._bucket(2 * coarse))
+        assert checks.expectation_error([(q, s)]) > checks.TOL_EXPECT
 
 
 class TestExpectation:
