@@ -40,17 +40,18 @@ def degeneracy_total(N: int, d: int) -> int:
 def degeneracy_level(l: int, d: int) -> int:
     """h(l, d) = (2l+d-2)(l+d-3)!/((d-2)! l!), angular multiplicity at fixed l.
 
-    The factorials degenerate for d = 1 and for (d = 2, l = 0); both cases
-    have exactly one angular state (m = 0 only for d = 2), consistent with
-    the sum rule against g(N, d).
+    Evaluated as (2l+d-2) C(l+d-3, l)/(d-2), whose cost grows with l only.
+    The factorials degenerate for d = 1 and d = 2: d = 1 has one angular
+    state, and d = 2 has m = 0 for l = 0 and m = +-l otherwise, consistent
+    with the sum rule against g(N, d).
     """
     if l < 0 or d < 1:
         raise ValueError(f"need l >= 0 and d >= 1, got l={l}, d={d}")
     if d == 1:
         return 1
-    if d == 2 and l == 0:
-        return 1
-    return (2 * l + d - 2) * math.factorial(l + d - 3) // (math.factorial(d - 2) * math.factorial(l))
+    if d == 2:
+        return 1 if l == 0 else 2
+    return (2 * l + d - 2) * math.comb(l + d - 3, l) // (d - 2)
 
 
 def split_count(N: int) -> int:

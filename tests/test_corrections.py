@@ -166,7 +166,10 @@ class TestLargeQuantumNumbers:
         e1 = epsilon1_general(q)
         assert kramers.first_order_method1(q) == e1
         assert epsilon1_rewritten(q) == e1
-        assert laguerre_me.second_order_method2(q) == epsilon2_general(q)
+        assert laguerre_me.first_order_method2(q) == e1
+        e2 = epsilon2_general(q)
+        assert laguerre_me.second_order_part1(q) + laguerre_me.second_order_part2(q) == e2
+        assert laguerre_me.second_order_method2(q) == e2
 
     @given(s=large_fock_states)
     def test_ladder_agreement(self, s):

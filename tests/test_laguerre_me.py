@@ -7,10 +7,9 @@ import pytest
 from salpeter_qho.corrections import epsilon1_general, epsilon2_general
 from salpeter_qho.kramers import first_order_method1, moment_eta
 from salpeter_qho.laguerre_me import (
-    eta2_action,
+    _rung,
     eta2_expectation,
     eta3_expectation,
-    eta_action,
     first_order_method2,
     second_order_method2,
     second_order_part1,
@@ -21,34 +20,42 @@ from salpeter_qho.states import QuantumNumbers, energy_unperturbed
 F = Fraction
 
 
+def small_states(ds, nl_max):
+    """(d, n, l) with n, l <= nl_max for each d in ds; d = 1 runs over N <= 2 nl_max."""
+    for d in ds:
+        if d == 1:
+            yield from (QuantumNumbers.one_dim(N) for N in range(2 * nl_max + 1))
+        else:
+            yield from (QuantumNumbers(d, n, l) for n in range(nl_max + 1) for l in range(nl_max + 1))
+
+
 class TestCoeffD:
     def test_examples(self):
-        assert eta_action(QuantumNumbers(2, 0, 0)).up2 == 1
-        assert eta_action(QuantumNumbers(3, 0, 0)).up2 == F(3, 2)
-        assert eta_action(QuantumNumbers(3, 1, 1)).up2 == 7
+        # D_n^2 = 1, 3/2 and 7, so 4 D_n^2 = 4, 6 and 28
+        assert _rung(QuantumNumbers(2, 0, 0), 0)[0] == 4
+        assert _rung(QuantumNumbers(3, 0, 0), 0)[0] == 6
+        assert _rung(QuantumNumbers(3, 1, 1), 0)[0] == 28
 
 
 class TestEtaAction:
+    """The rungs (4 D^2, 2 eps0) of the recurrence for eta."""
+
     def test_3d_ground(self):
-        act = eta_action(QuantumNumbers(3, 0, 0))
-        assert (act.up2, act.diag, act.down2) == (F(3, 2), F(3, 2), 0)
-        assert act.sign == -1
+        q = QuantumNumbers(3, 0, 0)
+        assert _rung(q, 0) == (6, 3)
+        assert _rung(q, -1)[0] == 0
 
     def test_diag_is_energy(self):
-        for d in (2, 3, 5):
-            for n in range(6):
-                for l in range(6):
-                    q = QuantumNumbers(d, n, l)
-                    assert eta_action(q).diag == energy_unperturbed(q)
+        for q in small_states((1, 2, 3, 5), 5):
+            for j in range(3):
+                shifted = QuantumNumbers(q.d, q.n + j, q.l)
+                assert F(_rung(q, j)[1], 2) == energy_unperturbed(shifted)
 
     def test_hermiticity(self):
-        # up coefficient at n equals down coefficient at n+1
-        for d in (2, 3, 7):
-            for n in range(10):
-                for l in range(5):
-                    up = eta_action(QuantumNumbers(d, n, l)).up2
-                    down = eta_action(QuantumNumbers(d, n + 1, l)).down2
-                    assert up == down
+        # the up coefficient at n equals the down coefficient at n+1
+        for q in small_states((1, 2, 3, 7), 9):
+            above = QuantumNumbers(q.d, q.n + 1, q.l)
+            assert _rung(q, 0)[0] == _rung(above, -1)[0]
 
 
 class TestEta2:
@@ -65,18 +72,17 @@ class TestEta2:
                     assert eta2_expectation(q) == moment_eta(q, 2)
 
     def test_variance_non_negative(self):
-        for d in (2, 4, 9):
-            for n in range(10):
-                for l in range(10):
-                    q = QuantumNumbers(d, n, l)
-                    mean = eta_action(q).diag
-                    assert eta2_expectation(q) >= mean * mean
+        for q in small_states((1, 2, 4, 9), 9):
+            mean = energy_unperturbed(q)
+            assert eta2_expectation(q) >= mean * mean
 
     def test_boundary_sparsity(self):
-        act = eta2_action(QuantumNumbers(3, 0, 0))
-        assert act.down1_sq == 0 and act.down2_sq == 0
-        act = eta2_action(QuantumNumbers(3, 1, 0))
-        assert act.down1_sq != 0 and act.down2_sq == 0
+        """The recurrence reaches no rung below the ladder: 4 D^2 is 0 exactly there."""
+        states = [QuantumNumbers.one_dim(N) for N in range(4)]
+        states += [QuantumNumbers(d, n, l) for d in (2, 3, 6) for n in (0, 1) for l in range(3)]
+        for q in states:
+            for j in range(-3, 1):
+                assert (_rung(q, j)[0] == 0) == (q.n + j < 0)
 
 
 class TestFirstOrderMethod2:
@@ -139,3 +145,16 @@ class TestSecondOrder:
                 states = [QuantumNumbers(d, n, l) for n in range(21) for l in range(21)]
             for q in states:
                 assert second_order_method2(q) == epsilon2_general(q)
+
+
+def test_public_functions_return_fractions():
+    q = QuantumNumbers(2, 0, 0)
+    for f in (
+        eta2_expectation,
+        first_order_method2,
+        eta3_expectation,
+        second_order_part1,
+        second_order_part2,
+        second_order_method2,
+    ):
+        assert type(f(q)) is Fraction

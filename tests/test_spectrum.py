@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from salpeter_qho.corrections import correction_triple
 from salpeter_qho.spectrum import (
@@ -76,6 +78,13 @@ class TestDegeneracy:
 
     def test_d1_special_case(self):
         assert degeneracy_level(0, 1) == 1
+
+    @given(l=st.integers(0, 50), d=st.integers(2, 10**6))
+    def test_harmonic_difference_at_large_d(self, l, d):
+        """h(l, d) = g(l, d) - g(l-2, d): degree-l harmonics are degree-l
+        polynomials modulo r^2 times degree l-2."""
+        lower = degeneracy_total(l - 2, d) if l >= 2 else 0
+        assert degeneracy_level(l, d) == degeneracy_total(l, d) - lower
 
 
 class TestSplitting:
