@@ -6,22 +6,22 @@ with deflation, then polished by Newton steps on the three-term recurrence
 at working precision, O(n^2) per rule (Glaser, Liu & Rokhlin, SIAM J. Sci.
 Comput. 29 (2007) 1420).  Weights come from the derivative at each node,
 w_i = Gamma(n + alpha + 1) / (n! x_i L_n^(alpha)'(x_i)^2).  The recurrence
-is the single one in states.laguerre_values; each quadrature node takes both
-polynomials of a matrix element from one pass of it.  Working precision
-defaults to 50 significant digits and can be overridden with the
-SALPETER_PRECISION environment variable.  All integrands here are
-polynomials times the weight function, so the rules are exact up to rounding
-and the two-rule convergence check is a pure sanity assertion.
+is the single one in states.laguerre_values, which also fills the node
+tables.  Working precision defaults to 50 significant digits and can be
+overridden with the SALPETER_PRECISION environment variable.  All integrands
+here are polynomials times the weight function, so the rules are exact up to
+rounding and the two-rule convergence check is a pure sanity assertion.
 
 Node counts come from a fixed set of buckets, 8, 12, 16, 24, 32, 48, ...
 (2^k and 3 * 2^(k-1)): an integrand of polynomial degree D is summed on the
 smallest bucket exact for D and on the next bucket up, so both rules are
-exact and still differ, and one rule serves many (n, s).  Each cached rule
-keeps a node table next to it, under the same key and lock: the rows
-L_0..L_K^(alpha)(x_i) at its nodes, recomputed for a higher K when a caller
-needs one.  A quadrature sum then reads both polynomials from the table; no
-per-call result is cached.  The double-precision seeds overflow above about
-360 nodes; such a rule raises OverflowError before any mpf work.
+exact and still differ, and one rule serves many (n, s).  Each rule is built
+once with its node table and never changed after: the orthonormal rows
+p_k(x_i) = c_k L_k^(alpha)(x_i), k <= 2 * npoints - 1, the highest order
+any sum on the rule can need, with c_k^2 = k! / Gamma(k + alpha + 1).  A
+weighted sum of two rows is then <u_n1|eta^s|u_n2> itself; no per-call
+result is cached.  The double-precision seeds overflow above about 360
+nodes; such a rule raises OverflowError before any mpf work.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .states import (
     _to_mpf,
     energy_unperturbed,
     laguerre_values,
-    normalization,
     u_derivatives,
 )
 
@@ -57,7 +56,7 @@ __all__ = [
 
 DEFAULT_DPS = 50
 
-# (alpha, npoints, dps) -> [(nodes, weights), rows]; rows[i] = [L_0..L_K](nodes[i])
+# (alpha, npoints, dps) -> ((nodes, weights), rows); rows[i] = [p_0..p_(2 npoints - 1)](nodes[i])
 _rule_cache: dict = {}
 _rule_lock = threading.Lock()
 _rule_stats = {"hits": 0, "misses": 0, "build_s": 0.0}
@@ -123,8 +122,8 @@ def gauss_laguerre_rule(alpha, npoints: int) -> tuple[list, list]:
     return _rule_entry(alpha, npoints)[0]
 
 
-def _rule_entry(alpha, npoints: int) -> list:
-    """The cache entry [(nodes, weights), rows] of a rule, built on a miss."""
+def _rule_entry(alpha, npoints: int) -> tuple:
+    """The cache entry ((nodes, weights), rows) of a rule, built on a miss."""
     alpha = Fraction(alpha)
     if alpha <= -1:
         raise ValueError(f"alpha must be > -1, got {alpha}")
@@ -159,32 +158,17 @@ def _rule_entry(alpha, npoints: int) -> list:
         increasing = nodes[0] > 0 and all(a < b for a, b in zip(nodes, nodes[1:]))
         if not increasing or abs(mp.fsum(weights) - mu0) > mpf(10) ** (5 - dps) * mu0:
             raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
-        entry = [(nodes, weights), [[] for _ in nodes]]
+        # orthonormal rows: c_0 = Gamma(alpha + 1)^(-1/2), c_k = c_(k-1) sqrt(k / (k + alpha))
+        order = 2 * npoints - 1
+        c = [1 / mp.sqrt(mu0)]
+        for k in range(1, order + 1):
+            c.append(c[-1] * mp.sqrt(mpf(k) / (k + alpha_f)))
+        rows = [[ck * v for ck, v in zip(c, laguerre_values(order, alpha_f, x))] for x in nodes]
+        entry = ((nodes, weights), rows)
     with _rule_lock:
         _rule_cache[key] = entry
         _rule_stats["build_s"] += time.perf_counter() - start
     return entry
-
-
-def _node_table(alpha: Fraction, npoints: int, order: int) -> tuple[list, list, list]:
-    """Nodes, weights and rows [L_0..L_K^(alpha)] at each node of a rule, K >= order.
-
-    The rows are recomputed from the nodes, at the rule's precision, when a
-    caller needs a higher order than the cache entry holds.
-    """
-    entry = _rule_entry(alpha, npoints)
-    (nodes, weights), rows = entry
-    if len(rows[0]) <= order:
-        # at least double K, so that n = 0, 1, 2, ... rebuilds each table O(log n) times
-        order = max(order, 2 * len(rows[0]) - 2)
-        with mp.workdps(working_precision() + 10):
-            alpha_f = _to_mpf(alpha)
-            rows = [laguerre_values(order, alpha_f, x) for x in nodes]
-        with _rule_lock:
-            if len(entry[1][0]) <= order:
-                entry[1] = rows
-            rows = entry[1]
-    return nodes, weights, rows
 
 
 def _bucket(degree: int) -> int:
@@ -199,24 +183,24 @@ def _bucket(degree: int) -> int:
     return npoints
 
 
-def _weighted_sum(alpha: Fraction, n1: int, n2: int, s: int, npoints: int) -> mpf:
-    """sum_i w_i x_i^s L_n1(x_i) L_n2(x_i) on the npoints-node rule for x^alpha e^(-x)."""
-    nodes, weights, rows = _node_table(alpha, npoints, max(n1, n2))
-    return mp.fdot((w * x**s, row[n1] * row[n2]) for x, w, row in zip(nodes, weights, rows))
+def _bracket(alpha: Fraction, n1: int, n2: int, s: int) -> mpf:
+    """sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = <u_n1|eta^s|u_n2>, checked on two rules.
 
-
-def _bracket(n1: int, n2: int, l: int, d: int, s: int) -> tuple[mpf, mpf]:
-    """(A1 A2 / 2) * integral of eta^(alpha+s) e^(-eta) L_n1 L_n2 deta on two rules.
-
-    Returns (fine, coarse): the value on the next bucket above the coarse
-    one, and on the smallest bucket exact for the degree n1 + n2 + s.
+    Summed on the smallest bucket exact for the degree n1 + n2 + s and on the
+    next bucket up; returns the latter once the two agree.
     """
-    q1, q2 = QuantumNumbers(d, n1, l), QuantumNumbers(d, n2, l)
-    prefactor = normalization(q1) * normalization(q2) / 2
     npoints = _bucket(n1 + n2 + s)
+    sums = []
     # the larger rule first: if its seeds overflow, fail before building the smaller
-    fine = prefactor * _weighted_sum(q1.alpha, n1, n2, s, _bucket(2 * npoints))
-    return fine, prefactor * _weighted_sum(q1.alpha, n1, n2, s, npoints)
+    for size in (_bucket(2 * npoints), npoints):
+        (nodes, weights), rows = _rule_entry(alpha, size)
+        terms = ((w * x**s, row[n1] * row[n2]) for x, w, row in zip(nodes, weights, rows))
+        sums.append(mp.fdot(terms))
+    fine, coarse = sums
+    diff = abs(coarse - fine) / max(1, abs(fine))
+    if diff > mpf("1e-14"):
+        raise ArithmeticError(f"quadrature failed to converge: rel diff {diff}")
+    return fine
 
 
 def quad_expectation(q: QuantumNumbers, s: int) -> mpf:
@@ -225,24 +209,20 @@ def quad_expectation(q: QuantumNumbers, s: int) -> mpf:
         raise UnsupportedDimension("quadrature oracle requires d >= 2")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    n = int(q.n)
-    with mp.workdps(working_precision()):
-        fine, coarse = _bracket(n, n, q.l, q.d, s)
-        rel = abs(coarse - fine) / abs(fine)
-        if rel > mpf("1e-14"):
-            raise ArithmeticError(f"quadrature failed to converge: rel diff {rel}")
-        return fine
+    return quad_matrix_element(int(q.n), int(q.n), q.l, q.d, s)
 
 
 def quad_matrix_element(n1: int, n2: int, l: int, d: int, s: int) -> mpf:
-    """<u_{n1,l}|eta^s|u_{n2,l}> by quadrature."""
+    """<u_{n1,l}|eta^s|u_{n2,l}> by quadrature, cross-checked on two buckets of nodes."""
     if d < 2:
         raise UnsupportedDimension("quadrature oracle requires d >= 2")
+    if s < 0:
+        raise ValueError(f"s must be >= 0, got {s}")
+    # InvalidQuantumNumbers for a negative or non-integer n1, n2 or l
+    alpha = QuantumNumbers(d, n1, l).alpha
+    QuantumNumbers(d, n2, l)
     with mp.workdps(working_precision()):
-        fine, coarse = _bracket(n1, n2, l, d, s)
-        if abs(coarse - fine) > mpf("1e-14") * (1 + abs(fine)):
-            raise ArithmeticError("quadrature failed to converge")
-        return fine
+        return _bracket(alpha, n1, n2, s)
 
 
 def orthonormality_check(l: int, d: int, n_max: int) -> mpf:

@@ -1,24 +1,43 @@
 """Faults injected into one derivation must trip the checks that cover it.
 
-Each row of FAULTS replaces one name in one method's module and lists the
-exact checks that must then fail on the small grid; every other check in
-CHECKS must still pass.  The faults live here only: nothing in the package
-has a hook for them.
+Each row of FAULTS replaces one name in one module (or one entry of a
+module-level dict) and lists the exact checks that must then fail on the
+small grid; every other check in CHECKS must still pass.  The faults live
+here only: nothing in the package has a hook for them.
 """
 
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
-from salpeter_qho import checks, laguerre_me
+from salpeter_qho import checks, corrections, kramers, ladder2d, laguerre_me, oracle, spectrum
+from salpeter_qho.states import QuantumNumbers
 
 SMALL = checks.GRIDS["small"]
 SMALL_RADIAL = checks.radial_grid(SMALL["d_max"], SMALL["nl_max"], SMALL["N1_max"])
+ORACLE_CASES = [
+    (QuantumNumbers(3, 2, 1), 2),
+    (QuantumNumbers(2, 0, 3), 4),
+    (QuantumNumbers(5, 1, 0), 1),
+]
+
+
+def oracle_failure():
+    """The worst quadrature error on ORACLE_CASES above TOL_EXPECT, or a convergence error."""
+    try:
+        worst = checks.expectation_error(ORACLE_CASES)
+    except ArithmeticError as exc:
+        return exc
+    return worst if worst > checks.TOL_EXPECT else None
+
 
 CHECKS = {
     "first_order": lambda: checks.first_order_failure(SMALL_RADIAL),
     "second_order": lambda: checks.second_order_failure(SMALL_RADIAL),
     "ladder": lambda: checks.ladder_failure(SMALL["ladder_N"]),
+    "oracle": oracle_failure,
+    "degeneracy": lambda: None if checks.degeneracy_sum_rule_holds() else "sum rule fails",
 }
 
 
@@ -35,7 +54,51 @@ def part2_unit_denominators(q):
     return Fraction(2 * (b * b2 - a * a2) + 8 * (b * (e - 2) ** 2 - a * (e + 2) ** 2), 4096)
 
 
-# name -> (module, attribute, replacement, checks that must fail)
+_scaled_corrections = corrections._scaled_corrections
+
+
+def closed_form_e2_plus_one(d, m, l):
+    """512 eps2 one too large."""
+    e1, e2 = _scaled_corrections(d, m, l)
+    return e1, e2 + 1
+
+
+def closed_form_e1_minus_one(d, m, l):
+    """32 eps1 one too small."""
+    e1, e2 = _scaled_corrections(d, m, l)
+    return e1 - 1, e2
+
+
+def kramers_angular_off_by_one(q, s):
+    """The Kramers recursion for <r^(s+2)> with 2t(ang + 1) in place of 2t ang."""
+    e, ang = kramers.energy_unperturbed(q), q.d - 2 + q.l * (q.l + q.d - 2)
+    prev, curr = Fraction(0), Fraction(1)
+    for t in range(0, s + 2, 2):
+        coeff = 2 * t * ang + Fraction(t, 2) * (4 - q.d - t) * (4 - q.d + t)
+        prev, curr = curr, (2 * e * (2 * t + 2) * curr - coeff * prev) / (2 * t + 4)
+    return curr
+
+
+_factorial_ratio = ladder2d._factorial_ratio
+_degeneracy_level = spectrum.degeneracy_level
+_rule_entry = oracle._rule_entry
+
+
+def scaled_rules(only=None):
+    """oracle._rule_entry with the weights of every rule, or of the `only`-node
+    rules, times 1 + 1e-9; the cached entries stay as they are."""
+
+    def entry(alpha, npoints):
+        (nodes, weights), rows = _rule_entry(alpha, npoints)
+        if only in (None, npoints):
+            with mp.workdps(oracle.working_precision() + 10):
+                weights = [w * (1 + mpf("1e-9")) for w in weights]
+        return (nodes, weights), rows
+
+    return entry
+
+
+# name -> (module or dict, name or key, replacement, checks that must fail)
 FAULTS = {
     "laguerre-d2-off-by-one": (laguerre_me, "_rung", rung_off_by_one, {"first_order", "second_order"}),
     "laguerre-part2-denominator": (
@@ -44,6 +107,44 @@ FAULTS = {
         part2_unit_denominators,
         {"second_order"},
     ),
+    "closed-form-e2-plus-one": (
+        corrections,
+        "_scaled_corrections",
+        closed_form_e2_plus_one,
+        {"second_order", "ladder"},
+    ),
+    "closed-form-e1-minus-one": (
+        corrections,
+        "_scaled_corrections",
+        closed_form_e1_minus_one,
+        {"first_order", "ladder"},
+    ),
+    # the oracle checks quadrature against the Kramers moments, so it catches this too
+    "kramers-angular-coefficient": (
+        kramers,
+        "moment_r_even",
+        kramers_angular_off_by_one,
+        {"first_order", "oracle"},
+    ),
+    "ladder-factorial-ratio-inverted": (
+        ladder2d,
+        "_factorial_ratio",
+        lambda top, bottom: _factorial_ratio(bottom, top),
+        {"ladder"},
+    ),
+    "ladder-k0-extra-term": (
+        ladder2d._P4,
+        "K0",
+        ladder2d._P4["K0"] + ladder2d.LadderExpr.mono("ad", "a"),
+        {"ladder"},
+    ),
+    "degeneracy-off-by-one": (
+        spectrum,
+        "degeneracy_level",
+        lambda l, d: _degeneracy_level(l, d) + ((l, d) == (2, 5)),
+        {"degeneracy"},
+    ),
+    "oracle-weights-scaled": (oracle, "_rule_entry", scaled_rules(), {"oracle"}),
 }
 
 
@@ -57,7 +158,18 @@ def test_unpatched_run_fails_no_check():
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_fault_fails_exactly_its_checks(fault, monkeypatch):
-    module, attribute, replacement, must_fail = FAULTS[fault]
+    target, name, replacement, must_fail = FAULTS[fault]
     assert must_fail and must_fail <= set(CHECKS)
-    monkeypatch.setattr(module, attribute, replacement)
+    patch = monkeypatch.setitem if isinstance(target, dict) else monkeypatch.setattr
+    patch(target, name, replacement)
     assert failing_checks() == must_fail
+    # nothing outlives the patch, such as a faulty rule in the cache
+    monkeypatch.undo()
+    assert failing_checks() == set()
+
+
+def test_one_scaled_rule_trips_the_convergence_check(monkeypatch):
+    q, s = QuantumNumbers(3, 2, 1), 2
+    monkeypatch.setattr(oracle, "_rule_entry", scaled_rules(only=oracle._bucket(2 * 2 + s)))
+    with pytest.raises(ArithmeticError, match="converge"):
+        oracle.quad_expectation(q, s)

@@ -1,13 +1,11 @@
 """Gauss-Laguerre quadrature oracle: floating cross-checks of exact results."""
 
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from salpeter_qho import checks, oracle
+from salpeter_qho import oracle
 from salpeter_qho.kramers import moment_eta
 from salpeter_qho.laguerre_me import second_order_part2
 from salpeter_qho.oracle import (
@@ -20,7 +18,12 @@ from salpeter_qho.oracle import (
     sum_over_states_check,
     working_precision,
 )
-from salpeter_qho.states import QuantumNumbers, UnsupportedDimension, laguerre_values
+from salpeter_qho.states import (
+    InvalidQuantumNumbers,
+    QuantumNumbers,
+    UnsupportedDimension,
+    laguerre_values,
+)
 
 F = Fraction
 
@@ -173,105 +176,33 @@ class TestBuckets:
 
 
 class TestNodeTable:
+    @staticmethod
+    def assert_orthonormal_rows(alpha, npoints):
+        # p_k(x) = L_k^(alpha)(x) sqrt(k! / Gamma(k + alpha + 1)) for k <= 2 npoints - 1
+        (nodes, _), rows = oracle._rule_entry(alpha, npoints)
+        order = 2 * npoints - 1
+        dps = working_precision() + 10
+        with mp.workdps(dps):
+            a = to_float(alpha)
+            scales = [mp.sqrt(mp.factorial(k) / mp.gamma(k + a + 1)) for k in range(order + 1)]
+            for x, row in zip(nodes, rows):
+                assert len(row) == 2 * npoints
+                for value, c, p in zip(laguerre_values(order, a, x), scales, row):
+                    assert abs(p - c * value) <= mpf(10) ** (5 - dps) * max(1, abs(p))
+        return rows
+
     def test_rows_are_laguerre_values_at_the_nodes(self, monkeypatch):
         monkeypatch.setattr(oracle, "_rule_cache", {})
-        alpha = F(5, 2)
-        nodes, _, rows = oracle._node_table(alpha, 12, 7)
-        with mp.workdps(working_precision() + 10):
-            for x, row in zip(nodes, rows):
-                assert row == laguerre_values(7, to_float(alpha), x)
-
-    def test_extended_rows_match_a_direct_build(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_rule_cache", {})
-        *_, low = oracle._node_table(F(3, 2), 16, 3)
-        *_, extended = oracle._node_table(F(3, 2), 16, 12)
-        assert oracle._node_table(F(3, 2), 16, 5)[2] is extended
-        monkeypatch.setattr(oracle, "_rule_cache", {})
-        *_, direct = oracle._node_table(F(3, 2), 16, 12)
-        assert all(len(row) == 4 for row in low)
-        assert extended == direct
+        for alpha, npoints in [(F(5, 2), 12), (0, 1), (F(17, 2), 24)]:
+            self.assert_orthonormal_rows(alpha, npoints)
 
     def test_each_precision_has_its_own_table(self, monkeypatch):
         monkeypatch.setattr(oracle, "_rule_cache", {})
-        alpha = F(1, 2)
-        *_, rows50 = oracle._node_table(alpha, 8, 4)
+        rows50 = self.assert_orthonormal_rows(F(1, 2), 8)
         monkeypatch.setenv("SALPETER_PRECISION", "80")
-        nodes80, _, rows80 = oracle._node_table(alpha, 8, 4)
+        rows80 = self.assert_orthonormal_rows(F(1, 2), 8)
         assert len(oracle._rule_cache) == 2
         assert rows80 != rows50
-        with mp.workdps(90):
-            for x, row in zip(nodes80, rows80):
-                assert row == laguerre_values(4, to_float(alpha), x)
-
-    def test_concurrent_extensions_keep_the_highest_order(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_rule_cache", {})
-        alpha = F(7, 2)
-        gauss_laguerre_rule(alpha, 12)
-        orders = range(1, 17)
-        barrier = threading.Barrier(len(orders))
-        results = {}
-
-        def ask(order):
-            barrier.wait(timeout=60)
-            results[order] = oracle._node_table(alpha, 12, order)[2]
-
-        threads = [threading.Thread(target=ask, args=(order,)) for order in orders]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(results) == list(orders)
-        assert all(len(rows[0]) > order for order, rows in results.items())
-        assert len(oracle._node_table(alpha, 12, 0)[2][0]) > max(orders)
-
-    def test_a_lower_order_finishing_last_keeps_the_higher(self, monkeypatch):
-        # the lower order reads the empty table first and installs its rows last
-        monkeypatch.setattr(oracle, "_rule_cache", {})
-        alpha = F(7, 2)
-        gauss_laguerre_rule(alpha, 12)
-        low_started, high_done = threading.Event(), threading.Event()
-
-        def values(order, a, x):
-            if order < 12:
-                low_started.set()
-                assert high_done.wait(timeout=60)
-            return laguerre_values(order, a, x)
-
-        monkeypatch.setattr(oracle, "laguerre_values", values)
-        low = threading.Thread(target=oracle._node_table, args=(alpha, 12, 3))
-        low.start()
-        assert low_started.wait(timeout=60)
-        oracle._node_table(alpha, 12, 12)
-        high_done.set()
-        low.join(timeout=60)
-        assert not low.is_alive()
-        assert len(oracle._node_table(alpha, 12, 0)[2][0]) == 13
-
-
-class TestFaultyRule:
-    @staticmethod
-    def scale_weights(alpha, npoints):
-        _, weights = gauss_laguerre_rule(alpha, npoints)
-        with mp.workdps(working_precision() + 10):
-            weights[:] = [w * (1 + mpf("1e-9")) for w in weights]
-
-    def test_scaled_weights_are_caught(self, monkeypatch):
-        # the node tables hold no weights, so a faulty rule still shows
-        monkeypatch.setattr(oracle, "_rule_cache", {})
-        q, s = QuantumNumbers(3, 2, 1), 2
-        coarse = oracle._bucket(2 * 2 + s)
-        quad_expectation(q, s)
-        self.scale_weights(q.alpha, coarse)
-        with pytest.raises(ArithmeticError, match="converge"):
-            quad_expectation(q, s)
-        self.scale_weights(q.alpha, oracle._bucket(2 * coarse))
-        assert checks.expectation_error([(q, s)]) > checks.TOL_EXPECT
 
 
 class TestExpectation:
@@ -324,6 +255,21 @@ class TestMatrixElement:
     def test_eta_sparsity(self):
         value = quad_matrix_element(3, 1, 0, 3, 1)
         assert abs(value) <= mpf("1e-12")
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            ((2, 0, 0, 3, -1), ValueError),
+            ((0, 2, 1, 5, -2), ValueError),
+            ((-1, 0, 0, 3, 0), InvalidQuantumNumbers),
+            ((0, -1, 0, 3, 2), InvalidQuantumNumbers),
+            ((1, 0, -1, 3, 1), InvalidQuantumNumbers),
+            ((1, 0, 0, 1, 2), UnsupportedDimension),
+        ],
+    )
+    def test_bad_arguments_rejected(self, args, error):
+        with pytest.raises(error):
+            quad_matrix_element(*args)
 
 
 class TestOrthonormality:
