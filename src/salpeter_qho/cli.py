@@ -140,10 +140,11 @@ def cmd_diagram(args) -> int:
     try:
         table = spectrum.level_table(args.Nmax, args.d, args.lam)
         model = spectrum.diagram_data(table, exaggeration=args.exaggeration)
+        text = spectrum.render_svg(model)
     except (ValueError, InvalidQuantumNumbers) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _write_output(spectrum.render_svg(model), args.out)
+    _write_output(text, args.out)
     return 0
 
 

@@ -1,15 +1,21 @@
 """Degeneracies, level splitting, level tables, diagram data and the
 Landau-analogue energies.
 
-Table values are exact rationals; renderers print them as "p/q".
+Table values are exact rationals; renderers print them as "p/q". The
+renderers write their text directly, one formatted string per row or
+sub-level: render_json gives the bytes of json.dumps(..., indent=2,
+sort_keys=True) without the generic encoder. diagram_data builds each
+sub-level's position as one exact Fraction from integer numerators and
+denominators; render_svg converts positions to float once, and raises
+ValueError when they exceed the float range.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .corrections import _scaled_corrections
 
@@ -158,21 +164,30 @@ class DiagramModel:
 def diagram_data(table: LevelTable, exaggeration=None) -> DiagramModel:
     """Schematic diagram positions: unperturbed baselines plus shifted
     sub-levels ordered by l, shifts exaggerated uniformly (default 0.1/lambda)
-    since the layout is not to scale."""
+    since the layout is not to scale.
+
+    With baseline z = zn/zd, energy e = en/ed and exaggeration a/b, the
+    position z + (a/b)(e - z) is (ed*zn*(b - a) + en*a*zd) / (ed*zd*b): one
+    Fraction per sub-level.
+    """
     exag = Fraction(exaggeration) if exaggeration is not None else Fraction(1, 10) / table.lam
     if exag <= 0:
         raise ValueError(f"exaggeration must be positive, got {exag}")
-    by_n: dict[int, list[LevelRow]] = {}
-    for row in table.rows:
-        by_n.setdefault(row.N, []).append(row)
+    a, b = exag.numerator, exag.denominator
     levels = []
-    for N in sorted(by_n):
-        rows = sorted(by_n[N], key=lambda r: r.l)
-        baseline = rows[0].eps0
-        sublevels = tuple(
-            (r.l, baseline + exag * (r.energy - r.eps0), r.degeneracy) for r in rows
-        )
-        levels.append(DiagramLevel(N=N, baseline=baseline, sublevels=sublevels))
+    N = None
+    # level_table emits rows in (N, l) order, so this sort is one linear pass
+    for r in sorted(table.rows, key=attrgetter("N", "l")):
+        if r.N != N:
+            if N is not None:
+                levels.append(DiagramLevel(N=N, baseline=baseline, sublevels=tuple(sublevels)))
+            N, baseline, sublevels = r.N, r.eps0, []
+            zn, zd = baseline.numerator, baseline.denominator
+            ed_coef, en_coef, den_coef = zn * (b - a), a * zd, zd * b
+        en, ed = r.energy.numerator, r.energy.denominator
+        sublevels.append((r.l, Fraction(ed * ed_coef + en * en_coef, ed * den_coef), r.degeneracy))
+    if N is not None:
+        levels.append(DiagramLevel(N=N, baseline=baseline, sublevels=tuple(sublevels)))
     return DiagramModel(d=table.d, lam=table.lam, exaggeration=exag, levels=tuple(levels))
 
 
@@ -191,44 +206,46 @@ def render_csv(table: LevelTable) -> str:
 
 
 def render_json(table: LevelTable) -> str:
-    payload = {
-        "d": table.d,
-        "lambda": _fmt(table.lam),
-        "rows": [
-            {
-                "N": r.N,
-                "l": r.l,
-                "eps0": _fmt(r.eps0),
-                "eps1": _fmt(r.eps1),
-                "eps2": _fmt(r.eps2),
-                "energy": _fmt(r.energy),
-                "degeneracy": r.degeneracy,
-            }
-            for r in table.rows
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\\n",
+    written directly: keys in sorted order, and _fmt emits only digits, "-"
+    and "/", so no string needs escaping."""
+    rows = ",\n".join(
+        f'    {{\n      "N": {r.N},\n      "degeneracy": {r.degeneracy},\n'
+        f'      "energy": "{_fmt(r.energy)}",\n      "eps0": "{_fmt(r.eps0)}",\n'
+        f'      "eps1": "{_fmt(r.eps1)}",\n      "eps2": "{_fmt(r.eps2)}",\n'
+        f'      "l": {r.l}\n    }}'
+        for r in table.rows
+    )
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{{\n  "d": {table.d},\n  "lambda": "{_fmt(table.lam)}",\n  "rows": {rows}\n}}\n'
 
 
 SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 480, 50.0
 
 
 def render_svg(model: DiagramModel) -> str:
-    """Deterministic SVG energy-level diagram."""
-    levels = [
-        (lvl, float(lvl.baseline), [float(pos) for (_, pos, _) in lvl.sublevels])
-        for lvl in model.levels
-    ]
-    positions = [y for (_, base, subs) in levels for y in (base, *subs)]
-    lo, hi = min(positions), max(positions)
-    span = (hi - lo) or 1.0
+    """Deterministic SVG energy-level diagram.
 
-    def y_of(value: float) -> float:
-        return SVG_HEIGHT - SVG_MARGIN - (value - lo) / span * (SVG_HEIGHT - 2 * SVG_MARGIN)
+    Raises ValueError when a position does not fit in a float.
+    """
+    try:
+        levels = [
+            (lvl, float(lvl.baseline), [float(pos) for (_, pos, _) in lvl.sublevels])
+            for lvl in model.levels
+        ]
+    except OverflowError as exc:
+        raise ValueError("diagram positions exceed the float range") from exc
+    lo = min(min(base, *subs) for (_, base, subs) in levels)
+    hi = max(max(base, *subs) for (_, base, subs) in levels)
+    span = (hi - lo) or 1.0
+    if math.isinf(span):
+        raise ValueError("diagram positions exceed the float range")
+    top, height = SVG_HEIGHT - SVG_MARGIN, SVG_HEIGHT - 2 * SVG_MARGIN
 
     plot_width = SVG_WIDTH - 2 * SVG_MARGIN
     x0, x1 = SVG_MARGIN, SVG_MARGIN + plot_width * 0.35
     x2, x3 = SVG_MARGIN + plot_width * 0.5, SVG_WIDTH - SVG_MARGIN
+    x0_s, x1_s, label_x_s = f"{x0:.2f}", f"{x1:.2f}", f"{x0 - 38:.2f}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
@@ -236,25 +253,24 @@ def render_svg(model: DiagramModel) -> str:
         '<style>text{font-family:monospace;font-size:11px}</style>',
     ]
     for lvl, base, subs in levels:
-        yb = y_of(base)
+        yb = top - (base - lo) / span * height
+        yb_s = f"{yb:.2f}"
         parts.append(
-            f'<line x1="{x0:.2f}" y1="{yb:.2f}" x2="{x1:.2f}" y2="{yb:.2f}" '
-            'stroke="black" stroke-width="1.5"/>'
+            f'<line x1="{x0_s}" y1="{yb_s}" x2="{x1_s}" y2="{yb_s}" '
+            'stroke="black" stroke-width="1.5"/>\n'
+            f'<text x="{label_x_s}" y="{yb + 4:.2f}">N={lvl.N}</text>'
         )
-        parts.append(f'<text x="{x0 - 38:.2f}" y="{yb + 4:.2f}">N={lvl.N}</text>')
-        count = len(lvl.sublevels)
-        seg = (x3 - x2) / count
+        seg = (x3 - x2) / len(subs)
         for idx, ((l, _, h), pos) in enumerate(zip(lvl.sublevels, subs)):
-            ys = y_of(pos)
-            xa, xb = x2 + idx * seg, x2 + (idx + 1) * seg - 6
+            ys = top - (pos - lo) / span * height
+            ys_s = f"{ys:.2f}"
+            xa_s = f"{x2 + idx * seg:.2f}"
             parts.append(
-                f'<line x1="{xa:.2f}" y1="{ys:.2f}" x2="{xb:.2f}" y2="{ys:.2f}" '
-                'stroke="firebrick" stroke-width="1.5"/>'
+                f'<line x1="{xa_s}" y1="{ys_s}" x2="{x2 + (idx + 1) * seg - 6:.2f}" y2="{ys_s}" '
+                'stroke="firebrick" stroke-width="1.5"/>\n'
+                f'<line x1="{x1_s}" y1="{yb_s}" x2="{xa_s}" y2="{ys_s}" '
+                'stroke="gray" stroke-width="0.5" stroke-dasharray="3,3"/>\n'
+                f'<text x="{xa_s}" y="{ys - 3:.2f}">l={l} (h={h})</text>'
             )
-            parts.append(
-                f'<line x1="{x1:.2f}" y1="{yb:.2f}" x2="{xa:.2f}" y2="{ys:.2f}" '
-                'stroke="gray" stroke-width="0.5" stroke-dasharray="3,3"/>'
-            )
-            parts.append(f'<text x="{xa:.2f}" y="{ys - 3:.2f}">l={l} (h={h})</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -217,6 +217,8 @@ class TestUsageErrors:
             (None, ["correct", "--d", "3", "--n", "0", "--l", "1", "--m", "1"]),
             (None, ["diagram", "--d", "3", "--Nmax", "2", "--exaggeration", "0"]),
             (None, ["diagram", "--d", "3", "--Nmax", "2", "--exaggeration", "-1"]),
+            (None, ["diagram", "--d", "3", "--Nmax", "2", "--exaggeration", "1e400"]),
+            (None, ["diagram", "--d", "3", "--Nmax", "2", "--lambda", "1e400"]),
         ],
     )
     def test_exit_2_with_one_error_line(self, capsys, monkeypatch, precision, argv):
@@ -251,7 +253,7 @@ OPTIONAL = {
     "oracle": ["--l", "--s"],
 }
 # small magnitudes keep every run cheap; "--grid large" is left out for the same reason
-NUMBERS = ["-1", "0", "1", "2", "3", "1/2", "3/2"]
+NUMBERS = ["-1", "0", "1", "2", "3", "1/2", "3/2", "1e400"]
 WORDS = ["-1/2", "1/0", "abc", "", "all", "closed", "ladder", "json", "text", "csv",
          "small", "-", "/nonexistent/dir/out"]
 

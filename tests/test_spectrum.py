@@ -1,8 +1,11 @@
 """Degeneracies, level tables, diagram data and the Landau analogue."""
 
 import hashlib
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,7 +13,11 @@ from hypothesis import strategies as st
 
 from salpeter_qho.corrections import correction_triple
 from salpeter_qho.spectrum import (
+    DiagramLevel,
+    DiagramModel,
     LevelRow,
+    LevelTable,
+    _fmt,
     allowed_l,
     degeneracy_level,
     degeneracy_total,
@@ -49,6 +56,44 @@ def reference_rows(N_max, d, lam):
                 )
             )
     return tuple(rows)
+
+
+def reference_render_json(table):
+    """render_json through the generic encoder."""
+    payload = {
+        "d": table.d,
+        "lambda": _fmt(table.lam),
+        "rows": [
+            {
+                "N": r.N,
+                "l": r.l,
+                "eps0": _fmt(r.eps0),
+                "eps1": _fmt(r.eps1),
+                "eps2": _fmt(r.eps2),
+                "energy": _fmt(r.energy),
+                "degeneracy": r.degeneracy,
+            }
+            for r in table.rows
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reference_diagram_data(table, exaggeration=None):
+    """diagram_data as baseline + exaggeration * (energy - eps0) in Fractions."""
+    exag = Fraction(exaggeration) if exaggeration is not None else F(1, 10) / table.lam
+    by_n = {}
+    for row in table.rows:
+        by_n.setdefault(row.N, []).append(row)
+    levels = []
+    for N in sorted(by_n):
+        rows = sorted(by_n[N], key=lambda r: r.l)
+        baseline = rows[0].eps0
+        sublevels = tuple(
+            (r.l, baseline + exag * (r.energy - r.eps0), r.degeneracy) for r in rows
+        )
+        levels.append(DiagramLevel(N=N, baseline=baseline, sublevels=sublevels))
+    return DiagramModel(d=table.d, lam=table.lam, exaggeration=exag, levels=tuple(levels))
 
 
 class TestDegeneracy:
@@ -193,6 +238,25 @@ class TestDiagram:
         model = diagram_data(level_table(2, 3, F(1, 500)))
         assert model.exaggeration == F(1, 10) * 500
 
+    @pytest.mark.parametrize("lam", [F(1, 1000), F(3, 70), F(9, 100000), F(5, 3)])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 100])
+    def test_matches_fraction_reference(self, d, lam):
+        for N_max in (0, 1, 60):
+            table = level_table(N_max, d, lam)
+            for exaggeration in (None, F(7, 3)):
+                model = diagram_data(table, exaggeration)
+                assert model == reference_diagram_data(table, exaggeration)
+                assert all(
+                    type(pos) is Fraction for lvl in model.levels for _, pos, _ in lvl.sublevels
+                )
+
+    def test_row_order_does_not_matter(self):
+        table = level_table(12, 5, F(3, 70))
+        rows = list(table.rows)
+        random.Random(7).shuffle(rows)
+        shuffled = LevelTable(d=table.d, lam=table.lam, rows=tuple(rows))
+        assert diagram_data(shuffled) == diagram_data(table)
+
 
 class TestRenderers:
     def test_csv_header_and_rationals(self):
@@ -227,6 +291,21 @@ class TestRenderers:
         assert a == b
         assert a.count("firebrick") == sum(split_count(N) for N in range(6)) == 12
 
+    @pytest.mark.parametrize("lam", [F(1, 1000), F(3, 70), F(9, 100000), F(5, 3)])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 100])
+    def test_json_matches_generic_encoder(self, d, lam):
+        for N_max in (0, 1, 60):
+            table = level_table(N_max, d, lam)
+            assert render_json(table) == reference_render_json(table)
+
+    @pytest.mark.parametrize("extreme", [F(10**400), F(10**308)])
+    def test_svg_positions_beyond_float_range(self, extreme):
+        # 10**400 does not convert to a float; +-10**308 do, but their span does not
+        level = DiagramLevel(N=0, baseline=F(3, 2), sublevels=((0, -extreme, 1), (2, extreme, 5)))
+        model = DiagramModel(d=3, lam=F(1), exaggeration=F(1), levels=(level,))
+        with pytest.raises(ValueError, match="float range"):
+            render_svg(model)
+
     def test_svg_labels(self):
         svg = render_svg(diagram_data(level_table(2, 3, F(1, 1000))))
         assert "l=0" in svg and "l=2" in svg and "N=2" in svg
@@ -258,8 +337,26 @@ GOLDEN = {
 }
 
 
+def rendered_digests(table):
+    texts = (render_csv(table), render_json(table), render_svg(diagram_data(table)))
+    return tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+
+
 @pytest.mark.parametrize("N_max,d,lam", list(GOLDEN))
 def test_rendered_bytes_unchanged(N_max, d, lam):
-    table = level_table(N_max, d, lam)
-    texts = (render_csv(table), render_json(table), render_svg(diagram_data(table)))
-    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == GOLDEN[N_max, d, lam]
+    assert rendered_digests(level_table(N_max, d, lam)) == GOLDEN[N_max, d, lam]
+
+
+def test_benchmark_digests_unchanged():
+    """Every table the level-table benchmark can draw, against the 16-hex
+    sha256 prefixes its gate checks (the file is only read here)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "digests.json"
+    digests = json.loads(path.read_text())
+    assert digests
+    mismatched = []
+    for key, recorded in digests.items():
+        d, N_max, lam = key.split(",")
+        digests_now = rendered_digests(level_table(int(N_max), int(d), F(lam)))
+        if [digest[:16] for digest in digests_now] != recorded:
+            mismatched.append(key)
+    assert mismatched == []
