@@ -1,7 +1,8 @@
 """Method I: radial moments from the d-dimensional Kramers-Pasternak relation.
 
-All arithmetic here is exact rational; there is no floating-point path.
-Moments are in units (hbar/(m omega))^(s/2).
+All arithmetic here is exact; there is no floating-point path.  The
+recursion runs on int numerators over one int denominator, and each public
+result is built as one Fraction.  Moments are in units (hbar/(m omega))^(s/2).
 """
 
 from __future__ import annotations
@@ -31,16 +32,26 @@ def moment_r_even(q: QuantumNumbers, s: int) -> Fraction:
         raise ValueError(f"s must be a non-negative integer, got {s}")
     if s % 2 != 0:
         raise ValueError(f"s must be even, got {s}")
+    return Fraction(*_moment(q, s))
+
+
+def _moment(q: QuantumNumbers, s: int) -> tuple[int, int]:
+    """<r^(s+2)> as (numerator, denominator) ints, for even s >= 0.
+
+    With 2 eps0 = 2m + 2l + d (m = 2n, an integer for d = 1 too), the
+    relation times 2 has int coefficients, so <r^(t-2)> = prev/den and
+    <r^t> = curr/den share one denominator that each step multiplies by
+    4t + 8.  At t = 0 prev is multiplied by a vanishing factor.
+    """
     d, l = q.d, q.l
-    e = energy_unperturbed(q)
+    e2 = 4 * q.n.numerator // q.n.denominator + 2 * l + d
     ang = d - 3 + l * (l + d - 2)
-    prev = Fraction(0)  # <r^(t-2)>, multiplied by a vanishing factor at t=0
-    curr = Fraction(1)  # <r^0>
+    prev, curr, den = 0, 1, 1
     for t in range(0, s + 2, 2):
-        coeff = Fraction(2 * t * ang) + Fraction(t, 2) * (4 - d - t) * (4 - d + t)
-        nxt = (2 * e * (2 * t + 2) * curr - coeff * prev) / (2 * t + 4)
-        prev, curr = curr, nxt
-    return curr
+        c2 = 4 * t * ang + t * (4 - d - t) * (4 - d + t)
+        step = 4 * t + 8
+        prev, curr, den = curr * step, 2 * e2 * (2 * t + 2) * curr - c2 * prev, den * step
+    return curr, den
 
 
 def moment_eta(q: QuantumNumbers, s: int) -> Fraction:
@@ -54,4 +65,5 @@ def moment_eta(q: QuantumNumbers, s: int) -> Fraction:
 
 def first_order_method1(q: QuantumNumbers) -> Fraction:
     """epsilon1 = -<r^4>/8, with <r^4> from the recursion."""
-    return -moment_r_even(q, 2) / 8
+    num, den = _moment(q, 2)
+    return Fraction(-num, 8 * den)

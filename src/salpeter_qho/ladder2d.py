@@ -6,6 +6,12 @@ Operators act on the unnormalized Fock states |n_a n_b) = ad^n_a bd^n_b |0>,
 where a|n) = n|n - 1) and ad|n) = |n + 1), so every coefficient is rational.
 Since |n) = sqrt(n!)|n>, each path from ket to bra carries the same factor
 sqrt(n_a'! n_b'! / (n_a! n_b!)), which squared is a short rational product.
+
+Each operator is compiled into int terms over one int denominator: a
+coefficient, the shift (dn_a, dn_b) and the offsets o of its lowering
+factors, so its image coefficient is coeff prod(n_a + o) prod(n_b + o').
+The corrections apply K0, p6_0 and the hopping sum compiled once at import,
+in int arithmetic, and build one Fraction per result.
 """
 
 from __future__ import annotations
@@ -105,36 +111,63 @@ class LadderExpr:
     __rmul__ = __mul__
 
 
-def _image(expr: LadderExpr, n_a: int, n_b: int) -> dict[tuple[int, int], Fraction]:
-    """expr applied to the unnormalized |n_a n_b): coefficient per image (n_a', n_b').
+def _compile(expr: LadderExpr) -> tuple[tuple, int]:
+    """expr as int terms over one int denominator.
 
-    a takes a factor n_a and lowers n_a, ad raises n_a; b and bd act on n_b.
+    A term (c, da, db, oa, ob) takes |n_a n_b) to
+    c prod(n_a + o for o in oa) prod(n_b + o for o in ob) |n_a + da, n_b + db):
+    walking the generators right to left, a takes a factor n_a + (its shift so
+    far) and lowers the shift, ad raises it; b and bd do the same for n_b.
     Annihilating past the vacuum gives a factor 0.
     """
-    image: dict[tuple[int, int], Fraction] = {}
+    den = math.lcm(*(t.coeff.denominator for t in expr.terms))
+    terms = []
     for term in expr.terms:
-        c, i, j = 1, n_a, n_b
+        da = db = 0
+        oa, ob = [], []
         for g in reversed(term.gens):
             if g == "a":
-                c, i = c * i, i - 1
+                oa.append(da)
+                da -= 1
             elif g == "ad":
-                i += 1
+                da += 1
             elif g == "b":
-                c, j = c * j, j - 1
+                ob.append(db)
+                db -= 1
             elif g == "bd":
-                j += 1
+                db += 1
             else:
                 raise ValueError(f"unknown generator {g!r}")
+        coeff = term.coeff.numerator * (den // term.coeff.denominator)
+        terms.append((coeff, da, db, tuple(oa), tuple(ob)))
+    return tuple(terms), den
+
+
+def _apply(terms: tuple, n_a: int, n_b: int) -> dict[tuple[int, int], int]:
+    """Compiled terms applied to the unnormalized |n_a n_b): int numerator per image (n_a', n_b')."""
+    image: dict[tuple[int, int], int] = {}
+    for c, da, db, oa, ob in terms:
+        for o in oa:
+            c *= n_a + o
+        for o in ob:
+            c *= n_b + o
         if c:
-            image[i, j] = image.get((i, j), 0) + term.coeff * c
+            key = (n_a + da, n_b + db)
+            image[key] = image.get(key, 0) + c
     return image
 
 
-def _factorial_ratio(top: int, bottom: int) -> Fraction:
-    """top!/bottom! as the short product of the factors between the two."""
+def _image(expr: LadderExpr, n_a: int, n_b: int) -> tuple[dict[tuple[int, int], int], int]:
+    """expr applied to |n_a n_b): int numerators per image (n_a', n_b') and their denominator."""
+    terms, den = _compile(expr)
+    return _apply(terms, n_a, n_b), den
+
+
+def _factorial_ratio(top: int, bottom: int) -> tuple[int, int]:
+    """top!/bottom! as (numerator, denominator), one of them the short product between the two."""
     if top >= bottom:
-        return Fraction(math.perm(top, top - bottom))
-    return Fraction(1, math.perm(bottom, bottom - top))
+        return math.perm(top, top - bottom), 1
+    return 1, math.perm(bottom, bottom - top)
 
 
 def matrix_element_squared(expr: LadderExpr, bra: FockState2D, ket: FockState2D) -> Fraction:
@@ -143,18 +176,18 @@ def matrix_element_squared(expr: LadderExpr, bra: FockState2D, ket: FockState2D)
     |n) = sqrt(n!)|n>, so the coefficient c of the unnormalized image carries
     the same radical sqrt(n_a'! n_b'! / (n_a! n_b!)) on every path.
     """
-    return _element_squared(_image(expr, ket.n_a, ket.n_b), bra, ket)
-
-
-def _element_squared(image: dict, bra: FockState2D, ket: FockState2D) -> Fraction:
-    """|<bra|expr|ket>|^2 read from expr's unnormalized image of ket."""
+    image, den = _image(expr, ket.n_a, ket.n_b)
     c = image.get((bra.n_a, bra.n_b), 0)
-    return c * c * _factorial_ratio(bra.n_a, ket.n_a) * _factorial_ratio(bra.n_b, ket.n_b)
+    ra, sa = _factorial_ratio(bra.n_a, ket.n_a)
+    rb, sb = _factorial_ratio(bra.n_b, ket.n_b)
+    return Fraction(c * c * ra * rb, den * den * sa * sb)
 
 
 def expectation(expr: LadderExpr, s: FockState2D) -> Fraction:
     """<s|expr|s>: the diagonal coefficient, where the normalizations cancel."""
-    return Fraction(_image(expr, s.n_a, s.n_b).get((s.n_a, s.n_b), 0))
+    n_a, n_b = s.n_a, s.n_b
+    image, den = _image(expr, n_a, n_b)
+    return Fraction(image.get((n_a, n_b), 0), den)
 
 
 def p2_expr() -> LadderExpr:
@@ -203,10 +236,12 @@ def p6_zero_expr() -> LadderExpr:
     return number_plus_one * ops["K0"] - m("ad", "bd") * ops["L2"] - m("a", "b") * ops["R2"]
 
 
-# LadderExpr is immutable, so the corrections share one build of each operator
+# LadderExpr is immutable, so each operator is built and compiled once, at import;
+# the corrections apply these int tables
 _P4 = p4_operators()
-_HOPPING = _P4["R2"] + _P4["L2"] + _P4["R4"] + _P4["L4"]
-_P6_ZERO = p6_zero_expr()
+_K0 = _compile(_P4["K0"])
+_HOPPING = _compile(_P4["R2"] + _P4["L2"] + _P4["R4"] + _P4["L4"])
+_P6_ZERO = _compile(p6_zero_expr())
 
 
 def _normal_order_species(seq: tuple[str, ...]) -> dict[tuple[int, int], Fraction]:
@@ -238,26 +273,55 @@ def normal_order(expr: LadderExpr) -> dict[tuple[int, int, int, int], Fraction]:
     return {k: v for k, v in result.items() if v != 0}
 
 
+def _diagonal(table: tuple[tuple, int], n_a: int, n_b: int) -> tuple[int, int]:
+    """(n_a n_b|op|n_a n_b) of a compiled table as (numerator, denominator)."""
+    terms, den = table
+    return _apply(terms, n_a, n_b).get((n_a, n_b), 0), den
+
+
+def _part2(s: FockState2D) -> tuple[int, int]:
+    """Part II as (numerator, denominator): sum |<N',m|hop|N,m>|^2 / (64 (N - N')).
+
+    The bra N' = N + 2h has both occupations shifted by h, so its squared
+    element is c^2 (n_a+h)!/n_a! (n_b+h)!/n_b! over den^2.
+    """
+    n_a, n_b = s.n_a, s.n_b
+    terms, den = _HOPPING
+    image = _apply(terms, n_a, n_b)
+    num, total = 0, 1
+    for h in (-2, -1, 1, 2):
+        if min(n_a, n_b) + h < 0:
+            continue
+        c = image.get((n_a + h, n_b + h), 0)
+        ra, sa = _factorial_ratio(n_a + h, n_a)
+        rb, sb = _factorial_ratio(n_b + h, n_b)
+        step = -2 * h * sa * sb  # N - N' = -2h
+        num, total = num * step + c * c * ra * rb * total, total * step
+    return num, 64 * den * den * total
+
+
 def first_order_2d(s: FockState2D) -> Fraction:
     """epsilon1 = -<K0>/8, computed by applying the operator."""
-    return -expectation(_P4["K0"], s) / 8
+    num, den = _diagonal(_K0, s.n_a, s.n_b)
+    return Fraction(-num, 8 * den)
 
 
 def second_order_2d_partI(s: FockState2D) -> Fraction:
     """Diagonal second-order part, <p6_0>/16 by operator application."""
-    return expectation(_P6_ZERO, s) / 16
+    num, den = _diagonal(_P6_ZERO, s.n_a, s.n_b)
+    return Fraction(num, 16 * den)
 
 
 def second_order_2d_partII(s: FockState2D) -> Fraction:
     """Sum-over-states part from the squared R2/L2/R4/L4 transitions."""
-    image = _image(_HOPPING, s.n_a, s.n_b)
-    bras = [FockState2D(s.N + delta, s.m) for delta in (-4, -2, 2, 4) if s.N + delta >= abs(s.m)]
-    return sum(_element_squared(image, bra, s) / (s.N - bra.N) for bra in bras) / 64
+    return Fraction(*_part2(s))
 
 
 def second_order_2d(s: FockState2D) -> Fraction:
-    """Full two-dimensional second-order correction."""
-    return second_order_2d_partI(s) + second_order_2d_partII(s)
+    """Full two-dimensional second-order correction, part I plus part II as one Fraction."""
+    diag, den = _diagonal(_P6_ZERO, s.n_a, s.n_b)
+    num, total = _part2(s)
+    return Fraction(diag * total + 16 * den * num, 16 * den * total)
 
 
 def map_Nm_to_nl(s: FockState2D) -> QuantumNumbers:

@@ -70,13 +70,14 @@ def closed_form_e1_minus_one(d, m, l):
 
 
 def kramers_angular_off_by_one(q, s):
-    """The Kramers recursion for <r^(s+2)> with 2t(ang + 1) in place of 2t ang."""
+    """kramers._moment's (numerator, denominator) of <r^(s+2)>, from the
+    Fraction recursion with 2t(ang + 1) in place of 2t ang."""
     e, ang = kramers.energy_unperturbed(q), q.d - 2 + q.l * (q.l + q.d - 2)
     prev, curr = Fraction(0), Fraction(1)
     for t in range(0, s + 2, 2):
         coeff = 2 * t * ang + Fraction(t, 2) * (4 - q.d - t) * (4 - q.d + t)
         prev, curr = curr, (2 * e * (2 * t + 2) * curr - coeff * prev) / (2 * t + 4)
-    return curr
+    return curr.numerator, curr.denominator
 
 
 _factorial_ratio = ladder2d._factorial_ratio
@@ -122,20 +123,22 @@ FAULTS = {
     # the oracle checks quadrature against the Kramers moments, so it catches this too
     "kramers-angular-coefficient": (
         kramers,
-        "moment_r_even",
+        "_moment",
         kramers_angular_off_by_one,
         {"first_order", "oracle"},
     ),
+    # part II's int normalization (n'!/n! as numerator, denominator), upside down
     "ladder-factorial-ratio-inverted": (
         ladder2d,
         "_factorial_ratio",
         lambda top, bottom: _factorial_ratio(bottom, top),
         {"ladder"},
     ),
+    # the compiled K0 table that first_order_2d applies, with one extra ad.a term
     "ladder-k0-extra-term": (
-        ladder2d._P4,
-        "K0",
-        ladder2d._P4["K0"] + ladder2d.LadderExpr.mono("ad", "a"),
+        ladder2d,
+        "_K0",
+        ladder2d._compile(ladder2d.p4_operators()["K0"] + ladder2d.LadderExpr.mono("ad", "a")),
         {"ladder"},
     ),
     "degeneracy-off-by-one": (

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from test_corrections import large_states
 
+from salpeter_qho.checks import GRIDS, radial_grid
 from salpeter_qho.corrections import epsilon1_general
 from salpeter_qho.kramers import (
     first_order_method1,
@@ -11,9 +14,24 @@ from salpeter_qho.kramers import (
     moment_r2,
     moment_r_even,
 )
-from salpeter_qho.states import QuantumNumbers
+from salpeter_qho.states import QuantumNumbers, energy_unperturbed
 
 F = Fraction
+DRIFT_S = (0, 2, 4, 6, 10, 40)
+
+
+def reference_moment_r_even(q, s):
+    """<r^(s+2)> by the recursion in Fraction arithmetic, one Fraction operation per term."""
+    d, l = q.d, q.l
+    e = energy_unperturbed(q)
+    ang = d - 3 + l * (l + d - 2)
+    prev = Fraction(0)
+    curr = Fraction(1)
+    for t in range(0, s + 2, 2):
+        coeff = Fraction(2 * t * ang) + Fraction(t, 2) * (4 - d - t) * (4 - d + t)
+        nxt = (2 * e * (2 * t + 2) * curr - coeff * prev) / (2 * t + 4)
+        prev, curr = curr, nxt
+    return curr
 
 
 class TestMomentR2:
@@ -62,6 +80,17 @@ class TestMomentEven:
                             assert val > prev
                         prev = val
 
+    def test_matches_reference_on_acceptance_grid(self):
+        g = GRIDS["large"]
+        for q in radial_grid(g["d_max"], g["nl_max"], g["N1_max"]):
+            for s in DRIFT_S:
+                assert moment_r_even(q, s) == reference_moment_r_even(q, s)
+
+    @given(q=large_states)
+    def test_matches_reference_at_large_quantum_numbers(self, q):
+        for s in DRIFT_S:
+            assert moment_r_even(q, s) == reference_moment_r_even(q, s)
+
     def test_cauchy_schwarz(self):
         for d in range(2, 11):
             for n in range(21):
@@ -94,3 +123,10 @@ class TestFirstOrderMethod1:
         for N in range(41):
             q = QuantumNumbers.one_dim(N)
             assert first_order_method1(q) == epsilon1_general(q)
+
+
+def test_public_functions_return_fractions():
+    q = QuantumNumbers(2, 0, 0)
+    results = [moment_r2(q), moment_r_even(q, 0), moment_r_even(q, 2), first_order_method1(q)]
+    results += [moment_eta(q, s) for s in range(3)]
+    assert all(type(r) is Fraction for r in results)

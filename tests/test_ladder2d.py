@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from salpeter_qho import ladder2d
 from salpeter_qho.checks import ladder_grid
 from salpeter_qho.corrections import epsilon1_general, epsilon2_general
 from salpeter_qho.ladder2d import (
@@ -34,6 +35,25 @@ def images(expr, ket, N_max):
     """{bra: |<bra|expr|ket>|^2} over the nonzero elements with bra N <= N_max."""
     amps = {bra: matrix_element_squared(expr, bra, ket) for bra in ladder_grid(N_max)}
     return {bra: amp2 for bra, amp2 in amps.items() if amp2}
+
+
+def reference_image(expr, n_a, n_b):
+    """expr applied to |n_a n_b) by walking each monomial's generator names right
+    to left in Fraction arithmetic: {(n_a', n_b'): coefficient}, zeros dropped."""
+    image = {}
+    for term in expr.terms:
+        c, i, j = 1, n_a, n_b
+        for g in reversed(term.gens):
+            if g == "a":
+                c, i = c * i, i - 1
+            elif g == "ad":
+                i += 1
+            elif g == "b":
+                c, j = c * j, j - 1
+            elif g == "bd":
+                j += 1
+        image[i, j] = image.get((i, j), 0) + term.coeff * c
+    return {key: c for key, c in image.items() if c}
 
 
 class TestFockState:
@@ -197,6 +217,31 @@ class TestOperatorStructure:
             assert expectation(p2, s) == energy_unperturbed(q)
 
 
+class TestCompiledTables:
+    """The int tables the corrections apply against the LadderExpr each came from."""
+
+    @pytest.mark.parametrize("table", ["_K0", "_HOPPING", "_P6_ZERO"])
+    def test_same_image_as_expression(self, table):
+        ops = p4_operators()
+        expr = {
+            "_K0": ops["K0"],
+            "_HOPPING": ops["R2"] + ops["L2"] + ops["R4"] + ops["L4"],
+            "_P6_ZERO": p6_zero_expr(),
+        }[table]
+        terms, den = getattr(ladder2d, table)
+        for s in ladder_grid(12):
+            image = ladder2d._apply(terms, s.n_a, s.n_b)
+            compiled = {key: F(c, den) for key, c in image.items() if c}
+            assert compiled == reference_image(expr, s.n_a, s.n_b)
+
+    def test_rational_coefficients(self):
+        expr = mono("ad", coeff=F(1, 3)) + mono("ad", "a", coeff=F(5, 6)) - mono("b", "bd")
+        for s in ladder_grid(6):
+            image, den = ladder2d._image(expr, s.n_a, s.n_b)
+            compiled = {key: F(c, den) for key, c in image.items() if c}
+            assert compiled == reference_image(expr, s.n_a, s.n_b)
+
+
 class TestCorrections2D:
     def test_first_order_examples(self):
         assert first_order_2d(FockState2D(0, 0)) == F(-1, 4)
@@ -266,3 +311,21 @@ class TestMapAndBuild:
         for s in ladder_grid(8):
             state, amp2 = build_state(s.N, s.m)
             assert state == s and amp2 == 1
+
+
+def test_public_functions_return_fractions():
+    s, above = FockState2D(2, 0), FockState2D(4, 0)
+    k0 = p4_operators()["K0"]
+    results = [
+        matrix_element_squared(k0, s, s),
+        matrix_element_squared(k0, above, s),  # zero: K0 keeps N
+        expectation(k0, s),
+        expectation(mono("ad", "bd"), s),  # zero: off-diagonal
+        first_order_2d(s),
+        second_order_2d_partI(s),
+        second_order_2d_partII(s),
+        second_order_2d(s),
+        build_state(2, 0)[1],
+        *normal_order(p4_expr()).values(),
+    ]
+    assert all(type(r) is Fraction for r in results)

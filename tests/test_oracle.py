@@ -35,18 +35,27 @@ def to_float(x: Fraction) -> mpf:
 
 
 def golub_welsch_rule(alpha: Fraction, npoints: int) -> tuple[list, list]:
-    """Reference rule from the eigenpairs of the Jacobi matrix (Golub & Welsch,
-    Math. Comp. 23 (1969) 221): nodes are the eigenvalues, weights Gamma(alpha+1)
-    times the squared first components of the eigenvectors."""
+    """Reference rule from the Jacobi matrix (Golub & Welsch, Math. Comp. 23
+    (1969) 221): nodes are its eigenvalues, and weights the Christoffel numbers
+    1/sum_k p_k(x)^2, with the orthonormal p_k run on the matrix entries."""
     a = to_float(alpha)
+    diagonal = [2 * k + a + 1 for k in range(npoints)]
+    off = [mp.sqrt(k * (k + a)) for k in range(npoints)]  # off[k] joins rows k - 1 and k
     jacobi = mp.matrix(npoints, npoints)
     for k in range(npoints):
-        jacobi[k, k] = 2 * k + a + 1
+        jacobi[k, k] = diagonal[k]
     for k in range(1, npoints):
-        jacobi[k, k - 1] = jacobi[k - 1, k] = mp.sqrt(k * (k + a))
-    values, vectors = mp.eigsy(jacobi)
-    pairs = sorted((values[i], mp.gamma(a + 1) * vectors[0, i] ** 2) for i in range(npoints))
-    return [x for x, _ in pairs], [w for _, w in pairs]
+        jacobi[k, k - 1] = jacobi[k - 1, k] = off[k]
+    nodes = sorted(mp.eigsy(jacobi, eigvals_only=True))
+    weights = []
+    for x in nodes:
+        prev, curr = 0, 1 / mp.sqrt(mp.gamma(a + 1))
+        total = curr**2
+        for k in range(npoints - 1):
+            prev, curr = curr, ((x - diagonal[k]) * curr - off[k] * prev) / off[k + 1]
+            total += curr**2
+        weights.append(1 / total)
+    return nodes, weights
 
 
 def max_rel_diff(a: list, b: list) -> mpf:
