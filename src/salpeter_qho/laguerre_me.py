@@ -48,19 +48,31 @@ def first_order_method2(q: QuantumNumbers) -> Fraction:
     return Fraction(-(a + e * e + b), 32)
 
 
+def _eta3_numerator(a: int, e: int, b: int) -> int:
+    """8 <eta^3>, from the rungs 4 D^2 at n, n-1 and 2 eps0 at n."""
+    return a * (3 * e + 4) + b * (3 * e - 4) + e**3
+
+
 def eta3_expectation(q: QuantumNumbers) -> Fraction:
     """<eta^3> = D_n^2 (eps0(n+1) + 2 eps0) + D_{n-1}^2 (eps0(n-1) + 2 eps0) + eps0^3.
 
     In rungs, 2 eps0(n+-1) = 2 eps0 +- 4.
     """
     (a, e), (b, _) = _rung(q, 0), _rung(q, -1)
-    return Fraction(a * (3 * e + 4) + b * (3 * e - 4) + e**3, 8)
+    return Fraction(_eta3_numerator(a, e, b), 8)
 
 
 def second_order_part1(q: QuantumNumbers) -> Fraction:
     """Diagonal part of the second-order correction, <eta^3>/16."""
     (a, e), (b, _) = _rung(q, 0), _rung(q, -1)
-    return Fraction(a * (3 * e + 4) + b * (3 * e - 4) + e**3, 128)
+    return Fraction(_eta3_numerator(a, e, b), 128)
+
+
+def _part2_numerator(a2: int, a: int, e: int, b: int, b2: int) -> int:
+    """4096 times part II, from the rungs 4 D^2 at n+1, n, n-1, n-2 and 2 eps0 at n."""
+    up = a * a2 + 8 * a * (e + 2) ** 2  # -4096 times the n' = n+2, n+1 terms
+    down = b * b2 + 8 * b * (e - 2) ** 2
+    return down - up
 
 
 def second_order_part2(q: QuantumNumbers) -> Fraction:
@@ -71,11 +83,10 @@ def second_order_part2(q: QuantumNumbers) -> Fraction:
     |<n+2|eta^2|n>|^2 = D_n^2 D_{n+1}^2, and likewise downwards.
     """
     (a2, _), (a, e), (b, _), (b2, _) = (_rung(q, j) for j in (1, 0, -1, -2))
-    up = a * a2 + 8 * a * (e + 2) ** 2  # -4096 times the n' = n+2, n+1 terms
-    down = b * b2 + 8 * b * (e - 2) ** 2
-    return Fraction(down - up, 4096)
+    return Fraction(_part2_numerator(a2, a, e, b, b2), 4096)
 
 
 def second_order_method2(q: QuantumNumbers) -> Fraction:
-    """Full second-order correction, part I plus part II."""
-    return second_order_part1(q) + second_order_part2(q)
+    """Full second-order correction, part I plus part II, over one denominator 4096."""
+    (a2, _), (a, e), (b, _), (b2, _) = (_rung(q, j) for j in (1, 0, -1, -2))
+    return Fraction(32 * _eta3_numerator(a, e, b) + _part2_numerator(a2, a, e, b, b2), 4096)

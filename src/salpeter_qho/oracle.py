@@ -15,13 +15,30 @@ rounding and the two-rule convergence check is a pure sanity assertion.
 Node counts come from a fixed set of buckets, 8, 12, 16, 24, 32, 48, ...
 (2^k and 3 * 2^(k-1)): an integrand of polynomial degree D is summed on the
 smallest bucket exact for D and on the next bucket up, so both rules are
-exact and still differ, and one rule serves many (n, s).  Each rule is built
-once with its node table and never changed after: the orthonormal rows
-p_k(x_i) = c_k L_k^(alpha)(x_i), k <= 2 * npoints - 1, the highest order
-any sum on the rule can need, with c_k^2 = k! / Gamma(k + alpha + 1).  A
-weighted sum of two rows is then <u_n1|eta^s|u_n2> itself; no per-call
-result is cached.  The double-precision seeds overflow above about 360
-nodes; such a rule raises OverflowError before any mpf work.
+exact and still differ, and one rule serves many (n, s).  The double-precision
+seeds overflow above about 360 nodes; such a rule raises OverflowError before
+any mpf work.
+
+Each rule is built once with its node table and never changed after.  The
+table is Python-int fixed point at the scale 2^B, with B = ceil(dps log2 10)
++ 20 guard bits for dps working digits (187 at the default 50):
+X_i = round(x_i 2^B) and Q_ik = round(sqrt(w_i) p_k(x_i) 2^B) for
+k <= 2 * npoints - 1, the highest order any sum on the rule can need, where
+p_k = c_k L_k^(alpha) is orthonormal, c_k^2 = k! / Gamma(k + alpha + 1).
+Each node's row is evaluated at dps + 10 digits and rounded at once, so no
+rule holds mpf rows.  A sum on one rule is then one int sum,
+sum_i X_i^s Q_(i,n1) Q_(i,n2) = <u_n1|eta^s|u_n2> 2^(B (s + 2)), rounded once
+to working precision; no per-call result is cached.  Each build checks
+sum_i Q_i0^2 = <p_0|p_0> 2^(2B) against 2^(2B) to the weights' tolerance, so
+a table that disagrees with its weights is never cached.
+
+Error bound: for k < npoints, Q_ik / 2^B is an orthogonal matrix (Golub &
+Welsch, Math. Comp. 23 (1969) 221), so |Q_ik| <= 2^B; the rows k >= npoints
+have no such bound but measure below 0.64 2^B (alpha from -1/2 to 40, up to
+128 nodes).  With every |Q_ik| <= 2^B and each entry rounded to nearest, an
+int sum differs from the same sum in exact arithmetic on the rule's mpf
+entries by at most npoints (s + 1) max(1, x_max)^s 2^-B, to which the
+entries' own rounding at dps + 10 digits adds its share.
 """
 
 from __future__ import annotations
@@ -31,6 +48,8 @@ import os
 import threading
 import time
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 
 from mpmath import mp, mpf
 
@@ -56,7 +75,7 @@ __all__ = [
 
 DEFAULT_DPS = 50
 
-# (alpha, npoints, dps) -> ((nodes, weights), rows); rows[i] = [p_0..p_(2 npoints - 1)](nodes[i])
+# (alpha, npoints, dps) -> ((nodes, weights), (bits, xs, columns)); see _rule_entry
 _rule_cache: dict = {}
 _rule_lock = threading.Lock()
 _rule_stats = {"hits": 0, "misses": 0, "build_s": 0.0}
@@ -122,8 +141,32 @@ def gauss_laguerre_rule(alpha, npoints: int) -> tuple[list, list]:
     return _rule_entry(alpha, npoints)[0]
 
 
+def _fixed(sign: int, man: int, exp: int, bits: int) -> int:
+    """(-1)^sign man 2^exp times 2^bits, rounded to the nearest int (ties away from 0)."""
+    shift = -(exp + bits) - 1
+    value = ((man >> shift) + 1) >> 1 if shift >= 0 else man << (-shift - 1)
+    return -value if sign else value
+
+
+def _table_row(x, root_w, c: list, alpha_f, bits: int) -> list[int]:
+    """[sqrt(w) p_k(x) 2^bits for k < len(c)] at one node, with p_k = c_k L_k^(alpha)
+    and c[k] = (mantissa, exponent) of c_k: each entry is the exact product of
+    three mantissas, rounded once."""
+    _, man_w, exp_w, _ = root_w._mpf_
+    values = laguerre_values(len(c) - 1, alpha_f, x)
+    values[0] = mpf(values[0])  # L_0 is the int 1
+    return [
+        _fixed(sign, man_c * man_w * man, exp_c + exp_w + exp, bits)
+        for (man_c, exp_c), (sign, man, exp, _) in zip(c, (v._mpf_ for v in values))
+    ]
+
+
 def _rule_entry(alpha, npoints: int) -> tuple:
-    """The cache entry ((nodes, weights), rows) of a rule, built on a miss."""
+    """The cache entry ((nodes, weights), (bits, xs, columns)) of a rule, built on a miss.
+
+    xs[i] = round(x_i 2^bits) and columns[k][i] = round(sqrt(w_i) p_k(x_i) 2^bits)
+    for k <= 2 npoints - 1, all Python ints.
+    """
     alpha = Fraction(alpha)
     if alpha <= -1:
         raise ValueError(f"alpha must be > -1, got {alpha}")
@@ -158,13 +201,21 @@ def _rule_entry(alpha, npoints: int) -> tuple:
         increasing = nodes[0] > 0 and all(a < b for a, b in zip(nodes, nodes[1:]))
         if not increasing or abs(mp.fsum(weights) - mu0) > mpf(10) ** (5 - dps) * mu0:
             raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
-        # orthonormal rows: c_0 = Gamma(alpha + 1)^(-1/2), c_k = c_(k-1) sqrt(k / (k + alpha))
-        order = 2 * npoints - 1
+        # orthonormal scales: c_0 = Gamma(alpha + 1)^(-1/2), c_k = c_(k-1) sqrt(k / (k + alpha))
         c = [1 / mp.sqrt(mu0)]
-        for k in range(1, order + 1):
+        for k in range(1, 2 * npoints):
             c.append(c[-1] * mp.sqrt(mpf(k) / (k + alpha_f)))
-        rows = [[ck * v for ck, v in zip(c, laguerre_values(order, alpha_f, x))] for x in nodes]
-        entry = ((nodes, weights), rows)
+        c = [(man, exp) for _, man, exp, _ in (ck._mpf_ for ck in c)]
+        bits = math.ceil(dps * math.log2(10)) + 20  # dps digits and 20 guard bits
+        xs = tuple(_fixed(*x._mpf_[:3], bits) for x in nodes)
+        # one node's mpf values at a time, each row converted as soon as it is built
+        rows = [_table_row(x, mp.sqrt(w), c, alpha_f, bits) for x, w in zip(nodes, weights)]
+    columns = tuple(zip(*rows))
+    # <p_0|p_0> = 1 from the table itself, to the tolerance of the weight check
+    one = 1 << 2 * bits
+    if abs(sum(q * q for q in columns[0]) - one) * 10 ** (dps - 5) > one:
+        raise ArithmeticError(f"rule alpha={alpha} npoints={npoints}: table disagrees with weights")
+    entry = ((nodes, weights), (bits, xs, columns))
     with _rule_lock:
         _rule_cache[key] = entry
         _rule_stats["build_s"] += time.perf_counter() - start
@@ -183,24 +234,30 @@ def _bucket(degree: int) -> int:
     return npoints
 
 
+def _rule_sum(alpha: Fraction, npoints: int, n1: int, n2: int, s: int) -> tuple[int, int]:
+    """(total, exp) with sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = total 2^exp on one rule."""
+    _, (bits, xs, columns) = _rule_entry(alpha, npoints)
+    powers = map(pow, xs, repeat(s))
+    return sum(map(mul, powers, map(mul, columns[n1], columns[n2]))), -bits * (s + 2)
+
+
 def _bracket(alpha: Fraction, n1: int, n2: int, s: int) -> mpf:
     """sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = <u_n1|eta^s|u_n2>, checked on two rules.
 
     Summed on the smallest bucket exact for the degree n1 + n2 + s and on the
-    next bucket up; returns the latter once the two agree.
+    next bucket up; returns the latter, rounded once to working precision,
+    once the two agree.  Both int sums share one scale, so they are compared
+    as ints.
     """
     npoints = _bucket(n1 + n2 + s)
-    sums = []
     # the larger rule first: if its seeds overflow, fail before building the smaller
-    for size in (_bucket(2 * npoints), npoints):
-        (nodes, weights), rows = _rule_entry(alpha, size)
-        terms = ((w * x**s, row[n1] * row[n2]) for x, w, row in zip(nodes, weights, rows))
-        sums.append(mp.fdot(terms))
-    fine, coarse = sums
-    diff = abs(coarse - fine) / max(1, abs(fine))
-    if diff > mpf("1e-14"):
+    sizes = (_bucket(2 * npoints), npoints)
+    (fine, exp), (coarse, _) = (_rule_sum(alpha, size, n1, n2, s) for size in sizes)
+    # |coarse - fine| / max(1, |fine|) > 1e-14
+    if abs(coarse - fine) * 10**14 > max(1 << -exp, abs(fine)):
+        diff = mpf((abs(coarse - fine), exp)) / max(1, abs(mpf((fine, exp))))
         raise ArithmeticError(f"quadrature failed to converge: rel diff {diff}")
-    return fine
+    return mpf((fine, exp))
 
 
 def quad_expectation(q: QuantumNumbers, s: int) -> mpf:

@@ -6,10 +6,10 @@ small grid; every other check in CHECKS must still pass.  The faults live
 here only: nothing in the package has a hook for them.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
 
 from salpeter_qho import checks, corrections, kramers, ladder2d, laguerre_me, oracle, spectrum
 from salpeter_qho.states import QuantumNumbers
@@ -48,10 +48,9 @@ def rung_off_by_one(q, j):
     return ((k + 4) * (e - k) if k + 2 > 0 else 0), e
 
 
-def part2_unit_denominators(q):
-    """Part II with n - n' = +-1 for the n' = n+-2 terms as well."""
-    (a2, _), (a, e), (b, _), (b2, _) = (laguerre_me._rung(q, j) for j in (1, 0, -1, -2))
-    return Fraction(2 * (b * b2 - a * a2) + 8 * (b * (e - 2) ** 2 - a * (e + 2) ** 2), 4096)
+def part2_unit_denominators(a2, a, e, b, b2):
+    """4096 times part II with n - n' = +-1 for the n' = n+-2 terms as well."""
+    return 2 * (b * b2 - a * a2) + 8 * (b * (e - 2) ** 2 - a * (e + 2) ** 2)
 
 
 _scaled_corrections = corrections._scaled_corrections
@@ -86,15 +85,16 @@ _rule_entry = oracle._rule_entry
 
 
 def scaled_rules(only=None):
-    """oracle._rule_entry with the weights of every rule, or of the `only`-node
-    rules, times 1 + 1e-9; the cached entries stay as they are."""
+    """oracle._rule_entry with every table entry of every rule, or of the
+    `only`-node rules, times sqrt(1 + 1e-9), so each sum on them is 1 + 1e-9
+    times too large; the cached entries stay as they are."""
+    factor = math.isqrt(2**128 + 2**128 // 10**9)  # sqrt(1 + 1e-9) 2^64
 
     def entry(alpha, npoints):
-        (nodes, weights), rows = _rule_entry(alpha, npoints)
+        rule, (bits, xs, columns) = _rule_entry(alpha, npoints)
         if only in (None, npoints):
-            with mp.workdps(oracle.working_precision() + 10):
-                weights = [w * (1 + mpf("1e-9")) for w in weights]
-        return (nodes, weights), rows
+            columns = tuple(tuple(q * factor >> 64 for q in column) for column in columns)
+        return rule, (bits, xs, columns)
 
     return entry
 
@@ -104,7 +104,7 @@ FAULTS = {
     "laguerre-d2-off-by-one": (laguerre_me, "_rung", rung_off_by_one, {"first_order", "second_order"}),
     "laguerre-part2-denominator": (
         laguerre_me,
-        "second_order_part2",
+        "_part2_numerator",
         part2_unit_denominators,
         {"second_order"},
     ),

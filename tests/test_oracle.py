@@ -1,5 +1,6 @@
 """Gauss-Laguerre quadrature oracle: floating cross-checks of exact results."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -184,34 +185,122 @@ class TestBuckets:
         assert rule_cache_stats()["misses"] - before <= 5
 
 
+def orthonormal_rows(alpha, nodes, order: int) -> list[list]:
+    """[p_0..p_order](x) at each node at the current precision, with
+    p_k = L_k^(alpha) sqrt(k! / Gamma(k + alpha + 1))."""
+    a = to_float(alpha)
+    scales = [mp.sqrt(mp.factorial(k) / mp.gamma(k + a + 1)) for k in range(order + 1)]
+    return [[c * v for c, v in zip(scales, laguerre_values(order, a, x))] for x in nodes]
+
+
+def fdot_rule_sum(nodes, weights, rows, n1: int, n2: int, s: int) -> mpf:
+    """The mpf sum the oracle made before its int tables: one mp.fdot over
+    (w_i x_i^s, p_n1(x_i) p_n2(x_i)) with mpf rows."""
+    return mp.fdot((w * x**s, row[n1] * row[n2]) for x, w, row in zip(nodes, weights, rows))
+
+
+def fixed_point_bound(npoints: int, s: int, x_max, bits: int) -> mpf:
+    """The oracle's bound on an int sum: npoints (s + 1) max(1, x)^s 2^-bits."""
+    return npoints * (s + 1) * max(1, x_max) ** s / mpf(2) ** bits
+
+
 class TestNodeTable:
     @staticmethod
-    def assert_orthonormal_rows(alpha, npoints):
-        # p_k(x) = L_k^(alpha)(x) sqrt(k! / Gamma(k + alpha + 1)) for k <= 2 npoints - 1
-        (nodes, _), rows = oracle._rule_entry(alpha, npoints)
-        order = 2 * npoints - 1
-        dps = working_precision() + 10
-        with mp.workdps(dps):
-            a = to_float(alpha)
-            scales = [mp.sqrt(mp.factorial(k) / mp.gamma(k + a + 1)) for k in range(order + 1)]
-            for x, row in zip(nodes, rows):
-                assert len(row) == 2 * npoints
-                for value, c, p in zip(laguerre_values(order, a, x), scales, row):
-                    assert abs(p - c * value) <= mpf(10) ** (5 - dps) * max(1, abs(p))
-        return rows
+    def assert_fixed_point_table(alpha, npoints):
+        """Every entry is an int within one unit of its value from an mpf
+        reference at dps + 10: x_i 2^B and sqrt(w_i) p_k(x_i) 2^B, k <= 2 npoints - 1."""
+        (nodes, weights), (bits, xs, columns) = oracle._rule_entry(alpha, npoints)
+        assert len(xs) == npoints and len(columns) == 2 * npoints
+        assert all(type(v) is int for v in xs)
+        assert all(type(q) is int for column in columns for q in column)
+        with mp.workdps(working_precision() + 10):
+            unit = mpf(2) ** bits
+            rows = orthonormal_rows(alpha, nodes, 2 * npoints - 1)
+            for i, (x, w, row) in enumerate(zip(nodes, weights, rows)):
+                assert abs(xs[i] - x * unit) <= 1
+                root_w = mp.sqrt(w)
+                for k, p in enumerate(row):
+                    assert abs(columns[k][i] - root_w * p * unit) <= 1
+        return bits
 
     def test_rows_are_laguerre_values_at_the_nodes(self, monkeypatch):
         monkeypatch.setattr(oracle, "_rule_cache", {})
         for alpha, npoints in [(F(5, 2), 12), (0, 1), (F(17, 2), 24)]:
-            self.assert_orthonormal_rows(alpha, npoints)
+            self.assert_fixed_point_table(alpha, npoints)
 
     def test_each_precision_has_its_own_table(self, monkeypatch):
         monkeypatch.setattr(oracle, "_rule_cache", {})
-        rows50 = self.assert_orthonormal_rows(F(1, 2), 8)
-        monkeypatch.setenv("SALPETER_PRECISION", "80")
-        rows80 = self.assert_orthonormal_rows(F(1, 2), 8)
-        assert len(oracle._rule_cache) == 2
-        assert rows80 != rows50
+        bits = {}
+        for dps in (15, 50, 80):
+            monkeypatch.setenv("SALPETER_PRECISION", str(dps))
+            bits[dps] = self.assert_fixed_point_table(F(1, 2), 8)
+            # the working precision with guard bits to spare
+            assert bits[dps] > dps * math.log2(10) + 10
+        assert len(oracle._rule_cache) == 3
+        assert bits[15] < bits[50] < bits[80]
+
+    def test_entries_are_bounded(self):
+        # sqrt(w_i) p_k(x_i), k < npoints, is an orthogonal matrix; the rows
+        # k >= npoints carry no such bound, so hold them to what is measured
+        for alpha in (F(-1, 2), 0, F(9, 2), 40):
+            for npoints in (1, 2, 3, 8, 24):
+                _, (bits, _, columns) = oracle._rule_entry(alpha, npoints)
+                low = max(abs(q) for column in columns[:npoints] for q in column)
+                high = max(abs(q) for column in columns[npoints:] for q in column)
+                assert low <= 1 << bits
+                assert high <= 3 * (1 << bits) // 4
+
+    def test_int_sum_matches_the_mpf_sum_within_its_bound(self):
+        dps = working_precision()
+        with mp.workdps(dps):
+            rounding = mpf(2) ** -mp.prec  # the int sum's one rounding to working precision
+        for alpha, npoints in [(F(5, 2), 12), (F(17, 2), 8)]:
+            (nodes, weights), (bits, _, _) = oracle._rule_entry(alpha, npoints)
+            with mp.workdps(dps + 10):
+                rows = orthonormal_rows(alpha, nodes, 2 * npoints - 1)
+            for s in range(9):
+                bound = fixed_point_bound(npoints, s, nodes[-1], bits)
+                # every n1 <= n2 with n1 + n2 + s <= 2 npoints - 1
+                for n1 in range(2 * npoints - s):
+                    for n2 in range(n1, 2 * npoints - s - n1):
+                        with mp.workdps(dps):
+                            value = mpf(oracle._rule_sum(alpha, npoints, n1, n2, s))
+                        with mp.workdps(dps + 10):
+                            reference = fdot_rule_sum(nodes, weights, rows, n1, n2, s)
+                            assert abs(value - reference) <= bound + abs(reference) * rounding
+
+    def test_cached_entry_holds_ints_and_the_rule_only(self):
+        # no mpf row is kept: the table is ints, and the only mpf values are
+        # the npoints nodes and weights of the public rule
+        npoints = 8
+        entry = oracle._rule_entry(F(3, 2), npoints)
+        found = []
+
+        def walk(value):
+            if isinstance(value, (tuple, list)):
+                for item in value:
+                    walk(item)
+            else:
+                found.append(type(value))
+
+        walk(entry)
+        assert type(entry) is tuple
+        assert set(found) == {int, mpf}
+        assert found.count(mpf) == 2 * npoints
+        assert entry[0] == gauss_laguerre_rule(F(3, 2), npoints)
+
+    def test_table_disagreeing_with_its_weights_is_not_cached(self, monkeypatch):
+        alpha, npoints = F(13, 3), 6
+        table_row = oracle._table_row
+        # every entry 1 + 1e-9 times too large: sum_i Q_i0^2 is then 2^(2B) (1 + 2e-9)
+        monkeypatch.setattr(
+            oracle, "_table_row", lambda *args: [q + q // 10**9 for q in table_row(*args)]
+        )
+        with pytest.raises(ArithmeticError, match="table disagrees with weights"):
+            oracle._rule_entry(alpha, npoints)
+        assert (alpha, npoints, working_precision()) not in oracle._rule_cache
+        monkeypatch.undo()
+        self.assert_fixed_point_table(alpha, npoints)
 
 
 class TestExpectation:
