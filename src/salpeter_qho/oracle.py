@@ -2,33 +2,41 @@
 quadrature.
 
 Nodes are the zeros of L_n^(alpha): seeded in double precision by Newton
-with deflation, then polished by Newton steps on the three-term recurrence
-at working precision, O(n^2) per rule (Glaser, Liu & Rokhlin, SIAM J. Sci.
-Comput. 29 (2007) 1420).  Weights come from the derivative at each node,
-w_i = Gamma(n + alpha + 1) / (n! x_i L_n^(alpha)'(x_i)^2).  The recurrence
-is the single one in states.laguerre_values, which also fills the node
-tables.  Working precision defaults to 50 significant digits and can be
-overridden with the SALPETER_PRECISION environment variable.  All integrands
-here are polynomials times the weight function, so the rules are exact up to
-rounding and the two-rule convergence check is a pure sanity assertion.
+with deflation (the recurrence of states.laguerre_values on floats), then
+polished by Newton steps on the three-term recurrence, O(n^2) per rule
+(Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29 (2007) 1420).  The polish
+runs in Python-int fixed point, on states.laguerre_fixed: each node is an
+int X = x 2^P, with P = ceil((dps + 10) log2 10) + 32 guard bits for dps
+working digits (232 at the default 50), and alpha = a/b stays two ints.  Its
+steps double the seeds' 12 or so digits until X holds dps + 10.  Weights come
+from the derivative at each node, w_i = Gamma(n + alpha + 1) /
+(n! x_i L_n^(alpha)'(x_i)^2), with x L_n' = n L_n - (n + alpha) L_(n-1) read
+off the same int recurrence that fills the node's table row.  Nodes and
+weights become mpf once, to form the public rule.  Working precision defaults
+to 50 significant digits and can be overridden with the SALPETER_PRECISION
+environment variable.  All integrands here are polynomials times the weight
+function, so the rules are exact up to rounding and the two-rule convergence
+check is a pure sanity assertion.
 
 Node counts come from a fixed set of buckets, 8, 12, 16, 24, 32, 48, ...
 (2^k and 3 * 2^(k-1)): an integrand of polynomial degree D is summed on the
 smallest bucket exact for D and on the next bucket up, so both rules are
 exact and still differ, and one rule serves many (n, s).  The double-precision
 seeds overflow above about 360 nodes; such a rule raises OverflowError before
-any mpf work.
+its first polishing step.
 
 Each rule is built once with its node table and never changed after.  The
 table is Python-int fixed point at the scale 2^B, with B = ceil(dps log2 10)
-+ 20 guard bits for dps working digits (187 at the default 50):
-X_i = round(x_i 2^B) and Q_ik = round(sqrt(w_i) p_k(x_i) 2^B) for
-k <= 2 * npoints - 1, the highest order any sum on the rule can need, where
-p_k = c_k L_k^(alpha) is orthonormal, c_k^2 = k! / Gamma(k + alpha + 1).
-Each node's row is evaluated at dps + 10 digits and rounded at once, so no
-rule holds mpf rows.  A sum on one rule is then one int sum,
-sum_i X_i^s Q_(i,n1) Q_(i,n2) = <u_n1|eta^s|u_n2> 2^(B (s + 2)), rounded once
-to working precision; no per-call result is cached.  Each build checks
++ 20 guard bits (187 at the default 50): X_i = round(x_i 2^B) and
+Q_ik = round(sqrt(w_i) p_k(x_i) 2^B) for k <= 2 * npoints - 1, the highest
+order any sum on the rule can need, where p_k = c_k L_k^(alpha) is
+orthonormal, c_k^2 = k! / Gamma(k + alpha + 1).  Each node's row is rounded
+straight from the int L_k(x_i) 2^P, times the mpf mantissas of c_k and
+sqrt(w_i), as soon as it is built, so no rule holds mpf rows.  A sum on one
+rule is then one int sum, sum_i X_i^s Q_(i,n1) Q_(i,n2) = <u_n1|eta^s|u_n2>
+2^(B (s + 2)), rounded once to working precision; no per-call result is
+cached.  Each build checks its nodes (positive, strictly increasing), its
+weights (summing to Gamma(alpha + 1) to 10^(5 - dps)) and
 sum_i Q_i0^2 = <p_0|p_0> 2^(2B) against 2^(2B) to the weights' tolerance, so
 a table that disagrees with its weights is never cached.
 
@@ -36,9 +44,11 @@ Error bound: for k < npoints, Q_ik / 2^B is an orthogonal matrix (Golub &
 Welsch, Math. Comp. 23 (1969) 221), so |Q_ik| <= 2^B; the rows k >= npoints
 have no such bound but measure below 0.64 2^B (alpha from -1/2 to 40, up to
 128 nodes).  With every |Q_ik| <= 2^B and each entry rounded to nearest, an
-int sum differs from the same sum in exact arithmetic on the rule's mpf
-entries by at most npoints (s + 1) max(1, x_max)^s 2^-B, to which the
-entries' own rounding at dps + 10 digits adds its share.
+int sum differs from the same sum in exact arithmetic on the unrounded
+entries by at most npoints (s + 1) max(1, x_max)^s 2^-B.  The entries' own
+error adds its share: that of the recurrence, bounded in
+states.laguerre_fixed in units of 2^-P and carried into Q_ik times
+c_k sqrt(w_i) 2^(B - P), and that of the mpf c_k and w_i at dps + 10 digits.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ from .states import (
     UnsupportedDimension,
     _to_mpf,
     energy_unperturbed,
+    laguerre_fixed,
     laguerre_values,
     u_derivatives,
 )
@@ -97,12 +108,6 @@ def rule_cache_stats() -> dict:
         return dict(_rule_stats)
 
 
-def _laguerre_and_derivative(n: int, alpha, x):
-    """L_n^(alpha)(x) and L_n' at x > 0, n >= 1: x L_n' = n L_n - (n + alpha) L_{n-1}."""
-    *_, prev, curr = laguerre_values(n, alpha, x)
-    return curr, (n * curr - (n + alpha) * prev) / x
-
-
 def _seed_zeros(alpha: float, n: int) -> list[float]:
     """Zeros of L_n^(alpha) in double precision, smallest first.
 
@@ -116,7 +121,8 @@ def _seed_zeros(alpha: float, n: int) -> list[float]:
     z = (alpha + 1) / n
     for i in range(n):
         for _ in range(100):
-            p, dp = _laguerre_and_derivative(n, alpha, z)
+            *_, prev, p = laguerre_values(n, alpha, z)
+            dp = (n * p - (n + alpha) * prev) / z  # x L_n' = n L_n - (n + alpha) L_(n-1)
             step = p / (dp - p * sum(1 / (z - x) for x in zeros))
             z -= step
             if abs(step) <= 1e-15 * z:
@@ -148,16 +154,29 @@ def _fixed(sign: int, man: int, exp: int, bits: int) -> int:
     return -value if sign else value
 
 
-def _table_row(x, root_w, c: list, alpha_f, bits: int) -> list[int]:
-    """[sqrt(w) p_k(x) 2^bits for k < len(c)] at one node, with p_k = c_k L_k^(alpha)
-    and c[k] = (mantissa, exponent) of c_k: each entry is the exact product of
-    three mantissas, rounded once."""
+def _polish(z: float, n: int, alpha: Fraction, shift: int, steps: int) -> int:
+    """The zero of L_n^(alpha) next to the seed z, times 2^shift, as an int.
+
+    Newton steps on X = x 2^shift with the int recurrence, each
+    X -= X L_n / (x L_n') with x L_n' = n L_n - (n + alpha) L_(n-1).
+    """
+    a, b = alpha.numerator, alpha.denominator
+    X = int(math.ldexp(z, shift))
+    for _ in range(steps):
+        *_, prev, curr = laguerre_fixed(n, alpha, X, shift)
+        X -= X * b * curr // (n * b * curr - (n * b + a) * prev)
+    return X
+
+
+def _table_row(values: list[int], root_w, c: list, shift: int, bits: int) -> list[int]:
+    """[sqrt(w) p_k(x) 2^bits for k < len(c)] at one node from values[k] =
+    L_k^(alpha)(x) 2^shift, with p_k = c_k L_k^(alpha) and c[k] = (mantissa,
+    exponent) of c_k: each entry is the exact product of two mantissas and
+    values[k], rounded once."""
     _, man_w, exp_w, _ = root_w._mpf_
-    values = laguerre_values(len(c) - 1, alpha_f, x)
-    values[0] = mpf(values[0])  # L_0 is the int 1
     return [
-        _fixed(sign, man_c * man_w * man, exp_c + exp_w + exp, bits)
-        for (man_c, exp_c), (sign, man, exp, _) in zip(c, (v._mpf_ for v in values))
+        _fixed(y < 0, man_c * man_w * abs(y), exp_c + exp_w - shift, bits)
+        for (man_c, exp_c), y in zip(c, values)
     ]
 
 
@@ -167,49 +186,54 @@ def _rule_entry(alpha, npoints: int) -> tuple:
     xs[i] = round(x_i 2^bits) and columns[k][i] = round(sqrt(w_i) p_k(x_i) 2^bits)
     for k <= 2 npoints - 1, all Python ints.
     """
-    alpha = Fraction(alpha)
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
+    dps = working_precision()
+    key = (alpha, npoints, dps)
+    with _rule_lock:
+        entry = _rule_cache.get(key)
+        if entry is not None:
+            _rule_stats["hits"] += 1
+            return entry
     if alpha <= -1:
         raise ValueError(f"alpha must be > -1, got {alpha}")
     if npoints < 1:
         raise ValueError(f"npoints must be >= 1, got {npoints}")
-    dps = working_precision()
-    key = (alpha, npoints, dps)
     with _rule_lock:
-        if key in _rule_cache:
-            _rule_stats["hits"] += 1
-            return _rule_cache[key]
         _rule_stats["misses"] += 1
     start = time.perf_counter()
     seeds = _seed_zeros(float(alpha), npoints)
+    # the recurrence at dps + 10 digits and 32 guard bits
+    shift = math.ceil((dps + 10) * math.log2(10)) + 32
+    # the seeds hold about 12 digits and each Newton step doubles them
+    steps = math.ceil(math.log2((dps + 10) / 12))
+    fixed_nodes = [_polish(z, npoints, alpha, shift, steps) for z in seeds]
+    if fixed_nodes[0] <= 0 or any(lo >= hi for lo, hi in zip(fixed_nodes, fixed_nodes[1:])):
+        raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
+    a, b = alpha.numerator, alpha.denominator
+    bits = math.ceil(dps * math.log2(10)) + 20  # dps digits and 20 guard bits
     with mp.workdps(dps + 10):
         alpha_f = _to_mpf(alpha)
         scale = mp.gamma(npoints + alpha_f + 1) / mp.factorial(npoints)
-        # the seeds hold about 12 digits and each Newton step doubles them
-        steps = math.ceil(math.log2((dps + 10) / 12))
-        nodes, weights = [], []
-        for z in seeds:
-            x = mpf(z)
-            for _ in range(steps):
-                p, dp = _laguerre_and_derivative(npoints, alpha_f, x)
-                step = p / dp
-                x -= step
-            # carry L' from the last iterate to the node: x L'' = (x - alpha - 1) L' - n L
-            dp += step * ((alpha_f + 1 - x - step) * dp + npoints * p) / (x + step)
-            nodes.append(x)
-            weights.append(scale / (x * dp * dp))
         mu0 = mp.gamma(alpha_f + 1)
-        increasing = nodes[0] > 0 and all(a < b for a, b in zip(nodes, nodes[1:]))
-        if not increasing or abs(mp.fsum(weights) - mu0) > mpf(10) ** (5 - dps) * mu0:
-            raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
         # orthonormal scales: c_0 = Gamma(alpha + 1)^(-1/2), c_k = c_(k-1) sqrt(k / (k + alpha))
         c = [1 / mp.sqrt(mu0)]
         for k in range(1, 2 * npoints):
             c.append(c[-1] * mp.sqrt(mpf(k) / (k + alpha_f)))
         c = [(man, exp) for _, man, exp, _ in (ck._mpf_ for ck in c)]
-        bits = math.ceil(dps * math.log2(10)) + 20  # dps digits and 20 guard bits
-        xs = tuple(_fixed(*x._mpf_[:3], bits) for x in nodes)
-        # one node's mpf values at a time, each row converted as soon as it is built
-        rows = [_table_row(x, mp.sqrt(w), c, alpha_f, bits) for x, w in zip(nodes, weights)]
+        nodes, weights, rows = [], [], []
+        # one node's int values at a time, each row converted as soon as it is built
+        for X in fixed_nodes:
+            values = laguerre_fixed(2 * npoints - 1, alpha, X, shift)
+            # b x L_n' 2^shift; w = Gamma(n + alpha + 1) / (n! x L_n'^2)
+            slope = npoints * b * values[npoints] - (npoints * b + a) * values[npoints - 1]
+            weight = scale * mpf((b * b * X, shift)) / mpf(slope) ** 2
+            nodes.append(mpf((X, -shift)))
+            weights.append(weight)
+            rows.append(_table_row(values, mp.sqrt(weight), c, shift, bits))
+        if abs(mp.fsum(weights) - mu0) > mpf(10) ** (5 - dps) * mu0:
+            raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
+    xs = tuple(_fixed(0, X, -shift, bits) for X in fixed_nodes)
     columns = tuple(zip(*rows))
     # <p_0|p_0> = 1 from the table itself, to the tolerance of the weight check
     one = 1 << 2 * bits
@@ -241,13 +265,12 @@ def _rule_sum(alpha: Fraction, npoints: int, n1: int, n2: int, s: int) -> tuple[
     return sum(map(mul, powers, map(mul, columns[n1], columns[n2]))), -bits * (s + 2)
 
 
-def _bracket(alpha: Fraction, n1: int, n2: int, s: int) -> mpf:
+def _bracket(alpha: Fraction, n1: int, n2: int, s: int, dps: int) -> mpf:
     """sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = <u_n1|eta^s|u_n2>, checked on two rules.
 
     Summed on the smallest bucket exact for the degree n1 + n2 + s and on the
-    next bucket up; returns the latter, rounded once to working precision,
-    once the two agree.  Both int sums share one scale, so they are compared
-    as ints.
+    next bucket up; returns the latter, rounded once to dps digits, once the
+    two agree.  Both int sums share one scale, so they are compared as ints.
     """
     npoints = _bucket(n1 + n2 + s)
     # the larger rule first: if its seeds overflow, fail before building the smaller
@@ -255,9 +278,10 @@ def _bracket(alpha: Fraction, n1: int, n2: int, s: int) -> mpf:
     (fine, exp), (coarse, _) = (_rule_sum(alpha, size, n1, n2, s) for size in sizes)
     # |coarse - fine| / max(1, |fine|) > 1e-14
     if abs(coarse - fine) * 10**14 > max(1 << -exp, abs(fine)):
-        diff = mpf((abs(coarse - fine), exp)) / max(1, abs(mpf((fine, exp))))
-        raise ArithmeticError(f"quadrature failed to converge: rel diff {diff}")
-    return mpf((fine, exp))
+        with mp.workdps(dps):
+            diff = mpf((abs(coarse - fine), exp)) / max(1, abs(mpf((fine, exp))))
+            raise ArithmeticError(f"quadrature failed to converge: rel diff {diff}")
+    return mpf((fine, exp), dps=dps)
 
 
 def quad_expectation(q: QuantumNumbers, s: int) -> mpf:
@@ -275,11 +299,13 @@ def quad_matrix_element(n1: int, n2: int, l: int, d: int, s: int) -> mpf:
         raise UnsupportedDimension("quadrature oracle requires d >= 2")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    # InvalidQuantumNumbers for a negative or non-integer n1, n2 or l
-    alpha = QuantumNumbers(d, n1, l).alpha
-    QuantumNumbers(d, n2, l)
-    with mp.workdps(working_precision()):
-        return _bracket(alpha, n1, n2, s)
+    if type(n1) is type(n2) is type(l) is type(d) is int and min(n1, n2, l) >= 0:
+        alpha = Fraction(2 * l + d - 2, 2)
+    else:
+        # InvalidQuantumNumbers for a negative or non-integer n1, n2 or l
+        alpha = QuantumNumbers(d, n1, l).alpha
+        QuantumNumbers(d, n2, l)
+    return _bracket(alpha, n1, n2, s, working_precision())
 
 
 def orthonormality_check(l: int, d: int, n_max: int) -> mpf:

@@ -21,6 +21,7 @@ __all__ = [
     "laguerre_coefficients",
     "series_coefficients",
     "laguerre_values",
+    "laguerre_fixed",
     "u_eval",
     "u_derivatives",
     "gamma_rational",
@@ -183,6 +184,32 @@ def laguerre_values(n: int, alpha, x) -> list:
     values = [1, 1 + alpha - x][: n + 1]
     for k in range(1, n):
         values.append(((2 * k + 1 + alpha - x) * values[k] - (k + alpha) * values[k - 1]) / (k + 1))
+    return values
+
+
+def laguerre_fixed(n: int, alpha: Fraction, X: int, bits: int) -> list[int]:
+    """[Y_0, ..., Y_n] with Y_k = L_k^(alpha)(x) 2^bits in int fixed point, at x = X / 2^bits.
+
+    The recurrence of laguerre_values with alpha = a/b kept as its two ints,
+    (k + 1) b L_(k+1) = ((2k + 1) b + a - b x) L_k - (k b + a) L_(k-1).  Each
+    step is a few int multiplies, one shift and one floor division by
+    b (k + 1), and gives exactly the floor of the right-hand side divided by
+    b (k + 1), evaluated on Y_k and Y_(k-1) without rounding.  Y_0 = 2^bits is
+    exact, and n < 0 gives [].
+
+    Error bound: each step adds an error in (-1, 0], which the recurrence
+    then carries forward as it carries any of its solutions, so
+    |Y_k - L_k^(alpha)(x) 2^bits| < sum_(j=1..k) |G_j(k)|, where G_j solves
+    the recurrence from G_j(j - 1) = 0, G_j(j) = 1.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    one = 1 << bits
+    values = [one][: n + 1]
+    prev, curr, bx = 0, one, b * X
+    for k in range(n):
+        factor = ((2 * k + 1) * b + a) * one - bx  # ((2k + 1) b + a - b x) 2^bits
+        prev, curr = curr, ((factor * curr >> bits) - (k * b + a) * prev) // (b * (k + 1))
+        values.append(curr)
     return values
 
 

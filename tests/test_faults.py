@@ -99,6 +99,19 @@ def scaled_rules(only=None):
     return entry
 
 
+def laguerre_fixed_coefficient_plus_one(n, alpha, X, bits):
+    """states.laguerre_fixed with k + alpha + 1 in place of k + alpha."""
+    a, b = alpha.numerator, alpha.denominator
+    one = 1 << bits
+    values = [one][: n + 1]
+    prev, curr = 0, one
+    for k in range(n):
+        factor = ((2 * k + 1) * b + a) * one - b * X
+        prev, curr = curr, ((factor * curr >> bits) - (k * b + a + b) * prev) // (b * (k + 1))
+        values.append(curr)
+    return values
+
+
 # name -> (module or dict, name or key, replacement, checks that must fail)
 FAULTS = {
     "laguerre-d2-off-by-one": (laguerre_me, "_rung", rung_off_by_one, {"first_order", "second_order"}),
@@ -148,6 +161,13 @@ FAULTS = {
         {"degeneracy"},
     ),
     "oracle-weights-scaled": (oracle, "_rule_entry", scaled_rules(), {"oracle"}),
+    # the int recurrence that polishes the nodes and fills the node tables
+    "oracle-recurrence-coefficient": (
+        oracle,
+        "laguerre_fixed",
+        laguerre_fixed_coefficient_plus_one,
+        {"oracle"},
+    ),
 }
 
 
@@ -164,10 +184,14 @@ def test_fault_fails_exactly_its_checks(fault, monkeypatch):
     target, name, replacement, must_fail = FAULTS[fault]
     assert must_fail and must_fail <= set(CHECKS)
     patch = monkeypatch.setitem if isinstance(target, dict) else monkeypatch.setattr
+    # the oracle builds its rules under the fault, into a cache that outlives the patch
+    cache = {}
+    monkeypatch.setattr(oracle, "_rule_cache", cache)
     patch(target, name, replacement)
     assert failing_checks() == must_fail
     # nothing outlives the patch, such as a faulty rule in the cache
     monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_rule_cache", cache)
     assert failing_checks() == set()
 
 

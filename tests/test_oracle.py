@@ -23,6 +23,7 @@ from salpeter_qho.states import (
     InvalidQuantumNumbers,
     QuantumNumbers,
     UnsupportedDimension,
+    laguerre_fixed,
     laguerre_values,
 )
 
@@ -144,19 +145,23 @@ class TestRule:
 
     def test_overflowing_seeds_fail_before_mpf_work(self, monkeypatch):
         # the double-precision seeds of a 384-node rule overflow, whatever the
-        # working precision: the build must stop there, before polishing
-        evaluate = oracle._laguerre_and_derivative
-        polished = []
+        # working precision: the build must stop there, before the int polish
+        # takes its first step on the recurrence
+        calls = []
+        evaluate = oracle.laguerre_fixed
 
-        def spy(n, alpha, x):
-            if not isinstance(x, float):
-                polished.append(x)
-            return evaluate(n, alpha, x)
+        def spy(*args):
+            calls.append(args)
+            return evaluate(*args)
 
-        monkeypatch.setattr(oracle, "_laguerre_and_derivative", spy)
+        monkeypatch.setattr(oracle, "laguerre_fixed", spy)
         with pytest.raises(ArithmeticError, match="384-node"):
             gauss_laguerre_rule(F(1, 2), 384)
-        assert polished == []
+        assert calls == []
+        # a rule within reach is polished through the spied name
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        gauss_laguerre_rule(F(1, 2), 2)
+        assert calls
 
 
 BUCKETS = sorted({2**k for k in range(3, 12)} | {3 * 2 ** (k - 1) for k in range(3, 12)})
@@ -301,6 +306,92 @@ class TestNodeTable:
         assert (alpha, npoints, working_precision()) not in oracle._rule_cache
         monkeypatch.undo()
         self.assert_fixed_point_table(alpha, npoints)
+
+
+def recurrence_error_bound(alpha: Fraction, x: float, order: int) -> list[float]:
+    """The bound of states.laguerre_fixed, in units: [sum_(j=1..k) |G_j(k)| for
+    k <= order], each G_j run in floats from G_j(j - 1) = 0, G_j(j) = 1."""
+    a = float(alpha)
+    bound = [0.0] * (order + 1)
+    for j in range(1, order + 1):
+        prev, curr = 0.0, 1.0
+        bound[j] += 1.0
+        for k in range(j, order):
+            prev, curr = curr, ((2 * k + 1 + a - x) * curr - (k + a) * prev) / (k + 1)
+            bound[k + 1] += abs(curr)
+    return bound
+
+
+def reference_rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
+    """(bits, xs, columns) of a rule as the oracle built it before its int
+    recurrence: the same seeds, then the Newton polish and every table row on
+    states.laguerre_values in mpf at dps + 10 digits."""
+    alpha = Fraction(alpha)
+    dps = working_precision()
+    seeds = oracle._seed_zeros(float(alpha), npoints)
+    bits = math.ceil(dps * math.log2(10)) + 20
+    with mp.workdps(dps + 10):
+        a = to_float(alpha)
+        scale = mp.gamma(npoints + a + 1) / mp.factorial(npoints)
+        steps = math.ceil(math.log2((dps + 10) / 12))
+        c = [1 / mp.sqrt(mp.gamma(a + 1))]
+        for k in range(1, 2 * npoints):
+            c.append(c[-1] * mp.sqrt(mpf(k) / (k + a)))
+        xs, rows = [], []
+        for z in seeds:
+            x = mpf(z)
+            for _ in range(steps):
+                *_, prev, p = laguerre_values(npoints, a, x)
+                dp = (npoints * p - (npoints + a) * prev) / x
+                step = p / dp
+                x -= step
+            # carry L' from the last iterate to the node: x L'' = (x - a - 1) L' - n L
+            dp += step * ((a + 1 - x - step) * dp + npoints * p) / (x + step)
+            xs.append(oracle._fixed(*x._mpf_[:3], bits))
+            _, man_w, exp_w, _ = mp.sqrt(scale / (x * dp * dp))._mpf_
+            values = [mpf(1)] + laguerre_values(2 * npoints - 1, a, x)[1:]
+            # each entry the exact product of three mantissas, rounded once
+            rows.append(
+                [
+                    oracle._fixed(sign, man_c * man_w * man, exp_c + exp_w + exp, bits)
+                    for (_, man_c, exp_c, _), (sign, man, exp, _) in zip(
+                        (ck._mpf_ for ck in c), (v._mpf_ for v in values)
+                    )
+                ]
+            )
+    return bits, tuple(xs), tuple(zip(*rows))
+
+
+class TestIntBuild:
+    ALPHAS = (F(-1, 2), 0, F(9, 2), 40)
+
+    def test_fixed_point_recurrence_within_its_bound(self):
+        # at the nodes, on the oracle's scale 2^P; exact Fraction references are
+        # slow at high order: every node of the 8- and 24-node rules, the
+        # smallest and largest of the 96-node rule
+        shift = math.ceil((working_precision() + 10) * math.log2(10)) + 32
+        for alpha in self.ALPHAS:
+            for npoints in (8, 24, 96):
+                _, (bits, xs, _) = oracle._rule_entry(alpha, npoints)
+                order = 2 * npoints - 1
+                for X in xs if npoints < 96 else (xs[0], xs[-1]):
+                    X <<= shift - bits
+                    values = laguerre_fixed(order, F(alpha), X, shift)
+                    exact = laguerre_values(order, F(alpha), F(X, 1 << shift))
+                    bound = recurrence_error_bound(F(alpha), X / 2**shift, order)
+                    assert values[0] == 1 << shift and len(values) == order + 1
+                    for y, value, limit in zip(values, exact, bound):
+                        assert abs(y - value * (1 << shift)) <= limit * (1 + 1e-9)
+
+    def test_int_build_matches_the_mpf_build(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        for alpha in self.ALPHAS:
+            for npoints in (1, 8, 12, 24, 48):
+                _, (bits, xs, columns) = oracle._rule_entry(alpha, npoints)
+                ref_bits, ref_xs, ref_columns = reference_rule_entry(alpha, npoints)
+                assert bits == ref_bits and xs == ref_xs
+                for column, ref_column in zip(columns, ref_columns, strict=True):
+                    assert all(abs(q - r) <= 1 for q, r in zip(column, ref_column, strict=True))
 
 
 class TestExpectation:
