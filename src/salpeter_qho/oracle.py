@@ -1,29 +1,29 @@
 """Independent high-precision verification by generalized Gauss-Laguerre
 quadrature.
 
-Nodes are the zeros of L_n^(alpha): seeded in double precision by Newton
-with deflation (the recurrence of states.laguerre_values on floats), then
-polished by Newton steps on the three-term recurrence, O(n^2) per rule
-(Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29 (2007) 1420).  The polish
-runs in Python-int fixed point, on states.laguerre_fixed: each node is an
-int X = x 2^P, with P = ceil((dps + 10) log2 10) + 32 guard bits for dps
-working digits (232 at the default 50), and alpha = a/b stays two ints.  Its
-steps double the seeds' 12 or so digits until X holds dps + 10.  Weights come
-from the derivative at each node, w_i = Gamma(n + alpha + 1) /
-(n! x_i L_n^(alpha)'(x_i)^2), with x L_n' = n L_n - (n + alpha) L_(n-1) read
-off the same int recurrence that fills the node's table row.  Nodes and
-weights become mpf once, to form the public rule.  Working precision defaults
-to 50 significant digits and can be overridden with the SALPETER_PRECISION
-environment variable.  All integrands here are polynomials times the weight
-function, so the rules are exact up to rounding and the two-rule convergence
-check is a pure sanity assertion.
+Nodes are the zeros of L_n^(alpha), found by Newton steps on the three-term
+recurrence, O(n^2) per rule (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29
+(2007) 1420), all on one recurrence: states.laguerre_fixed, in Python-int
+fixed point with alpha = a/b kept as two ints.  The seeds, by Newton with
+deflation at 64 bits, hold about 12 digits and cannot overflow: only
+L_n / (x L_n') becomes a float.  The polish takes each node as an int
+X = x 2^P, with P = ceil((dps + 10) log2 10) + 32 guard bits for dps working
+digits (232 at the default 50), and its steps double the seeds' digits until
+X holds dps + 10.  Weights come from the derivative at each node,
+w_i = Gamma(n + alpha + 1) / (n! x_i L_n^(alpha)'(x_i)^2), with
+x L_n' = n L_n - (n + alpha) L_(n-1) read off the same int recurrence that
+fills the node's table row.  Nodes and weights become mpf once, to form the
+public rule.  Working precision defaults to 50 significant digits and can be
+overridden with the SALPETER_PRECISION environment variable.  All integrands
+here are polynomials times the weight function, so the rules are exact up to
+rounding and the two-rule convergence check is a pure sanity assertion.
 
 Node counts come from a fixed set of buckets, 8, 12, 16, 24, 32, 48, ...
 (2^k and 3 * 2^(k-1)): an integrand of polynomial degree D is summed on the
 smallest bucket exact for D and on the next bucket up, so both rules are
-exact and still differ, and one rule serves many (n, s).  The double-precision
-seeds overflow above about 360 nodes; such a rule raises OverflowError before
-its first polishing step.
+exact and still differ, and one rule serves many (n, s).  A rule has at most
+MAX_NODES = 384 nodes, the fine rule of <eta^2> at n = 250; a larger one
+raises ValueError before any work.
 
 Each rule is built once with its node table and never changed after.  The
 table is Python-int fixed point at the scale 2^B, with B = ceil(dps log2 10)
@@ -69,7 +69,6 @@ from .states import (
     _to_mpf,
     energy_unperturbed,
     laguerre_fixed,
-    laguerre_values,
     u_derivatives,
 )
 
@@ -85,6 +84,8 @@ __all__ = [
 ]
 
 DEFAULT_DPS = 50
+MAX_NODES = 384  # the fine rule of <eta^2> at n = 250
+SEED_SHIFT = 64  # fixed-point bits of the seeds: a double's mantissa at the smallest zero
 
 # (alpha, npoints, dps) -> ((nodes, weights), (bits, xs, columns)); see _rule_entry
 _rule_cache: dict = {}
@@ -108,27 +109,29 @@ def rule_cache_stats() -> dict:
         return dict(_rule_stats)
 
 
-def _seed_zeros(alpha: float, n: int) -> list[float]:
-    """Zeros of L_n^(alpha) in double precision, smallest first.
+def _seed_zeros(alpha: Fraction, n: int) -> list[float]:
+    """Zeros of L_n^(alpha) to about double precision, smallest first.
 
     Newton on L_n^(alpha)(z) / prod_{j<i} (z - x_j) converges monotonically to
     x_i from any start between x_{i-1} and x_i, because the polynomial is
     real-rooted.  Each zero starts a hundredth of the last gap to the right of
     the previous one; the first starts at (alpha + 1) / n, below every zero
-    since the reciprocals of the zeros sum to n / (alpha + 1).
+    since the reciprocals of the zeros sum to n / (alpha + 1).  L_n comes from
+    laguerre_fixed at SEED_SHIFT bits, and only L_n / (x L_n') becomes a float,
+    by int true division, so nothing overflows.
     """
+    a, b = alpha.numerator, alpha.denominator
     zeros: list[float] = []
-    z = (alpha + 1) / n
+    z = (float(alpha) + 1) / n
     for i in range(n):
         for _ in range(100):
-            *_, prev, p = laguerre_values(n, alpha, z)
-            dp = (n * p - (n + alpha) * prev) / z  # x L_n' = n L_n - (n + alpha) L_(n-1)
-            step = p / (dp - p * sum(1 / (z - x) for x in zeros))
+            *_, prev, curr = laguerre_fixed(n, alpha, int(math.ldexp(z, SEED_SHIFT)), SEED_SHIFT)
+            # L_n / L_n' = x b Y_n / (n b Y_n - (n b + a) Y_(n-1))
+            ratio = z * (b * curr / (n * b * curr - (n * b + a) * prev))
+            step = ratio / (1 - ratio * sum(1 / (z - x) for x in zeros))
             z -= step
             if abs(step) <= 1e-15 * z:
                 break
-        if not math.isfinite(z):
-            raise OverflowError(f"{n}-node rule out of reach: its double-precision seeds overflow")
         zeros.append(z)
         z += (z - (zeros[-2] if i else 0)) / 100
     return zeros
@@ -141,8 +144,7 @@ def gauss_laguerre_rule(alpha, npoints: int) -> tuple[list, list]:
     memoized per (alpha, npoints, precision) behind a lock; the returned
     lists must not be mutated.  Raises ArithmeticError if a built rule fails
     its checks: positive, strictly increasing nodes and weights summing to
-    Gamma(alpha + 1); OverflowError (an ArithmeticError) if its seeds
-    overflow.
+    Gamma(alpha + 1); ValueError if npoints is not 1 to MAX_NODES.
     """
     return _rule_entry(alpha, npoints)[0]
 
@@ -197,12 +199,12 @@ def _rule_entry(alpha, npoints: int) -> tuple:
             return entry
     if alpha <= -1:
         raise ValueError(f"alpha must be > -1, got {alpha}")
-    if npoints < 1:
-        raise ValueError(f"npoints must be >= 1, got {npoints}")
+    if not 1 <= npoints <= MAX_NODES:
+        raise ValueError(f"npoints must be 1 to MAX_NODES = {MAX_NODES}, got {npoints}")
     with _rule_lock:
         _rule_stats["misses"] += 1
     start = time.perf_counter()
-    seeds = _seed_zeros(float(alpha), npoints)
+    seeds = _seed_zeros(alpha, npoints)
     # the recurrence at dps + 10 digits and 32 guard bits
     shift = math.ceil((dps + 10) * math.log2(10)) + 32
     # the seeds hold about 12 digits and each Newton step doubles them
@@ -273,7 +275,7 @@ def _bracket(alpha: Fraction, n1: int, n2: int, s: int, dps: int) -> mpf:
     two agree.  Both int sums share one scale, so they are compared as ints.
     """
     npoints = _bucket(n1 + n2 + s)
-    # the larger rule first: if its seeds overflow, fail before building the smaller
+    # the larger rule first: past MAX_NODES, fail before building the smaller
     sizes = (_bucket(2 * npoints), npoints)
     (fine, exp), (coarse, _) = (_rule_sum(alpha, size, n1, n2, s) for size in sizes)
     # |coarse - fine| / max(1, |fine|) > 1e-14
@@ -286,10 +288,6 @@ def _bracket(alpha: Fraction, n1: int, n2: int, s: int, dps: int) -> mpf:
 
 def quad_expectation(q: QuantumNumbers, s: int) -> mpf:
     """<eta^s> by quadrature, cross-checked on two buckets of nodes."""
-    if q.d < 2:
-        raise UnsupportedDimension("quadrature oracle requires d >= 2")
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
     return quad_matrix_element(int(q.n), int(q.n), q.l, q.d, s)
 
 

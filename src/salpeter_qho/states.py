@@ -177,7 +177,7 @@ def laguerre_values(n: int, alpha, x) -> list:
     """[L_0^(alpha)(x), ..., L_n^(alpha)(x)] by the three-term recurrence in n.
 
     Works on float and mpf alike; pass alpha in x's type.  L_0 is the int 1,
-    and n < 0 gives [].
+    and n < 0 gives [].  Its package callers are the mpf eigenfunctions only.
     """
     if n < 0:
         return []

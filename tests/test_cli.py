@@ -185,11 +185,11 @@ class TestOracleCommand:
         assert "SALPETER_PRECISION" in err
 
     def test_rule_out_of_reach_gets_no_precision_hint(self, capsys):
-        # the fine rule has 384 nodes, whose float seeds overflow at any precision
-        code, out, err = run(capsys, "oracle", "--d", "3", "--n", "250", "--l", "0", "--s", "2")
+        # the fine rule has 512 nodes, past MAX_NODES at any precision
+        code, out, err = run(capsys, "oracle", "--d", "3", "--n", "255", "--l", "0", "--s", "2")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "384-node" in err and "SALPETER_PRECISION" not in err
+        assert "512" in err and "384" in err and "SALPETER_PRECISION" not in err
 
 
 VALID_ARGV = [

@@ -49,6 +49,17 @@ def test_method_imports_only_states(method):
     assert package_imports(method) <= {"states"}
 
 
+def test_oracle_builds_rules_on_the_int_recurrence_only():
+    # one recurrence per rule build: no float seed path beside laguerre_fixed
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse((PACKAGE_DIR / "oracle.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module in ("states", "salpeter_qho.states")
+        for alias in node.names
+    }
+    assert "laguerre_fixed" in imported and "laguerre_values" not in imported
+
+
 def test_scan_sees_package_imports():
     assert set(METHODS) | {"oracle", "spectrum", "states"} <= package_imports("checks")
     assert package_imports("spectrum") == {"corrections"}

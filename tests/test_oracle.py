@@ -143,10 +143,9 @@ class TestRule:
         with pytest.raises(ValueError):
             gauss_laguerre_rule(0, 0)
 
-    def test_overflowing_seeds_fail_before_mpf_work(self, monkeypatch):
-        # the double-precision seeds of a 384-node rule overflow, whatever the
-        # working precision: the build must stop there, before the int polish
-        # takes its first step on the recurrence
+    def test_rule_past_the_cap_fails_before_any_work(self, monkeypatch):
+        # a 512-node rule is past MAX_NODES: the build must stop before the
+        # seeds take their first step on the recurrence
         calls = []
         evaluate = oracle.laguerre_fixed
 
@@ -155,13 +154,47 @@ class TestRule:
             return evaluate(*args)
 
         monkeypatch.setattr(oracle, "laguerre_fixed", spy)
-        with pytest.raises(ArithmeticError, match="384-node"):
-            gauss_laguerre_rule(F(1, 2), 384)
+        with pytest.raises(ValueError, match="MAX_NODES = 384, got 512"):
+            gauss_laguerre_rule(F(1, 2), 512)
         assert calls == []
-        # a rule within reach is polished through the spied name
+        # a rule within reach is seeded and polished through the spied name
         monkeypatch.setattr(oracle, "_rule_cache", {})
         gauss_laguerre_rule(F(1, 2), 2)
         assert calls
+
+
+def float_seeds(alpha: float, n: int) -> list[float]:
+    """The oracle's seeds as they were built before its int recurrence: the
+    same deflated Newton on states.laguerre_values in double precision."""
+    zeros: list[float] = []
+    z = (alpha + 1) / n
+    for i in range(n):
+        for _ in range(100):
+            *_, prev, p = laguerre_values(n, alpha, z)
+            dp = (n * p - (n + alpha) * prev) / z
+            step = p / (dp - p * sum(1 / (z - x) for x in zeros))
+            z -= step
+            if abs(step) <= 1e-15 * z:
+                break
+        zeros.append(z)
+        z += (z - (zeros[-2] if i else 0)) / 100
+    return zeros
+
+
+class TestSeeds:
+    def test_seeds_reach_the_cap(self):
+        # the double-precision seeds overflowed here
+        seeds = oracle._seed_zeros(F(40), oracle.MAX_NODES)
+        assert len(seeds) == oracle.MAX_NODES and all(map(math.isfinite, seeds))
+        assert seeds[0] > 0 and all(a < b for a, b in zip(seeds, seeds[1:]))
+
+    def test_seeds_match_the_double_precision_seeds(self):
+        sizes = {F(-1, 2): (1, 8, 24, 96), 0: (2, 12, 48), F(9, 2): (16, 192), 40: (8, 96)}
+        for alpha, ns in sizes.items():
+            for n in ns:
+                seeds = oracle._seed_zeros(F(alpha), n)
+                reference = float_seeds(float(alpha), n)
+                assert max(abs(s / r - 1) for s, r in zip(seeds, reference, strict=True)) <= 1e-12
 
 
 BUCKETS = sorted({2**k for k in range(3, 12)} | {3 * 2 ** (k - 1) for k in range(3, 12)})
@@ -328,7 +361,7 @@ def reference_rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
     states.laguerre_values in mpf at dps + 10 digits."""
     alpha = Fraction(alpha)
     dps = working_precision()
-    seeds = oracle._seed_zeros(float(alpha), npoints)
+    seeds = oracle._seed_zeros(alpha, npoints)
     bits = math.ceil(dps * math.log2(10)) + 20
     with mp.workdps(dps + 10):
         a = to_float(alpha)
