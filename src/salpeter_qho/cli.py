@@ -151,8 +151,9 @@ def cmd_diagram(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         q = QuantumNumbers(args.d, Fraction(args.n), args.l)
-        exact = kramers.moment_eta(q, args.s)
+        # the quadrature first: a rule past MAX_NODES fails before any exact work
         approx = oracle.quad_expectation(q, args.s)
+        exact = kramers.moment_eta(q, args.s)
     except (InvalidQuantumNumbers, ValueError, ArithmeticError) as exc:
         hint = "; try a higher SALPETER_PRECISION" if isinstance(exc, ArithmeticError) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)

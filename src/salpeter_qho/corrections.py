@@ -4,8 +4,9 @@ epsilon0 is the coefficient of hbar*omega, epsilon1 of lambda*hbar*omega and
 epsilon2 of lambda^2*hbar*omega, where lambda = hbar*omega/(m c^2).
 
 In m = 2n = N - l, 32*epsilon1 and 512*epsilon2 are integer polynomials in
-(d, m, l); that holds for d = 1 too, where n = N/2 and m = N.  Both are
-evaluated in int arithmetic and one Fraction is built per result.
+(d, m, l); that holds for d = 1 too, where n = N/2 and m = N.  m is taken
+from the int QuantumNumbers.big_N, both are evaluated in int arithmetic and
+one Fraction is built per result.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ def _scaled_corrections(d: int, m: int, l: int) -> tuple[int, int]:
 
 def epsilon1_general(q: QuantumNumbers) -> Fraction:
     """First-order correction, always negative."""
-    m = 2 * q.n.numerator // q.n.denominator  # 2n is an integer (n = N/2 when d = 1)
-    return Fraction(_scaled_corrections(q.d, m, q.l)[0], 32)
+    return Fraction(_scaled_corrections(q.d, q.big_N - q.l, q.l)[0], 32)
 
 
 def epsilon1_rewritten(q: QuantumNumbers) -> Fraction:
@@ -88,8 +88,7 @@ def epsilon1_rewritten(q: QuantumNumbers) -> Fraction:
 
 def epsilon2_general(q: QuantumNumbers) -> Fraction:
     """Second-order correction, always positive."""
-    m = 2 * q.n.numerator // q.n.denominator
-    return Fraction(_scaled_corrections(q.d, m, q.l)[1], 512)
+    return Fraction(_scaled_corrections(q.d, q.big_N - q.l, q.l)[1], 512)
 
 
 def correction_triple(q: QuantumNumbers) -> CorrectionTriple:

@@ -38,13 +38,13 @@ def moment_r_even(q: QuantumNumbers, s: int) -> Fraction:
 def _moment(q: QuantumNumbers, s: int) -> tuple[int, int]:
     """<r^(s+2)> as (numerator, denominator) ints, for even s >= 0.
 
-    With 2 eps0 = 2m + 2l + d (m = 2n, an integer for d = 1 too), the
-    relation times 2 has int coefficients, so <r^(t-2)> = prev/den and
+    With 2 eps0 = 2N + d an int (N = q.big_N, d = 1 included), the relation
+    times 2 has int coefficients, so <r^(t-2)> = prev/den and
     <r^t> = curr/den share one denominator that each step multiplies by
     4t + 8.  At t = 0 prev is multiplied by a vanishing factor.
     """
     d, l = q.d, q.l
-    e2 = 4 * q.n.numerator // q.n.denominator + 2 * l + d
+    e2 = 2 * q.big_N + d
     ang = d - 3 + l * (l + d - 2)
     prev, curr, den = 0, 1, 1
     for t in range(0, s + 2, 2):

@@ -3,15 +3,15 @@
 States |N m> carry the energy number N and angular momentum m (|m| <= N,
 N - m even), with occupations n_a = (N - m)/2 and n_b = (N + m)/2.
 Operators act on the unnormalized Fock states |n_a n_b) = ad^n_a bd^n_b |0>,
-where a|n) = n|n - 1) and ad|n) = |n + 1), so every coefficient is rational.
+where a|n) = n|n - 1) and ad|n) = |n + 1), so every coefficient is an int.
 Since |n) = sqrt(n!)|n>, each path from ket to bra carries the same factor
 sqrt(n_a'! n_b'! / (n_a! n_b!)), which squared is a short rational product.
 
-Each operator is compiled into int terms over one int denominator: a
-coefficient, the shift (dn_a, dn_b) and the offsets o of its lowering
-factors, so its image coefficient is coeff prod(n_a + o) prod(n_b + o').
-The corrections apply K0, p6_0 and the hopping sum compiled once at import,
-in int arithmetic, and build one Fraction per result.
+Coefficients are ints; any other raises TypeError.  Each LadderExpr
+compiles itself once, on first use, into int terms: a coefficient, the
+shift (dn_a, dn_b) and the offsets o of its lowering factors, so its image
+coefficient is coeff prod(n_a + o) prod(n_b + o').  One evaluator, _apply,
+serves every operator, and the corrections build one Fraction per result.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .states import InvalidQuantumNumbers, QuantumNumbers
 
@@ -67,13 +68,17 @@ class FockState2D:
 class Monomial:
     """coeff times an ordered product of generators, applied right-to-left."""
 
-    coeff: Fraction
+    coeff: int
     gens: tuple[str, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.coeff, int):
+            raise TypeError(f"ladder coefficients are ints, got {self.coeff!r}")
 
 
 @dataclass(frozen=True)
 class LadderExpr:
-    """Formal rational-coefficient sum of generator monomials."""
+    """Formal int-coefficient sum of generator monomials."""
 
     terms: tuple[Monomial, ...]
 
@@ -82,11 +87,11 @@ class LadderExpr:
         for g in gens:
             if g not in GENERATORS:
                 raise ValueError(f"unknown generator {g!r}")
-        return cls((Monomial(Fraction(coeff), tuple(gens)),))
+        return cls((Monomial(coeff, tuple(gens)),))
 
     @classmethod
     def one(cls, coeff=1) -> "LadderExpr":
-        return cls((Monomial(Fraction(coeff), ()),))
+        return cls((Monomial(coeff, ()),))
 
     def __add__(self, other: "LadderExpr") -> "LadderExpr":
         return LadderExpr(self.terms + other.terms)
@@ -106,47 +111,45 @@ class LadderExpr:
                     for t in other.terms
                 )
             )
-        return LadderExpr(tuple(Monomial(t.coeff * Fraction(other), t.gens) for t in self.terms))
+        return LadderExpr(tuple(Monomial(t.coeff * other, t.gens) for t in self.terms))
 
     __rmul__ = __mul__
 
+    @cached_property
+    def _compiled(self) -> tuple[tuple, ...]:
+        """The terms as (c, da, db, oa, ob), compiled on first use.
 
-def _compile(expr: LadderExpr) -> tuple[tuple, int]:
-    """expr as int terms over one int denominator.
-
-    A term (c, da, db, oa, ob) takes |n_a n_b) to
-    c prod(n_a + o for o in oa) prod(n_b + o for o in ob) |n_a + da, n_b + db):
-    walking the generators right to left, a takes a factor n_a + (its shift so
-    far) and lowers the shift, ad raises it; b and bd do the same for n_b.
-    Annihilating past the vacuum gives a factor 0.
-    """
-    den = math.lcm(*(t.coeff.denominator for t in expr.terms))
-    terms = []
-    for term in expr.terms:
-        da = db = 0
-        oa, ob = [], []
-        for g in reversed(term.gens):
-            if g == "a":
-                oa.append(da)
-                da -= 1
-            elif g == "ad":
-                da += 1
-            elif g == "b":
-                ob.append(db)
-                db -= 1
-            elif g == "bd":
-                db += 1
-            else:
-                raise ValueError(f"unknown generator {g!r}")
-        coeff = term.coeff.numerator * (den // term.coeff.denominator)
-        terms.append((coeff, da, db, tuple(oa), tuple(ob)))
-    return tuple(terms), den
+        (c, da, db, oa, ob) takes |n_a n_b) to
+        c prod(n_a + o for o in oa) prod(n_b + o for o in ob) |n_a + da, n_b + db):
+        walking the generators right to left, a takes a factor n_a + (its shift
+        so far) and lowers the shift, ad raises it; b and bd do the same for
+        n_b.  Annihilating past the vacuum gives a factor 0.
+        """
+        terms = []
+        for term in self.terms:
+            da = db = 0
+            oa, ob = [], []
+            for g in reversed(term.gens):
+                if g == "a":
+                    oa.append(da)
+                    da -= 1
+                elif g == "ad":
+                    da += 1
+                elif g == "b":
+                    ob.append(db)
+                    db -= 1
+                elif g == "bd":
+                    db += 1
+                else:
+                    raise ValueError(f"unknown generator {g!r}")
+            terms.append((term.coeff, da, db, tuple(oa), tuple(ob)))
+        return tuple(terms)
 
 
-def _apply(terms: tuple, n_a: int, n_b: int) -> dict[tuple[int, int], int]:
-    """Compiled terms applied to the unnormalized |n_a n_b): int numerator per image (n_a', n_b')."""
+def _apply(expr: LadderExpr, n_a: int, n_b: int) -> dict[tuple[int, int], int]:
+    """expr applied to the unnormalized |n_a n_b): int coefficient per image (n_a', n_b')."""
     image: dict[tuple[int, int], int] = {}
-    for c, da, db, oa, ob in terms:
+    for c, da, db, oa, ob in expr._compiled:
         for o in oa:
             c *= n_a + o
         for o in ob:
@@ -157,10 +160,10 @@ def _apply(terms: tuple, n_a: int, n_b: int) -> dict[tuple[int, int], int]:
     return image
 
 
-def _image(expr: LadderExpr, n_a: int, n_b: int) -> tuple[dict[tuple[int, int], int], int]:
-    """expr applied to |n_a n_b): int numerators per image (n_a', n_b') and their denominator."""
-    terms, den = _compile(expr)
-    return _apply(terms, n_a, n_b), den
+def _diagonal(expr: LadderExpr, s: FockState2D) -> int:
+    """(n_a n_b|expr|n_a n_b), the int diagonal coefficient."""
+    n_a, n_b = s.n_a, s.n_b
+    return _apply(expr, n_a, n_b).get((n_a, n_b), 0)
 
 
 def _factorial_ratio(top: int, bottom: int) -> tuple[int, int]:
@@ -176,18 +179,15 @@ def matrix_element_squared(expr: LadderExpr, bra: FockState2D, ket: FockState2D)
     |n) = sqrt(n!)|n>, so the coefficient c of the unnormalized image carries
     the same radical sqrt(n_a'! n_b'! / (n_a! n_b!)) on every path.
     """
-    image, den = _image(expr, ket.n_a, ket.n_b)
-    c = image.get((bra.n_a, bra.n_b), 0)
+    c = _apply(expr, ket.n_a, ket.n_b).get((bra.n_a, bra.n_b), 0)
     ra, sa = _factorial_ratio(bra.n_a, ket.n_a)
     rb, sb = _factorial_ratio(bra.n_b, ket.n_b)
-    return Fraction(c * c * ra * rb, den * den * sa * sb)
+    return Fraction(c * c * ra * rb, sa * sb)
 
 
 def expectation(expr: LadderExpr, s: FockState2D) -> Fraction:
     """<s|expr|s>: the diagonal coefficient, where the normalizations cancel."""
-    n_a, n_b = s.n_a, s.n_b
-    image, den = _image(expr, n_a, n_b)
-    return Fraction(image.get((n_a, n_b), 0), den)
+    return Fraction(_diagonal(expr, s))
 
 
 def p2_expr() -> LadderExpr:
@@ -236,12 +236,12 @@ def p6_zero_expr() -> LadderExpr:
     return number_plus_one * ops["K0"] - m("ad", "bd") * ops["L2"] - m("a", "b") * ops["R2"]
 
 
-# LadderExpr is immutable, so each operator is built and compiled once, at import;
-# the corrections apply these int tables
+# LadderExpr is immutable, so the operators the corrections apply are built once,
+# at import, and each compiles itself on first use
 _P4 = p4_operators()
-_K0 = _compile(_P4["K0"])
-_HOPPING = _compile(_P4["R2"] + _P4["L2"] + _P4["R4"] + _P4["L4"])
-_P6_ZERO = _compile(p6_zero_expr())
+_K0 = _P4["K0"]
+_HOPPING = _P4["R2"] + _P4["L2"] + _P4["R4"] + _P4["L4"]
+_P6_ZERO = p6_zero_expr()
 
 
 def _normal_order_species(seq: tuple[str, ...]) -> dict[tuple[int, int], Fraction]:
@@ -273,21 +273,14 @@ def normal_order(expr: LadderExpr) -> dict[tuple[int, int, int, int], Fraction]:
     return {k: v for k, v in result.items() if v != 0}
 
 
-def _diagonal(table: tuple[tuple, int], n_a: int, n_b: int) -> tuple[int, int]:
-    """(n_a n_b|op|n_a n_b) of a compiled table as (numerator, denominator)."""
-    terms, den = table
-    return _apply(terms, n_a, n_b).get((n_a, n_b), 0), den
-
-
 def _part2(s: FockState2D) -> tuple[int, int]:
     """Part II as (numerator, denominator): sum |<N',m|hop|N,m>|^2 / (64 (N - N')).
 
     The bra N' = N + 2h has both occupations shifted by h, so its squared
-    element is c^2 (n_a+h)!/n_a! (n_b+h)!/n_b! over den^2.
+    element is c^2 (n_a+h)!/n_a! (n_b+h)!/n_b!.
     """
     n_a, n_b = s.n_a, s.n_b
-    terms, den = _HOPPING
-    image = _apply(terms, n_a, n_b)
+    image = _apply(_HOPPING, n_a, n_b)
     num, total = 0, 1
     for h in (-2, -1, 1, 2):
         if min(n_a, n_b) + h < 0:
@@ -297,19 +290,17 @@ def _part2(s: FockState2D) -> tuple[int, int]:
         rb, sb = _factorial_ratio(n_b + h, n_b)
         step = -2 * h * sa * sb  # N - N' = -2h
         num, total = num * step + c * c * ra * rb * total, total * step
-    return num, 64 * den * den * total
+    return num, 64 * total
 
 
 def first_order_2d(s: FockState2D) -> Fraction:
     """epsilon1 = -<K0>/8, computed by applying the operator."""
-    num, den = _diagonal(_K0, s.n_a, s.n_b)
-    return Fraction(-num, 8 * den)
+    return Fraction(-_diagonal(_K0, s), 8)
 
 
 def second_order_2d_partI(s: FockState2D) -> Fraction:
     """Diagonal second-order part, <p6_0>/16 by operator application."""
-    num, den = _diagonal(_P6_ZERO, s.n_a, s.n_b)
-    return Fraction(num, 16 * den)
+    return Fraction(_diagonal(_P6_ZERO, s), 16)
 
 
 def second_order_2d_partII(s: FockState2D) -> Fraction:
@@ -319,9 +310,8 @@ def second_order_2d_partII(s: FockState2D) -> Fraction:
 
 def second_order_2d(s: FockState2D) -> Fraction:
     """Full two-dimensional second-order correction, part I plus part II as one Fraction."""
-    diag, den = _diagonal(_P6_ZERO, s.n_a, s.n_b)
     num, total = _part2(s)
-    return Fraction(diag * total + 16 * den * num, 16 * den * total)
+    return Fraction(_diagonal(_P6_ZERO, s) * total + 16 * num, 16 * total)
 
 
 def map_Nm_to_nl(s: FockState2D) -> QuantumNumbers:

@@ -114,17 +114,22 @@ def _seed_zeros(alpha: Fraction, n: int) -> list[float]:
 
     Newton on L_n^(alpha)(z) / prod_{j<i} (z - x_j) converges monotonically to
     x_i from any start between x_{i-1} and x_i, because the polynomial is
-    real-rooted.  Each zero starts a hundredth of the last gap to the right of
-    the previous one; the first starts at (alpha + 1) / n, below every zero
-    since the reciprocals of the zeros sum to n / (alpha + 1).  L_n comes from
-    laguerre_fixed at SEED_SHIFT bits, and only L_n / (x L_n') becomes a float,
-    by int true division, so nothing overflows.
+    real-rooted.  Each zero starts a hundredth of the last gap past the
+    previous one, the first at the larger of two bounds below every zero:
+    (alpha + 1) / n, the reciprocals of the zeros summing to n / (alpha + 1),
+    and the Laguerre-Samuelson (n + alpha) - (n - 1) sqrt(n + alpha), from
+    their mean n + alpha and variance (n + alpha)(n - 1).  Far below the zeros
+    a step covers about 1/n of the way: the first zero takes up to 2.5 n steps
+    at large alpha, and each gets 100 + 3 n.  There the second start can pass
+    the second zero, which deflation then finds last, so they come sorted.
+    L_n comes from laguerre_fixed at SEED_SHIFT bits, and only L_n / (x L_n')
+    becomes a float, by int true division, so nothing overflows.
     """
     a, b = alpha.numerator, alpha.denominator
     zeros: list[float] = []
-    z = (float(alpha) + 1) / n
+    z = max((float(alpha) + 1) / n, n + float(alpha) - (n - 1) * math.sqrt(n + float(alpha)))
     for i in range(n):
-        for _ in range(100):
+        for _ in range(100 + 3 * n):
             *_, prev, curr = laguerre_fixed(n, alpha, int(math.ldexp(z, SEED_SHIFT)), SEED_SHIFT)
             # L_n / L_n' = x b Y_n / (n b Y_n - (n b + a) Y_(n-1))
             ratio = z * (b * curr / (n * b * curr - (n * b + a) * prev))
@@ -134,7 +139,7 @@ def _seed_zeros(alpha: Fraction, n: int) -> list[float]:
                 break
         zeros.append(z)
         z += (z - (zeros[-2] if i else 0)) / 100
-    return zeros
+    return sorted(zeros)
 
 
 def gauss_laguerre_rule(alpha, npoints: int) -> tuple[list, list]:

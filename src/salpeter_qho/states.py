@@ -8,7 +8,7 @@ evaluation is high-precision floating point via mpmath.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -44,12 +44,15 @@ class QuantumNumbers:
 
     For d >= 2, n and l are non-negative integers.  For d = 1 the angular
     number l is identically 0 and n = N/2 may be a half-integer, N being
-    the usual one-dimensional quantum number.
+    the usual one-dimensional quantum number.  The principal number
+    big_N = 2n + l is an int for every d, stored once at construction; it
+    takes no part in ==, hash or repr.
     """
 
     d: int
     n: Fraction
     l: int = 0
+    big_N: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
@@ -67,6 +70,7 @@ class QuantumNumbers:
         else:
             if self.n.denominator != 1:
                 raise InvalidQuantumNumbers(f"d>=2 requires integer n, got {self.n}")
+        object.__setattr__(self, "big_N", 2 * self.n.numerator // self.n.denominator + self.l)
 
     @classmethod
     def one_dim(cls, N: int) -> "QuantumNumbers":
@@ -76,19 +80,14 @@ class QuantumNumbers:
         return cls(1, Fraction(N, 2), 0)
 
     @property
-    def big_N(self) -> int:
-        """Principal quantum number N = 2n + l."""
-        return int(2 * self.n + self.l)
-
-    @property
     def alpha(self) -> Fraction:
         """Laguerre order alpha = l + d/2 - 1 of the radial eigenfunction."""
         return self.l + Fraction(self.d, 2) - 1
 
 
 def energy_unperturbed(q: QuantumNumbers) -> Fraction:
-    """Unperturbed energy 2n + l + d/2 in units of hbar*omega."""
-    return 2 * q.n + q.l + Fraction(q.d, 2)
+    """Unperturbed energy N + d/2 = 2n + l + d/2 in units of hbar*omega."""
+    return Fraction(2 * q.big_N + q.d, 2)
 
 
 def laguerre_coefficients(n: int, alpha) -> list[Fraction]:
@@ -176,8 +175,9 @@ def _to_mpf(x) -> mpf:
 def laguerre_values(n: int, alpha, x) -> list:
     """[L_0^(alpha)(x), ..., L_n^(alpha)(x)] by the three-term recurrence in n.
 
-    Works on float and mpf alike; pass alpha in x's type.  L_0 is the int 1,
-    and n < 0 gives [].  Its package callers are the mpf eigenfunctions only.
+    Generic in the number type: pass alpha in x's type.  L_0 is the int 1,
+    and n < 0 gives [].  In the package only the mpf eigenfunctions call it;
+    the tests also run it on float and Fraction, as references.
     """
     if n < 0:
         return []

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from salpeter_qho import oracle
+from salpeter_qho import kramers, oracle
 from salpeter_qho.cli import main
 
 
@@ -190,6 +190,22 @@ class TestOracleCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "512" in err and "384" in err and "SALPETER_PRECISION" not in err
+
+    def test_rule_out_of_reach_fails_before_the_exact_moment(self, capsys, monkeypatch):
+        # the Kramers recursion to s = 100000 would take minutes; the cap comes first
+        calls = []
+        monkeypatch.setattr(kramers, "moment_eta", lambda q, s: calls.append(s))
+        code, out, err = run(capsys, "oracle", "--d", "2", "--n", "0", "--s", "100000")
+        assert code == 2 and out == "" and calls == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "MAX_NODES = 384" in err
+
+    @pytest.mark.parametrize("d,n", [(100000, 0), (1000000, 0), (100000, 40), (10000000, 40)])
+    def test_zeros_far_from_zero(self, capsys, d, n):
+        # alpha = d/2 - 1: the rules' zeros sit far from 0
+        code, out, _ = run(capsys, "oracle", "--d", str(d), "--n", str(n), "--s", "2")
+        assert code == 0
+        assert out.strip().split("\n")[-1] == "relative difference = 0.0"
 
 
 VALID_ARGV = [

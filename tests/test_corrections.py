@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from salpeter_qho import kramers, ladder2d, laguerre_me
+from salpeter_qho.checks import radial_grid
 from salpeter_qho.corrections import (
     correction_triple,
     epsilon1_general,
@@ -16,17 +17,6 @@ from salpeter_qho.corrections import (
 from salpeter_qho.states import QuantumNumbers
 
 F = Fraction
-
-
-def radial_grid(d_range, nl_max):
-    for d in d_range:
-        if d == 1:
-            for N in range(2 * nl_max + 1):
-                yield QuantumNumbers.one_dim(N)
-        else:
-            for n in range(nl_max + 1):
-                for l in range(nl_max + 1):
-                    yield QuantumNumbers(d, n, l)
 
 
 class TestFirstOrder:
@@ -123,7 +113,7 @@ class TestTripleAndInvariants:
         assert (t.epsilon0, t.epsilon1, t.epsilon2) == (F(3, 2), F(-15, 32), F(255, 512))
 
     def test_signs_on_grid(self):
-        for q in radial_grid(range(1, 11), 12):
+        for q in radial_grid(10, 12, 24):
             assert epsilon1_general(q) < 0
             assert epsilon2_general(q) > 0
 

@@ -147,11 +147,11 @@ FAULTS = {
         lambda top, bottom: _factorial_ratio(bottom, top),
         {"ladder"},
     ),
-    # the compiled K0 table that first_order_2d applies, with one extra ad.a term
+    # the K0 operator that first_order_2d applies, with one extra ad.a term
     "ladder-k0-extra-term": (
         ladder2d,
         "_K0",
-        ladder2d._compile(ladder2d.p4_operators()["K0"] + ladder2d.LadderExpr.mono("ad", "a")),
+        ladder2d.p4_operators()["K0"] + ladder2d.LadderExpr.mono("ad", "a"),
         {"ladder"},
     ),
     "degeneracy-off-by-one": (

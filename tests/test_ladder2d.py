@@ -91,7 +91,7 @@ class TestGenerators:
         assert images(mono("bd"), s, 6) == {FockState2D(5, 3): 4}
 
     def test_unknown_generator(self):
-        bad = LadderExpr((Monomial(F(1), ("ad", "c")),))
+        bad = LadderExpr((Monomial(1, ("ad", "c")),))
         s = FockState2D(2, 0)
         with pytest.raises(ValueError):
             expectation(bad, s)
@@ -218,7 +218,7 @@ class TestOperatorStructure:
 
 
 class TestCompiledTables:
-    """The int tables the corrections apply against the LadderExpr each came from."""
+    """The operators the corrections apply, compiled, against the LadderExpr each is built as."""
 
     @pytest.mark.parametrize("table", ["_K0", "_HOPPING", "_P6_ZERO"])
     def test_same_image_as_expression(self, table):
@@ -228,18 +228,28 @@ class TestCompiledTables:
             "_HOPPING": ops["R2"] + ops["L2"] + ops["R4"] + ops["L4"],
             "_P6_ZERO": p6_zero_expr(),
         }[table]
-        terms, den = getattr(ladder2d, table)
+        applied = getattr(ladder2d, table)
         for s in ladder_grid(12):
-            image = ladder2d._apply(terms, s.n_a, s.n_b)
-            compiled = {key: F(c, den) for key, c in image.items() if c}
+            image = ladder2d._apply(applied, s.n_a, s.n_b)
+            compiled = {key: c for key, c in image.items() if c}
             assert compiled == reference_image(expr, s.n_a, s.n_b)
 
-    def test_rational_coefficients(self):
-        expr = mono("ad", coeff=F(1, 3)) + mono("ad", "a", coeff=F(5, 6)) - mono("b", "bd")
-        for s in ladder_grid(6):
-            image, den = ladder2d._image(expr, s.n_a, s.n_b)
-            compiled = {key: F(c, den) for key, c in image.items() if c}
-            assert compiled == reference_image(expr, s.n_a, s.n_b)
+    def test_rational_coefficients_raise(self):
+        # every operator of the method has int coefficients; the algebra takes no other
+        with pytest.raises(TypeError):
+            mono("ad", coeff=F(1, 3))
+        with pytest.raises(TypeError):
+            LadderExpr.one(F(2))
+        with pytest.raises(TypeError):
+            mono("ad", "a") * F(5, 6)
+        with pytest.raises(TypeError):
+            LadderExpr((Monomial(0.5, ("b", "bd")),))
+
+    def test_compiled_once(self):
+        expr = mono("ad", "a") + mono("b", coeff=3)
+        first = expr._compiled
+        assert expr._compiled is first
+        assert ladder2d._apply(expr, 2, 1) == {(2, 1): 2, (2, 0): 3}
 
 
 class TestCorrections2D:

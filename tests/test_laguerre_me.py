@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from salpeter_qho.checks import radial_grid
 from salpeter_qho.corrections import epsilon1_general, epsilon2_general
 from salpeter_qho.kramers import first_order_method1, moment_eta
 from salpeter_qho.laguerre_me import (
@@ -21,12 +22,8 @@ F = Fraction
 
 
 def small_states(ds, nl_max):
-    """(d, n, l) with n, l <= nl_max for each d in ds; d = 1 runs over N <= 2 nl_max."""
-    for d in ds:
-        if d == 1:
-            yield from (QuantumNumbers.one_dim(N) for N in range(2 * nl_max + 1))
-        else:
-            yield from (QuantumNumbers(d, n, l) for n in range(nl_max + 1) for l in range(nl_max + 1))
+    """checks.radial_grid on the dimensions ds (ascending); N <= 2 nl_max at d = 1."""
+    return [q for q in radial_grid(max(ds), nl_max, 2 * nl_max) if q.d in ds]
 
 
 class TestCoeffD:

@@ -2,7 +2,8 @@
 
 Agreement between the exact methods is only evidence when no method uses
 another's code, so corrections, kramers, laguerre_me and ladder2d may import
-nothing from the package except states.
+nothing from the package except the exact names of states, and the oracle,
+which checks them, imports none of them.
 """
 
 import ast
@@ -17,6 +18,13 @@ import salpeter_qho
 PACKAGE_DIR = Path(salpeter_qho.__path__[0])
 MODULES = sorted(m.name for m in pkgutil.iter_modules(salpeter_qho.__path__))
 METHODS = ["corrections", "kramers", "laguerre_me", "ladder2d"]
+# what a method may take from states: quantum numbers and energies, no oracle routine
+EXACT_STATES_NAMES = {
+    "QuantumNumbers",
+    "InvalidQuantumNumbers",
+    "UnsupportedDimension",
+    "energy_unperturbed",
+}
 
 
 def package_imports(module: str) -> set[str]:
@@ -37,6 +45,21 @@ def package_imports(module: str) -> set[str]:
     return found
 
 
+def names_from_states(module: str) -> set[str]:
+    """Names `module` imports from states; importing the module itself counts as 'states'."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE_DIR / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module in ("states", "salpeter_qho.states"):
+                found |= names
+            elif node.module in (None, "salpeter_qho"):  # from . import states
+                found |= names & {"states"}
+        elif isinstance(node, ast.Import):
+            found |= {"states" for alias in node.names if alias.name == "salpeter_qho.states"}
+    return found
+
+
 @pytest.mark.parametrize("module", ["__init__"] + MODULES)
 def test_all_names_exist(module):
     name = "salpeter_qho" if module == "__init__" else f"salpeter_qho.{module}"
@@ -47,19 +70,20 @@ def test_all_names_exist(module):
 @pytest.mark.parametrize("method", METHODS)
 def test_method_imports_only_states(method):
     assert package_imports(method) <= {"states"}
+    assert names_from_states(method) <= EXACT_STATES_NAMES
+
+
+def test_oracle_imports_no_method():
+    assert package_imports("oracle").isdisjoint(METHODS)
 
 
 def test_oracle_builds_rules_on_the_int_recurrence_only():
     # one recurrence per rule build: no float seed path beside laguerre_fixed
-    imported = {
-        alias.name
-        for node in ast.walk(ast.parse((PACKAGE_DIR / "oracle.py").read_text()))
-        if isinstance(node, ast.ImportFrom) and node.module in ("states", "salpeter_qho.states")
-        for alias in node.names
-    }
+    imported = names_from_states("oracle")
     assert "laguerre_fixed" in imported and "laguerre_values" not in imported
 
 
 def test_scan_sees_package_imports():
     assert set(METHODS) | {"oracle", "spectrum", "states"} <= package_imports("checks")
     assert package_imports("spectrum") == {"corrections"}
+    assert {"QuantumNumbers", "laguerre_fixed", "u_derivatives"} <= names_from_states("oracle")

@@ -196,6 +196,26 @@ class TestSeeds:
                 reference = float_seeds(float(alpha), n)
                 assert max(abs(s / r - 1) for s, r in zip(seeds, reference, strict=True)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "alpha,npoints", [(49999, 12), (49999, 24), (49999, 96), (4999999, 96)]
+    )
+    def test_zeros_far_from_zero(self, alpha, npoints):
+        # the zeros sit near alpha.  The second start, a hundredth of the first
+        # zero past it, passes the second zero (12 and 24 nodes).  The first
+        # zero takes more than 100 Newton steps (96 nodes: 187 at alpha = 49999),
+        # and from (alpha + 1) / n more than 100 + 3 n (486 at alpha = 4999999)
+        alpha = F(alpha)
+        nodes, weights = gauss_laguerre_rule(alpha, npoints)
+        seeds = oracle._seed_zeros(alpha, npoints)
+        assert max(abs(s / float(x) - 1) for s, x in zip(seeds, nodes, strict=True)) <= 1e-12
+        with mp.workdps(working_precision()):
+            # exact for x^k, k <= 2 npoints - 1: <x> = alpha + 1, <x^2> = (alpha + 1)(alpha + 2)
+            total = mp.fsum(weights)
+            mean = mp.fsum(w * x for w, x in zip(weights, nodes)) / total
+            square = mp.fsum(w * x * x for w, x in zip(weights, nodes)) / total
+            assert abs(mean / (alpha + 1) - 1) < mpf("1e-45")
+            assert abs(square / ((alpha + 1) * (alpha + 2)) - 1) < mpf("1e-45")
+
 
 BUCKETS = sorted({2**k for k in range(3, 12)} | {3 * 2 ** (k - 1) for k in range(3, 12)})
 

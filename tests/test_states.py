@@ -49,6 +49,20 @@ class TestQuantumNumbers:
         q = QuantumNumbers.one_dim(3)
         assert q.n == F(3, 2) and q.l == 0 and q.big_N == 3
 
+    @given(d=st.integers(1, 12), n2=st.integers(0, 60), l=st.integers(0, 30))
+    def test_big_N_is_stored_2n_plus_l(self, d, n2, l):
+        # n2 = 2n; d = 1 takes l = 0 and any n2, d >= 2 an even n2
+        if d == 1:
+            q = QuantumNumbers(1, F(n2, 2))
+        else:
+            q = QuantumNumbers(d, n2 // 2, l)
+        assert type(q.big_N) is int and q.big_N == 2 * q.n + q.l
+        assert "big_N" not in repr(q)
+        # a copy with another stored big_N is still equal, with the same hash
+        other = QuantumNumbers(q.d, q.n, q.l)
+        object.__setattr__(other, "big_N", q.big_N + 1)
+        assert other == q and hash(other) == hash(q) and repr(other) == repr(q)
+
 
 class TestEnergy:
     def test_ground_state_3d(self):
