@@ -25,14 +25,13 @@ from .laguerre_me import (
     second_order_method2,
 )
 from .spectrum import degeneracy_level, degeneracy_total, level_table, split_count
-from .states import QuantumNumbers, energy_unperturbed, u_eval
+from .states import QuantumNumbers, energy_unperturbed
 
 __all__ = [
     "QuantumNumbers",
     "FockState2D",
     "CorrectionTriple",
     "energy_unperturbed",
-    "u_eval",
     "epsilon1_general",
     "epsilon1_rewritten",
     "epsilon2_general",

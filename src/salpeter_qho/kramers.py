@@ -24,9 +24,10 @@ def moment_r_even(q: QuantumNumbers, s: int) -> Fraction:
 
     The recursion is seeded with <r^0> = 1; at s = 0 the <r^(s-2)> term
     carries a factor of s and drops out, so the relation self-seeds and
-    reproduces moment_r2.  For d = 1 the result is formal (l = 0, n = N/2
-    substituted into the same relation) and used only for cross-method
-    identities.
+    reproduces moment_r2.  For d = 1 (l = 0, n = N/2) the centrifugal
+    coefficient l(l + d - 2) + (d - 1)(d - 3)/4 is 0 and the relation is the
+    one-dimensional hypervirial relation on the full line, so the result is
+    the true <x^(s+2)> of state N, even or odd.
     """
     if not isinstance(s, int) or s < 0:
         raise ValueError(f"s must be a non-negative integer, got {s}")

@@ -40,7 +40,6 @@ __all__ = [
     "second_order_2d_partII",
     "second_order_2d",
     "map_Nm_to_nl",
-    "build_state",
 ]
 
 GENERATORS = ("a", "ad", "b", "bd")
@@ -317,16 +316,3 @@ def second_order_2d(s: FockState2D) -> Fraction:
 def map_Nm_to_nl(s: FockState2D) -> QuantumNumbers:
     """Polar (N, m) to radial (d=2, n=(N-|m|)/2, l=|m|)."""
     return QuantumNumbers(2, Fraction(s.N - abs(s.m), 2), abs(s.m))
-
-
-def build_state(N: int, m: int) -> tuple[FockState2D, Fraction]:
-    """Build |N m> from the vacuum with raising operators.
-
-    Returns the target state and the squared amplitude
-    |<N m| ad^n_a bd^n_b |0 0>|^2 normalized by n_a! n_b!, which is exactly 1
-    for every valid (N, m).
-    """
-    target = FockState2D(N, m)
-    raising = LadderExpr.mono(*("ad",) * target.n_a, *("bd",) * target.n_b)
-    amp2 = matrix_element_squared(raising, target, FockState2D(0, 0))
-    return target, amp2 / (math.factorial(target.n_a) * math.factorial(target.n_b))

@@ -1,13 +1,15 @@
-"""Quantum numbers, unperturbed energies and radial eigenfunctions.
+"""Quantum numbers, unperturbed energies and the radial eigenfunction.
 
 Everything here is expressed in dimensionless units hbar = m = omega = 1.
-Energies are exact rationals (coefficients of hbar*omega); eigenfunction
-evaluation is high-precision floating point via mpmath.
+The exact methods read only QuantumNumbers and energy_unperturbed, whose
+energies are exact rationals (coefficients of hbar*omega).  The rest serves
+the oracle: laguerre_fixed builds its quadrature rules in int fixed point,
+and u_derivatives evaluates the normalized eigenfunction and its first two
+derivatives in mpf for the radial residual.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,14 +20,9 @@ __all__ = [
     "UnsupportedDimension",
     "QuantumNumbers",
     "energy_unperturbed",
-    "laguerre_coefficients",
-    "series_coefficients",
     "laguerre_values",
     "laguerre_fixed",
-    "u_eval",
     "u_derivatives",
-    "gamma_rational",
-    "norm_squared_parts",
     "normalization",
 ]
 
@@ -90,79 +87,12 @@ def energy_unperturbed(q: QuantumNumbers) -> Fraction:
     return Fraction(2 * q.big_N + q.d, 2)
 
 
-def laguerre_coefficients(n: int, alpha) -> list[Fraction]:
-    """Monomial coefficients of the generalized Laguerre polynomial L_n^(alpha).
-
-    Returns [c_0, ..., c_n] with L_n^(alpha)(x) = sum c_i x^i,
-    c_i = (-1)^i binom(n+alpha, n-i) / i!, all exact.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n}")
-    alpha = Fraction(alpha)
-    coeffs = []
-    for i in range(n + 1):
-        binom = Fraction(1)
-        for j in range(1, n - i + 1):
-            binom *= (alpha + i + j) / j
-        coeffs.append((-1) ** i * binom / math.factorial(i))
-    return coeffs
-
-
-def series_coefficients(q: QuantumNumbers, i_max: int) -> list[Fraction]:
-    """Power-series coefficients a_i of f(r) from the two-term recursion.
-
-    Seeded with a_0 = 1; odd coefficients vanish for d >= 2 and the series
-    truncates at i = 2n.
-    """
-    if q.d < 2:
-        raise UnsupportedDimension("series recursion requires d >= 2 (odd branch is d=1 only)")
-    if i_max < 0:
-        raise ValueError("i_max must be >= 0")
-    a = [Fraction(0)] * (i_max + 1)
-    a[0] = Fraction(1)
-    for i in range(0, i_max - 1, 2):
-        # (i+2)(i+d+2l) a_{i+2} = (2i + 2l + d - 2E) a_i with E = 2n + l + d/2
-        a[i + 2] = Fraction(2 * i - 4 * q.n) * a[i] / ((i + 2) * (i + q.d + 2 * q.l))
-    return a
-
-
-def gamma_rational(x: Fraction) -> tuple[Fraction, bool]:
-    """Gamma(x) for positive integer or half-integer x.
-
-    Returns (value, has_sqrt_pi): Gamma(x) = value * sqrt(pi) if
-    has_sqrt_pi else value.
-    """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError(f"argument must be positive, got {x}")
-    if x.denominator == 1:
-        return Fraction(math.factorial(x.numerator - 1)), False
-    if x.denominator == 2:
-        # Gamma(k + 1/2) = (2k)! / (4^k k!) * sqrt(pi)
-        k = (x - Fraction(1, 2)).numerator
-        return Fraction(math.factorial(2 * k), 4**k * math.factorial(k)), True
-    raise ValueError(f"argument must be integer or half-integer, got {x}")
-
-
-def norm_squared_parts(q: QuantumNumbers) -> tuple[Fraction, bool]:
-    """A_nl^2 = 2 n! / Gamma(n + l + d/2), kept exact.
-
-    Returns (value, divides_sqrt_pi): A^2 = value / sqrt(pi) when the flag
-    is set (odd d), otherwise A^2 = value.
-    """
+def normalization(q: QuantumNumbers) -> mpf:
+    """Normalization constant A_nl = sqrt(2 n! / Gamma(n + l + d/2)) as a high-precision real."""
     if q.n.denominator != 1:
         raise UnsupportedDimension("normalization requires integer n (d >= 2)")
-    gamma_val, has_pi = gamma_rational(q.n + q.l + Fraction(q.d, 2))
-    return 2 * math.factorial(int(q.n)) / gamma_val, has_pi
-
-
-def normalization(q: QuantumNumbers) -> mpf:
-    """Normalization constant A_nl as a high-precision real."""
-    val, has_pi = norm_squared_parts(q)
-    a2 = mpf(val.numerator) / val.denominator
-    if has_pi:
-        a2 = a2 / mp.sqrt(mp.pi)
-    return mp.sqrt(a2)
+    n = int(q.n)
+    return mp.sqrt(2 * mp.factorial(n) / mp.gamma(n + q.l + mpf(q.d) / 2))
 
 
 def _to_mpf(x) -> mpf:
@@ -176,7 +106,7 @@ def laguerre_values(n: int, alpha, x) -> list:
     """[L_0^(alpha)(x), ..., L_n^(alpha)(x)] by the three-term recurrence in n.
 
     Generic in the number type: pass alpha in x's type.  L_0 is the int 1,
-    and n < 0 gives [].  In the package only the mpf eigenfunctions call it;
+    and n < 0 gives [].  In the package only u_derivatives calls it, in mpf;
     the tests also run it on float and Fraction, as references.
     """
     if n < 0:
@@ -211,17 +141,6 @@ def laguerre_fixed(n: int, alpha: Fraction, X: int, bits: int) -> list[int]:
         prev, curr = curr, ((factor * curr >> bits) - (k * b + a) * prev) // (b * (k + 1))
         values.append(curr)
     return values
-
-
-def u_eval(q: QuantumNumbers, eta) -> mpf:
-    """Radial eigenfunction u_nl(eta) = A eta^((l+1)/2) e^(-eta/2) L_n^(alpha)(eta)."""
-    if q.d < 2:
-        raise UnsupportedDimension("u_eval is defined for d >= 2 only")
-    eta = _to_mpf(eta)
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    value = laguerre_values(int(q.n), _to_mpf(q.alpha), eta)[-1]
-    return normalization(q) * mp.power(eta, mpf(q.l + 1) / 2) * mp.exp(-eta / 2) * value
 
 
 def u_derivatives(q: QuantumNumbers, r) -> tuple[mpf, mpf, mpf]:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from mpmath import mp
 
 from salpeter_qho import kramers, oracle
 from salpeter_qho.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -160,6 +163,24 @@ class TestVerify:
         assert json.loads(target.read_text())["passed"] is True
         # summary lines still go to stdout
         assert "[pass]" in out
+
+    @pytest.mark.parametrize(
+        "golden,extra,expected_code",
+        [("verify_small.json", [], 0), ("verify_small_perturb.json", ["--perturb"], 1)],
+        ids=["small", "small-perturb"],
+    )
+    def test_report_matches_golden(
+        self, capsys, tmp_path, monkeypatch, golden, extra, expected_code
+    ):
+        # the report, the status lines and the exit code at the default precision
+        monkeypatch.delenv("SALPETER_PRECISION", raising=False)
+        expected = (GOLDEN / golden).read_bytes()
+        target = tmp_path / "report.json"
+        code, out, err = run(capsys, "verify", "--grid", "small", *extra, "--report", str(target))
+        assert target.read_bytes() == expected
+        checks = json.loads(expected)["checks"]
+        assert out == "".join(f"[{rec['status']}] {rec['case']}\n" for rec in checks)
+        assert (code, err) == (expected_code, "")
 
 
 class TestOracleCommand:

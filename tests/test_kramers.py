@@ -34,6 +34,21 @@ def reference_moment_r_even(q, s):
     return curr
 
 
+def fock_moment(N, k):
+    """<N|x^k|N> for even k, x = (a + ad)/sqrt(2) applied to the unnormalized
+    |n) = ad^n |0), where a|n) = n|n - 1) and ad|n) = |n + 1).  Since (n|n) = n!,
+    the coefficient of |N) in (a + ad)^k |N) is already <N|(a + ad)^k|N>."""
+    ket = {N: 1}
+    for _ in range(k):
+        image = {}
+        for n, c in ket.items():
+            if n:
+                image[n - 1] = image.get(n - 1, 0) + n * c
+            image[n + 1] = image.get(n + 1, 0) + c
+        ket = image
+    return Fraction(ket.get(N, 0), 2 ** (k // 2))
+
+
 class TestMomentR2:
     def test_examples(self):
         assert moment_r2(QuantumNumbers(3, 0, 0)) == F(3, 2)
@@ -61,6 +76,12 @@ class TestMomentEven:
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):
             moment_r_even(QuantumNumbers(3, 0, 0), -2)
+
+    def test_d1_is_the_fock_space_moment(self):
+        # d = 1 is the full-line oscillator: both parities give the true <x^(s+2)>
+        for N in range(12):
+            for s in range(0, 9, 2):
+                assert moment_r_even(QuantumNumbers.one_dim(N), s) == fock_moment(N, s + 2)
 
     def test_eta_moment_wrapper(self):
         q = QuantumNumbers(3, 0, 0)
@@ -119,7 +140,7 @@ class TestFirstOrderMethod1:
                     q = QuantumNumbers(d, n, l)
                     assert first_order_method1(q) == epsilon1_general(q)
 
-    def test_cross_method_d1_formal(self):
+    def test_cross_method_d1(self):
         for N in range(41):
             q = QuantumNumbers.one_dim(N)
             assert first_order_method1(q) == epsilon1_general(q)

@@ -1,5 +1,6 @@
 """Method III: polar ladder operators in two dimensions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from salpeter_qho.ladder2d import (
     FockState2D,
     LadderExpr,
     Monomial,
-    build_state,
     expectation,
     first_order_2d,
     map_Nm_to_nl,
@@ -312,15 +312,13 @@ class TestMapAndBuild:
         q = map_Nm_to_nl(FockState2D(N, m))
         assert (q.d, q.n, q.l) == (2, n, l)
 
-    def test_build_state(self):
-        assert build_state(0, 0) == (FockState2D(0, 0), 1)
-        assert build_state(1, 1) == (FockState2D(1, 1), 1)
-        assert build_state(2, 0) == (FockState2D(2, 0), 1)
-
     def test_build_state_grid(self):
+        # raising the vacuum, ad^n_a bd^n_b |0 0> = sqrt(n_a! n_b!) |N m>
+        vacuum = FockState2D(0, 0)
         for s in ladder_grid(8):
-            state, amp2 = build_state(s.N, s.m)
-            assert state == s and amp2 == 1
+            raising = mono(*("ad",) * s.n_a, *("bd",) * s.n_b)
+            expected = math.factorial(s.n_a) * math.factorial(s.n_b)
+            assert matrix_element_squared(raising, s, vacuum) == expected
 
 
 def test_public_functions_return_fractions():
@@ -335,7 +333,6 @@ def test_public_functions_return_fractions():
         second_order_2d_partI(s),
         second_order_2d_partII(s),
         second_order_2d(s),
-        build_state(2, 0)[1],
         *normal_order(p4_expr()).values(),
     ]
     assert all(type(r) is Fraction for r in results)

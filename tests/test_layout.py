@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import salpeter_qho
+from salpeter_qho import states
 
 PACKAGE_DIR = Path(salpeter_qho.__path__[0])
 MODULES = sorted(m.name for m in pkgutil.iter_modules(salpeter_qho.__path__))
@@ -87,3 +88,19 @@ def test_scan_sees_package_imports():
     assert set(METHODS) | {"oracle", "spectrum", "states"} <= package_imports("checks")
     assert package_imports("spectrum") == {"corrections"}
     assert {"QuantumNumbers", "laguerre_fixed", "u_derivatives"} <= names_from_states("oracle")
+
+
+def names_used_in_package() -> set[str]:
+    """Every name the package's modules load or take as an attribute, outside the
+    top-level def or class of that same name (a recursive helper is still dead)."""
+    used = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            names = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)}
+            used |= names - {getattr(top, "name", None)}
+    return used
+
+
+def test_states_exports_only_what_the_package_uses():
+    assert sorted(set(states.__all__) - names_used_in_package()) == []

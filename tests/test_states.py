@@ -1,9 +1,9 @@
-"""Quantum numbers, energies, Laguerre/series coefficients, u evaluation."""
+"""Quantum numbers, energies, the Laguerre recurrence and the radial eigenfunction."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -12,12 +12,8 @@ from salpeter_qho.states import (
     QuantumNumbers,
     UnsupportedDimension,
     energy_unperturbed,
-    gamma_rational,
-    laguerre_coefficients,
     laguerre_values,
-    norm_squared_parts,
-    series_coefficients,
-    u_eval,
+    u_derivatives,
 )
 
 F = Fraction
@@ -81,103 +77,86 @@ class TestEnergy:
         assert energy_unperturbed(QuantumNumbers(d, n, l + 1)) == e + 1
 
 
-class TestLaguerreCoefficients:
-    def test_constant(self):
-        assert laguerre_coefficients(0, F(7, 2)) == [1]
-        assert laguerre_coefficients(0, 0) == [1]
-
-    def test_n1_half_alpha(self):
-        assert laguerre_coefficients(1, F(1, 2)) == [F(3, 2), -1]
-
-    def test_n2_alpha0(self):
-        assert laguerre_coefficients(2, 0) == [1, -2, F(1, 2)]
-
-    def test_rejects_negative_n(self):
-        with pytest.raises(ValueError):
-            laguerre_coefficients(-1, 0)
-
-
-class TestSeriesCoefficients:
-    def test_ground_state_constant(self):
-        assert series_coefficients(QuantumNumbers(2, 0, 0), 4) == [1, 0, 0, 0, 0]
-
-    def test_d3_n1_ratio(self):
-        a = series_coefficients(QuantumNumbers(3, 1, 0), 2)
-        assert a[2] / a[0] == F(-2, 3)
-
-    def test_truncation(self):
-        a = series_coefficients(QuantumNumbers(2, 1, 1), 4)
-        assert a[4] == 0 and a[2] != 0
-
-    def test_odd_coefficients_vanish(self):
-        a = series_coefficients(QuantumNumbers(4, 3, 2), 8)
-        assert all(a[i] == 0 for i in range(1, 9, 2))
-
-    def test_d1_rejected(self):
-        with pytest.raises(UnsupportedDimension):
-            series_coefficients(QuantumNumbers.one_dim(2), 4)
-
-    @settings(deadline=None)
-    @given(d=st.integers(2, 6), n=st.integers(0, 12), l=st.integers(0, 6))
-    def test_matches_laguerre_up_to_scale(self, d, n, l):
-        """The power-series recursion and the Laguerre closed form must agree
-        up to one overall multiplicative constant."""
-        q = QuantumNumbers(d, n, l)
-        a = series_coefficients(q, 2 * n)
-        c = laguerre_coefficients(n, q.alpha)
-        scale = a[0] / c[0]
-        assert all(a[2 * k] == scale * c[k] for k in range(n + 1))
-
-
-class TestGammaRational:
-    def test_integer(self):
-        assert gamma_rational(F(5)) == (24, False)
-
-    def test_half_integer(self):
-        # Gamma(1/2) = sqrt(pi), Gamma(5/2) = 3/4 sqrt(pi)
-        assert gamma_rational(F(1, 2)) == (1, True)
-        assert gamma_rational(F(5, 2)) == (F(3, 4), True)
-
-    def test_norm_squared_d2(self):
-        assert norm_squared_parts(QuantumNumbers(2, 0, 0)) == (2, False)
+def u_at(q, eta):
+    """u at r = sqrt(eta), as u_derivatives returns it."""
+    eta = F(eta)
+    return u_derivatives(q, mp.sqrt(mpf(eta.numerator) / eta.denominator))[0]
 
 
 class TestUEval:
+    """The radial eigenfunction u = A r^(l+1) e^(-r^2/2) L_n^(alpha)(r^2), as evaluated
+    by u_derivatives, the package's one eigenfunction."""
+
     def test_zero_at_origin(self):
-        assert u_eval(QuantumNumbers(3, 0, 0), 0) == 0
+        # u_derivatives refuses r = 0; u = A r (1 + O(r^2)) for the d = 3 ground state
+        for r in (mpf("1e-10"), mpf("1e-20")):
+            assert 0 < u_derivatives(QuantumNumbers(3, 0, 0), r)[0] < 2 * r
 
     def test_d2_ground_value(self):
         # A_00 = sqrt(2) for d=2
-        got = u_eval(QuantumNumbers(2, 0, 0), 1)
-        assert abs(got - mp.sqrt(2) * mp.exp(mpf(-1) / 2)) < mpf("1e-40")
+        with mp.workdps(50):
+            got = u_at(QuantumNumbers(2, 0, 0), 1)
+            assert abs(got - mp.sqrt(2) * mp.exp(mpf(-1) / 2)) < mpf("1e-40")
 
     def test_sign_change_at_laguerre_root(self):
         q = QuantumNumbers(3, 1, 0)
-        assert u_eval(q, F(14, 10)) > 0 > u_eval(q, F(16, 10))
-        assert abs(u_eval(q, F(3, 2))) < mpf("1e-40")
+        assert u_at(q, F(14, 10)) > 0 > u_at(q, F(16, 10))
+        with mp.workdps(50):  # r = sqrt(3/2) is rounded, so u there is rounding noise
+            assert abs(u_at(q, F(3, 2))) < mpf("1e-40")
 
     def test_d1_unsupported(self):
         with pytest.raises(UnsupportedDimension):
-            u_eval(QuantumNumbers.one_dim(0), 1)
+            u_derivatives(QuantumNumbers.one_dim(0), 1)
 
     @pytest.mark.parametrize("d,n,l", [(2, 0, 0), (3, 2, 1), (5, 4, 3)])
     def test_gaussian_decay(self, d, n, l):
         q = QuantumNumbers(d, n, l)
         eta = 50 * (2 * n + l + d)
-        assert abs(u_eval(q, eta)) < mpf("1e-10")
+        assert abs(u_at(q, eta)) < mpf("1e-10")
 
     def test_recurrence_matches_monomial_expansion(self):
         for alpha in (F(0), F(1, 2), F(7, 2), F(30)):
             float_values = laguerre_values(12, float(alpha), 1.5)
             with mp.workdps(50):
                 x = mpf(3) / 2
-                mp_values = laguerre_values(12, mpf(alpha.numerator) / alpha.denominator, x)
+                a = mpf(alpha.numerator) / alpha.denominator
+                mp_values = laguerre_values(12, a, x)
                 assert len(mp_values) == len(float_values) == 13
                 for n in range(13):
-                    coeffs = laguerre_coefficients(n, alpha)
-                    terms = (mpf(c.numerator) / c.denominator * x**i for i, c in enumerate(coeffs))
-                    direct = sum(terms)
+                    # L_n^(alpha)(x) = sum_i (-1)^i binom(n + alpha, n - i) x^i / i!
+                    direct = sum(
+                        (-1) ** i * mp.binomial(n + a, n - i) * x**i / mp.factorial(i)
+                        for i in range(n + 1)
+                    )
                     assert abs(mp_values[n] - direct) < mpf("1e-40") * max(1, abs(direct))
                     assert abs(float_values[n] - float(direct)) <= 1e-9 * abs(float(direct))
         assert laguerre_values(0, mpf(2), mpf(3)) == laguerre_values(0, 2.0, 3.0) == [1]
         assert laguerre_values(-1, mpf(2), mpf(3)) == laguerre_values(-2, 2.0, 3.0) == []
+
+
+class TestUDerivatives:
+    @pytest.mark.parametrize("d,n,l,r", [(3, 2, 1, "1.3"), (2, 0, 0, "0.7"), (5, 4, 3, "2")])
+    def test_derivatives_match_numerical_differentiation(self, d, n, l, r):
+        q = QuantumNumbers(d, n, l)
+        with mp.workdps(50):
+            r = mpf(r)
+            _, du, d2u = u_derivatives(q, r)
+
+            def u(x):
+                return u_derivatives(q, x)[0]
+
+            assert abs(du - mp.diff(u, r, 1)) < mpf("1e-45")
+            assert abs(d2u - mp.diff(u, r, 2)) < mpf("1e-45")
+
+    @pytest.mark.parametrize("d,n,l", [(2, 0, 0), (3, 2, 1), (4, 1, 3), (7, 3, 0)])
+    def test_normalized_under_radial_measure(self, d, n, l):
+        # A normalizes u under the measure r^(d-3) dr; plain u^2 dr integrates to 1 only for d = 3
+        q = QuantumNumbers(d, n, l)
+        with mp.workdps(30):
+            norm = mp.quad(lambda r: u_derivatives(q, r)[0] ** 2 * r ** (d - 3), [0, 2, mp.inf])
+            assert abs(norm - 1) < mpf("1e-25")
+
+    @pytest.mark.parametrize("r", [0, -1, F(-1, 2)])
+    def test_rejects_non_positive_radius(self, r):
+        with pytest.raises(ValueError):
+            u_derivatives(QuantumNumbers(3, 0, 0), r)
