@@ -312,6 +312,14 @@ class TestMapAndBuild:
         q = map_Nm_to_nl(FockState2D(N, m))
         assert (q.d, q.n, q.l) == (2, n, l)
 
+    def test_build_state(self):
+        # each of these states is reached from the vacuum with amplitude 1 and
+        # no other image (n_a! n_b! = 1 for all three)
+        vacuum = FockState2D(0, 0)
+        assert images(LadderExpr.one(), vacuum, 4) == {FockState2D(0, 0): 1}
+        assert images(mono("bd"), vacuum, 4) == {FockState2D(1, 1): 1}
+        assert images(mono("ad", "bd"), vacuum, 4) == {FockState2D(2, 0): 1}
+
     def test_build_state_grid(self):
         # raising the vacuum, ad^n_a bd^n_b |0 0> = sqrt(n_a! n_b!) |N m>
         vacuum = FockState2D(0, 0)
