@@ -250,7 +250,11 @@ def run_verification(grid: str = "small", perturb: bool = False) -> tuple[bool, 
 
 
 def cmd_verify(args) -> int:
-    passed, records = run_verification(grid=args.grid, perturb=args.perturb)
+    try:
+        passed, records = run_verification(grid=args.grid, perturb=args.perturb)
+    except ArithmeticError as exc:
+        print(f"error: {exc}; try a higher SALPETER_PRECISION", file=sys.stderr)
+        return USAGE_ERROR
     report = {"grid": args.grid, "perturb": args.perturb, "passed": passed, "checks": records}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     _write_output(text, args.report)

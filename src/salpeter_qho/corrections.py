@@ -11,32 +11,11 @@ one Fraction is built per result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .states import QuantumNumbers, energy_unperturbed
 
-__all__ = [
-    "CorrectionTriple",
-    "epsilon1_general",
-    "epsilon1_rewritten",
-    "epsilon2_general",
-    "correction_triple",
-]
-
-
-@dataclass(frozen=True)
-class CorrectionTriple:
-    """Unperturbed energy plus first and second-order corrections."""
-
-    epsilon0: Fraction
-    epsilon1: Fraction
-    epsilon2: Fraction
-
-    def shifted_energy(self, lam: Fraction) -> Fraction:
-        """Total energy coefficient epsilon0 + lam*epsilon1 + lam^2*epsilon2."""
-        lam = Fraction(lam)
-        return self.epsilon0 + lam * self.epsilon1 + lam * lam * self.epsilon2
+__all__ = ["epsilon1_general", "epsilon1_rewritten", "epsilon2_general"]
 
 
 def _scaled_corrections(d: int, m: int, l: int) -> tuple[int, int]:
@@ -89,12 +68,3 @@ def epsilon1_rewritten(q: QuantumNumbers) -> Fraction:
 def epsilon2_general(q: QuantumNumbers) -> Fraction:
     """Second-order correction, always positive."""
     return Fraction(_scaled_corrections(q.d, q.big_N - q.l, q.l)[1], 512)
-
-
-def correction_triple(q: QuantumNumbers) -> CorrectionTriple:
-    """Bundle (epsilon0, epsilon1, epsilon2) for a state."""
-    return CorrectionTriple(
-        epsilon0=energy_unperturbed(q),
-        epsilon1=epsilon1_general(q),
-        epsilon2=epsilon2_general(q),
-    )

@@ -9,25 +9,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .states import QuantumNumbers, energy_unperturbed
+from .states import QuantumNumbers
 
-__all__ = ["moment_r2", "moment_r_even", "moment_eta", "first_order_method1"]
-
-
-def moment_r2(q: QuantumNumbers) -> Fraction:
-    """<r^2> = 2n + l + d/2 (Feynman-Hellmann), equal to epsilon0."""
-    return energy_unperturbed(q)
+__all__ = ["moment_r_even", "moment_eta", "first_order_method1"]
 
 
 def moment_r_even(q: QuantumNumbers, s: int) -> Fraction:
     """<r^(s+2)> by forward recursion in the relation index s.
 
     The recursion is seeded with <r^0> = 1; at s = 0 the <r^(s-2)> term
-    carries a factor of s and drops out, so the relation self-seeds and
-    reproduces moment_r2.  For d = 1 (l = 0, n = N/2) the centrifugal
-    coefficient l(l + d - 2) + (d - 1)(d - 3)/4 is 0 and the relation is the
-    one-dimensional hypervirial relation on the full line, so the result is
-    the true <x^(s+2)> of state N, even or odd.
+    carries a factor of s and drops out, so the relation self-seeds and gives
+    <r^2> = 2n + l + d/2, the unperturbed energy.  For d = 1 (l = 0,
+    n = N/2) the centrifugal coefficient l(l + d - 2) + (d - 1)(d - 3)/4 is
+    0 and the relation is the one-dimensional hypervirial relation on the
+    full line, so the result is the true <x^(s+2)> of state N, even or odd.
     """
     if not isinstance(s, int) or s < 0:
         raise ValueError(f"s must be a non-negative integer, got {s}")

@@ -36,8 +36,6 @@ __all__ = [
     "p6_zero_expr",
     "normal_order",
     "first_order_2d",
-    "second_order_2d_partI",
-    "second_order_2d_partII",
     "second_order_2d",
     "map_Nm_to_nl",
 ]
@@ -297,18 +295,9 @@ def first_order_2d(s: FockState2D) -> Fraction:
     return Fraction(-_diagonal(_K0, s), 8)
 
 
-def second_order_2d_partI(s: FockState2D) -> Fraction:
-    """Diagonal second-order part, <p6_0>/16 by operator application."""
-    return Fraction(_diagonal(_P6_ZERO, s), 16)
-
-
-def second_order_2d_partII(s: FockState2D) -> Fraction:
-    """Sum-over-states part from the squared R2/L2/R4/L4 transitions."""
-    return Fraction(*_part2(s))
-
-
 def second_order_2d(s: FockState2D) -> Fraction:
-    """Full two-dimensional second-order correction, part I plus part II as one Fraction."""
+    """Full 2D second-order correction as one Fraction: part I, <p6_0>/16 by
+    operator application, plus part II from the squared R2/L2/R4/L4 transitions."""
     num, total = _part2(s)
     return Fraction(_diagonal(_P6_ZERO, s) * total + 16 * num, 16 * total)
 

@@ -19,14 +19,7 @@ from fractions import Fraction
 
 from .states import QuantumNumbers
 
-__all__ = [
-    "eta2_expectation",
-    "first_order_method2",
-    "eta3_expectation",
-    "second_order_part1",
-    "second_order_part2",
-    "second_order_method2",
-]
+__all__ = ["first_order_method2", "second_order_part2", "second_order_method2"]
 
 
 def _rung(q: QuantumNumbers, j: int) -> tuple[int, int]:
@@ -36,36 +29,19 @@ def _rung(q: QuantumNumbers, j: int) -> tuple[int, int]:
     return ((k + 2) * (e - k) if k + 2 > 0 else 0), e
 
 
-def eta2_expectation(q: QuantumNumbers) -> Fraction:
-    """<eta^2> = D_n^2 + eps0^2 + D_{n-1}^2."""
-    (a, e), (b, _) = _rung(q, 0), _rung(q, -1)
-    return Fraction(a + e * e + b, 4)
-
-
 def first_order_method2(q: QuantumNumbers) -> Fraction:
-    """epsilon1 = -<eta^2>/8 from the eigenfunction recurrence."""
+    """epsilon1 = -<eta^2>/8, with <eta^2> = D_n^2 + eps0^2 + D_{n-1}^2."""
     (a, e), (b, _) = _rung(q, 0), _rung(q, -1)
     return Fraction(-(a + e * e + b), 32)
 
 
 def _eta3_numerator(a: int, e: int, b: int) -> int:
-    """8 <eta^3>, from the rungs 4 D^2 at n, n-1 and 2 eps0 at n."""
-    return a * (3 * e + 4) + b * (3 * e - 4) + e**3
+    """8 <eta^3>, from the rungs 4 D^2 at n, n-1 and 2 eps0 at n.
 
-
-def eta3_expectation(q: QuantumNumbers) -> Fraction:
-    """<eta^3> = D_n^2 (eps0(n+1) + 2 eps0) + D_{n-1}^2 (eps0(n-1) + 2 eps0) + eps0^3.
-
-    In rungs, 2 eps0(n+-1) = 2 eps0 +- 4.
+    <eta^3> = D_n^2 (eps0(n+1) + 2 eps0) + D_{n-1}^2 (eps0(n-1) + 2 eps0) + eps0^3,
+    and in rungs 2 eps0(n+-1) = 2 eps0 +- 4.
     """
-    (a, e), (b, _) = _rung(q, 0), _rung(q, -1)
-    return Fraction(_eta3_numerator(a, e, b), 8)
-
-
-def second_order_part1(q: QuantumNumbers) -> Fraction:
-    """Diagonal part of the second-order correction, <eta^3>/16."""
-    (a, e), (b, _) = _rung(q, 0), _rung(q, -1)
-    return Fraction(_eta3_numerator(a, e, b), 128)
+    return a * (3 * e + 4) + b * (3 * e - 4) + e**3
 
 
 def _part2_numerator(a2: int, a: int, e: int, b: int, b2: int) -> int:
@@ -87,6 +63,6 @@ def second_order_part2(q: QuantumNumbers) -> Fraction:
 
 
 def second_order_method2(q: QuantumNumbers) -> Fraction:
-    """Full second-order correction, part I plus part II, over one denominator 4096."""
+    """Full second-order correction, part I <eta^3>/16 plus part II, over one denominator 4096."""
     (a2, _), (a, e), (b, _), (b2, _) = (_rung(q, j) for j in (1, 0, -1, -2))
     return Fraction(32 * _eta3_numerator(a, e, b) + _part2_numerator(a2, a, e, b, b2), 4096)

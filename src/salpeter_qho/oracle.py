@@ -35,7 +35,8 @@ straight from the int L_k(x_i) 2^P, times the mpf mantissas of c_k and
 sqrt(w_i), as soon as it is built, so no rule holds mpf rows.  A sum on one
 rule is then one int sum, sum_i X_i^s Q_(i,n1) Q_(i,n2) = <u_n1|eta^s|u_n2>
 2^(B (s + 2)), rounded once to working precision; no per-call result is
-cached.  Each build checks its nodes (positive, strictly increasing), its
+cached.  Each build checks its polish (a last Newton step small enough for
+X to hold dps + 10 digits), its nodes (positive, strictly increasing), its
 weights (summing to Gamma(alpha + 1) to 10^(5 - dps)) and
 sum_i Q_i0^2 = <p_0|p_0> 2^(2B) against 2^(2B) to the weights' tolerance, so
 a table that disagrees with its weights is never cached.
@@ -86,6 +87,7 @@ __all__ = [
 DEFAULT_DPS = 50
 MAX_NODES = 384  # the fine rule of <eta^2> at n = 250
 SEED_SHIFT = 64  # fixed-point bits of the seeds: a double's mantissa at the smallest zero
+GUARD_BITS = 32  # of the polish, beyond the dps + 10 digits each node holds
 
 # (alpha, npoints, dps) -> ((nodes, weights), (bits, xs, columns)); see _rule_entry
 _rule_cache: dict = {}
@@ -165,13 +167,21 @@ def _polish(z: float, n: int, alpha: Fraction, shift: int, steps: int) -> int:
     """The zero of L_n^(alpha) next to the seed z, times 2^shift, as an int.
 
     Newton steps on X = x 2^shift with the int recurrence, each
-    X -= X L_n / (x L_n') with x L_n' = n L_n - (n + alpha) L_(n-1).
+    X -= X L_n / (x L_n') with x L_n' = n L_n - (n + alpha) L_(n-1).  The
+    last step measures the error before it, and Newton leaves about its
+    square, so X holds its dps + 10 digits, shift - GUARD_BITS bits, only if
+    that step is at most X 2^-((shift - GUARD_BITS) // 2).  A larger one, from
+    a seed poorer than the step count assumes, raises ArithmeticError.
     """
     a, b = alpha.numerator, alpha.denominator
-    X = int(math.ldexp(z, shift))
+    num, den = z.as_integer_ratio()
+    X = (num << shift) // den
     for _ in range(steps):
         *_, prev, curr = laguerre_fixed(n, alpha, X, shift)
-        X -= X * b * curr // (n * b * curr - (n * b + a) * prev)
+        step = X * b * curr // (n * b * curr - (n * b + a) * prev)
+        X -= step
+    if abs(step) > X >> ((shift - GUARD_BITS) // 2):
+        raise ArithmeticError(f"rule alpha={alpha} npoints={n}: Newton polish did not converge")
     return X
 
 
@@ -210,8 +220,8 @@ def _rule_entry(alpha, npoints: int) -> tuple:
         _rule_stats["misses"] += 1
     start = time.perf_counter()
     seeds = _seed_zeros(alpha, npoints)
-    # the recurrence at dps + 10 digits and 32 guard bits
-    shift = math.ceil((dps + 10) * math.log2(10)) + 32
+    # the recurrence at dps + 10 digits and GUARD_BITS
+    shift = math.ceil((dps + 10) * math.log2(10)) + GUARD_BITS
     # the seeds hold about 12 digits and each Newton step doubles them
     steps = math.ceil(math.log2((dps + 10) / 12))
     fixed_nodes = [_polish(z, npoints, alpha, shift, steps) for z in seeds]

@@ -165,22 +165,37 @@ class TestVerify:
         assert "[pass]" in out
 
     @pytest.mark.parametrize(
-        "golden,extra,expected_code",
-        [("verify_small.json", [], 0), ("verify_small_perturb.json", ["--perturb"], 1)],
-        ids=["small", "small-perturb"],
+        "golden,argv,expected_code",
+        [
+            ("verify_small.json", ["--grid", "small"], 0),
+            ("verify_small_perturb.json", ["--grid", "small", "--perturb"], 1),
+            ("verify_large.json", ["--grid", "large"], 0),
+            ("verify_large_perturb.json", ["--grid", "large", "--perturb"], 1),
+        ],
+        ids=["small", "small-perturb", "large", "large-perturb"],
     )
     def test_report_matches_golden(
-        self, capsys, tmp_path, monkeypatch, golden, extra, expected_code
+        self, capsys, tmp_path, monkeypatch, golden, argv, expected_code
     ):
         # the report, the status lines and the exit code at the default precision
         monkeypatch.delenv("SALPETER_PRECISION", raising=False)
         expected = (GOLDEN / golden).read_bytes()
         target = tmp_path / "report.json"
-        code, out, err = run(capsys, "verify", "--grid", "small", *extra, "--report", str(target))
+        code, out, err = run(capsys, "verify", *argv, "--report", str(target))
         assert target.read_bytes() == expected
         checks = json.loads(expected)["checks"]
         assert out == "".join(f"[{rec['status']}] {rec['case']}\n" for rec in checks)
         assert (code, err) == (expected_code, "")
+
+    def test_quadrature_failure_is_usage_error(self, capsys, monkeypatch):
+        def fail(alpha, npoints):
+            raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
+
+        monkeypatch.setattr(oracle, "_rule_entry", fail)
+        code, out, err = run(capsys, "verify")
+        assert code == 2 and out == ""
+        assert err.startswith("error: rule alpha=") and err.count("\n") == 1
+        assert "SALPETER_PRECISION" in err
 
 
 class TestOracleCommand:
@@ -194,6 +209,14 @@ class TestOracleCommand:
     def test_invalid_state(self, capsys):
         code, _, err = run(capsys, "oracle", "--d", "3", "--n", "-1", "--l", "0")
         assert code == 2 and "error" in err
+
+    def test_high_precision(self, capsys, monkeypatch):
+        # past 1024 bits of fixed point, the seeds still enter the polish exactly
+        monkeypatch.setenv("SALPETER_PRECISION", "300")
+        code, out, err = run(capsys, "oracle", "--d", "3", "--n", "2", "--s", "2")
+        assert (code, err) == (0, "")
+        assert "exact      = 183/4" in out
+        assert float(out.strip().split("\n")[-1].split("=")[1]) < 1e-290
 
     def test_quadrature_failure_is_usage_error(self, capsys, monkeypatch):
         def fail(q, s):

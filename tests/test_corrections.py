@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from salpeter_qho import kramers, ladder2d, laguerre_me
 from salpeter_qho.checks import radial_grid
-from salpeter_qho.corrections import (
-    correction_triple,
-    epsilon1_general,
-    epsilon1_rewritten,
-    epsilon2_general,
-)
-from salpeter_qho.states import QuantumNumbers
+from salpeter_qho.corrections import epsilon1_general, epsilon1_rewritten, epsilon2_general
+from salpeter_qho.spectrum import level_table
+from salpeter_qho.states import QuantumNumbers, energy_unperturbed
 
 F = Fraction
+
+
+def triple(q):
+    """(epsilon0, epsilon1, epsilon2) of a state."""
+    return energy_unperturbed(q), epsilon1_general(q), epsilon2_general(q)
 
 
 class TestFirstOrder:
@@ -101,16 +102,13 @@ class TestSecondOrder:
 
 class TestTripleAndInvariants:
     def test_triple_3d(self):
-        t = correction_triple(QuantumNumbers(3, 0, 0))
-        assert (t.epsilon0, t.epsilon1, t.epsilon2) == (F(3, 2), F(-15, 32), F(255, 512))
+        assert triple(QuantumNumbers(3, 0, 0)) == (F(3, 2), F(-15, 32), F(255, 512))
 
     def test_triple_2d(self):
-        t = correction_triple(QuantumNumbers(2, 0, 0))
-        assert (t.epsilon0, t.epsilon1, t.epsilon2) == (1, F(-1, 4), F(15, 64))
+        assert triple(QuantumNumbers(2, 0, 0)) == (1, F(-1, 4), F(15, 64))
 
     def test_triple_1d_N1(self):
-        t = correction_triple(QuantumNumbers.one_dim(1))
-        assert (t.epsilon0, t.epsilon1, t.epsilon2) == (F(3, 2), F(-15, 32), F(255, 512))
+        assert triple(QuantumNumbers.one_dim(1)) == (F(3, 2), F(-15, 32), F(255, 512))
 
     def test_signs_on_grid(self):
         for q in radial_grid(10, 12, 24):
@@ -123,9 +121,9 @@ class TestTripleAndInvariants:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_shifted_energy(self):
-        t = correction_triple(QuantumNumbers(2, 0, 0))
-        lam = F(1, 100)
-        assert t.shifted_energy(lam) == 1 - F(1, 400) + F(15, 640000)
+        # the level table's energy column, eps0 + lam eps1 + lam^2 eps2, at the d = 2 ground state
+        (row,) = level_table(0, 2, F(1, 100)).rows
+        assert row.energy == 1 - F(1, 400) + F(15, 640000)
 
 
 large_states = st.one_of(
@@ -158,8 +156,10 @@ class TestLargeQuantumNumbers:
         assert epsilon1_rewritten(q) == e1
         assert laguerre_me.first_order_method2(q) == e1
         e2 = epsilon2_general(q)
-        assert laguerre_me.second_order_part1(q) + laguerre_me.second_order_part2(q) == e2
         assert laguerre_me.second_order_method2(q) == e2
+        # part I is <eta^3>/16, the Kramers moment
+        part1 = e2 - laguerre_me.second_order_part2(q)
+        assert 16 * part1 == kramers.moment_eta(q, 3)
 
     @given(s=large_fock_states)
     def test_ladder_agreement(self, s):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from salpeter_qho import checks, corrections, kramers, ladder2d, laguerre_me, oracle, spectrum
-from salpeter_qho.states import QuantumNumbers
+from salpeter_qho.states import QuantumNumbers, energy_unperturbed
 
 SMALL = checks.GRIDS["small"]
 SMALL_RADIAL = checks.radial_grid(SMALL["d_max"], SMALL["nl_max"], SMALL["N1_max"])
@@ -71,7 +71,7 @@ def closed_form_e1_minus_one(d, m, l):
 def kramers_angular_off_by_one(q, s):
     """kramers._moment's (numerator, denominator) of <r^(s+2)>, from the
     Fraction recursion with 2t(ang + 1) in place of 2t ang."""
-    e, ang = kramers.energy_unperturbed(q), q.d - 2 + q.l * (q.l + q.d - 2)
+    e, ang = energy_unperturbed(q), q.d - 2 + q.l * (q.l + q.d - 2)
     prev, curr = Fraction(0), Fraction(1)
     for t in range(0, s + 2, 2):
         coeff = 2 * t * ang + Fraction(t, 2) * (4 - q.d - t) * (4 - q.d + t)

@@ -11,7 +11,6 @@ from salpeter_qho.corrections import epsilon1_general
 from salpeter_qho.kramers import (
     first_order_method1,
     moment_eta,
-    moment_r2,
     moment_r_even,
 )
 from salpeter_qho.states import QuantumNumbers, energy_unperturbed
@@ -51,9 +50,14 @@ def fock_moment(N, k):
 
 class TestMomentR2:
     def test_examples(self):
-        assert moment_r2(QuantumNumbers(3, 0, 0)) == F(3, 2)
-        assert moment_r2(QuantumNumbers.one_dim(0)) == F(1, 2)
-        assert moment_r2(QuantumNumbers(2, 1, 1)) == 4
+        # <r^2> = 2n + l + d/2 = epsilon0
+        examples = [
+            (QuantumNumbers(3, 0, 0), F(3, 2)),
+            (QuantumNumbers.one_dim(0), F(1, 2)),
+            (QuantumNumbers(2, 1, 1), 4),
+        ]
+        for q, r2 in examples:
+            assert moment_r_even(q, 0) == energy_unperturbed(q) == r2
 
 
 class TestMomentEven:
@@ -67,7 +71,7 @@ class TestMomentEven:
     @pytest.mark.parametrize("d,n,l", [(2, 0, 0), (3, 4, 2), (7, 1, 5)])
     def test_self_seeding(self, d, n, l):
         q = QuantumNumbers(d, n, l)
-        assert moment_r_even(q, 0) == moment_r2(q)
+        assert moment_r_even(q, 0) == energy_unperturbed(q)
 
     def test_odd_s_rejected(self):
         with pytest.raises(ValueError):
@@ -86,7 +90,7 @@ class TestMomentEven:
     def test_eta_moment_wrapper(self):
         q = QuantumNumbers(3, 0, 0)
         assert moment_eta(q, 0) == 1
-        assert moment_eta(q, 1) == moment_r2(q)
+        assert moment_eta(q, 1) == energy_unperturbed(q)
         assert moment_eta(q, 2) == F(15, 4)
 
     def test_positive_and_increasing_in_n(self):
@@ -148,6 +152,6 @@ class TestFirstOrderMethod1:
 
 def test_public_functions_return_fractions():
     q = QuantumNumbers(2, 0, 0)
-    results = [moment_r2(q), moment_r_even(q, 0), moment_r_even(q, 2), first_order_method1(q)]
+    results = [moment_r_even(q, 0), moment_r_even(q, 2), first_order_method1(q)]
     results += [moment_eta(q, s) for s in range(3)]
     assert all(type(r) is Fraction for r in results)

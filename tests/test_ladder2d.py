@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from salpeter_qho import ladder2d
+from salpeter_qho import ladder2d, laguerre_me
 from salpeter_qho.checks import ladder_grid
 from salpeter_qho.corrections import epsilon1_general, epsilon2_general
 from salpeter_qho.ladder2d import (
@@ -22,13 +22,21 @@ from salpeter_qho.ladder2d import (
     p4_operators,
     p6_zero_expr,
     second_order_2d,
-    second_order_2d_partI,
-    second_order_2d_partII,
 )
 from salpeter_qho.states import InvalidQuantumNumbers, QuantumNumbers, energy_unperturbed
 
 F = Fraction
 mono = LadderExpr.mono
+
+
+def part1(s):
+    """Part I of the 2D second-order correction, <p6_0>/16 by operator application."""
+    return expectation(p6_zero_expr(), s) / 16
+
+
+def part2(s):
+    """Part II of the 2D second-order correction, from the squared hopping transitions."""
+    return F(*ladder2d._part2(s))
 
 
 def images(expr, ket, N_max):
@@ -260,25 +268,25 @@ class TestCorrections2D:
         assert epsilon1_general(QuantumNumbers(2, 0, 2)) == F(-3, 2)
 
     def test_partI_examples(self):
-        assert second_order_2d_partI(FockState2D(0, 0)) == F(3, 8)
-        assert second_order_2d_partI(FockState2D(2, 0)) == F(156, 32)
-        assert second_order_2d_partI(FockState2D(1, 1)) == F(48, 32)
+        assert part1(FockState2D(0, 0)) == F(3, 8)
+        assert part1(FockState2D(2, 0)) == F(156, 32)
+        assert part1(FockState2D(1, 1)) == F(48, 32)
 
     def test_partI_printed_polynomial(self):
         for s in ladder_grid(10):
             N, m = s.N, s.m
             bracket = 5 * N**3 + 15 * N**2 - 3 * m * m - 3 * N * m * m + 22 * N + 12
-            assert second_order_2d_partI(s) == F(bracket, 32)
+            assert part1(s) == F(bracket, 32)
 
     def test_partII_examples(self):
-        assert second_order_2d_partII(FockState2D(0, 0)) == F(-9, 64)
-        assert second_order_2d_partII(FockState2D(1, 1)) == F(-156, 256)
+        assert part2(FockState2D(0, 0)) == F(-9, 64)
+        assert part2(FockState2D(1, 1)) == F(-156, 256)
 
     def test_partII_printed_polynomial(self):
         for s in ladder_grid(10):
             N, m = s.N, s.m
             bracket = -17 * N**3 - 51 * N**2 + 9 * N * m * m - 70 * N + 9 * m * m - 36
-            assert second_order_2d_partII(s) == F(bracket, 256)
+            assert part2(s) == F(bracket, 256)
 
     def test_second_order_examples(self):
         assert second_order_2d(FockState2D(0, 0)) == F(15, 64)
@@ -302,6 +310,10 @@ class TestCorrections2D:
             q = map_Nm_to_nl(s)
             assert first_order_2d(s) == epsilon1_general(q)
             assert second_order_2d(s) == epsilon2_general(q)
+            # part by part against the Laguerre matrix elements, a separate derivation
+            laguerre_part2 = laguerre_me.second_order_part2(q)
+            assert part2(s) == laguerre_part2
+            assert part1(s) == laguerre_me.second_order_method2(q) - laguerre_part2
 
 
 class TestMapAndBuild:
@@ -338,8 +350,6 @@ def test_public_functions_return_fractions():
         expectation(k0, s),
         expectation(mono("ad", "bd"), s),  # zero: off-diagonal
         first_order_2d(s),
-        second_order_2d_partI(s),
-        second_order_2d_partII(s),
         second_order_2d(s),
         *normal_order(p4_expr()).values(),
     ]

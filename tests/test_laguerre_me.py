@@ -9,16 +9,23 @@ from salpeter_qho.corrections import epsilon1_general, epsilon2_general
 from salpeter_qho.kramers import first_order_method1, moment_eta
 from salpeter_qho.laguerre_me import (
     _rung,
-    eta2_expectation,
-    eta3_expectation,
     first_order_method2,
     second_order_method2,
-    second_order_part1,
     second_order_part2,
 )
 from salpeter_qho.states import QuantumNumbers, energy_unperturbed
 
 F = Fraction
+
+
+def eta2(q):
+    """<eta^2> from Method II, as -8 epsilon1."""
+    return -8 * first_order_method2(q)
+
+
+def part1(q):
+    """Method II's part I, <eta^3>/16, as the full correction less part II."""
+    return second_order_method2(q) - second_order_part2(q)
 
 
 def small_states(ds, nl_max):
@@ -57,21 +64,21 @@ class TestEtaAction:
 
 class TestEta2:
     def test_examples(self):
-        assert eta2_expectation(QuantumNumbers(3, 0, 0)) == F(15, 4)
-        assert eta2_expectation(QuantumNumbers(2, 0, 0)) == 2
-        assert eta2_expectation(QuantumNumbers.one_dim(0)) == F(3, 4)
+        assert eta2(QuantumNumbers(3, 0, 0)) == F(15, 4)
+        assert eta2(QuantumNumbers(2, 0, 0)) == 2
+        assert eta2(QuantumNumbers.one_dim(0)) == F(3, 4)
 
     def test_matches_kramers_moment(self):
         for d in (2, 3, 5):
             for n in range(8):
                 for l in range(8):
                     q = QuantumNumbers(d, n, l)
-                    assert eta2_expectation(q) == moment_eta(q, 2)
+                    assert eta2(q) == moment_eta(q, 2)
 
     def test_variance_non_negative(self):
         for q in small_states((1, 2, 4, 9), 9):
             mean = energy_unperturbed(q)
-            assert eta2_expectation(q) >= mean * mean
+            assert eta2(q) >= mean * mean
 
     def test_boundary_sparsity(self):
         """The recurrence reaches no rung below the ladder: 4 D^2 is 0 exactly there."""
@@ -100,27 +107,27 @@ class TestFirstOrderMethod2:
 class TestEta3:
     def test_3d_ground(self):
         # D_0^2 (E_0 + E_1) + E_0 <eta^2> = (3/2)(3/2 + 7/2) + (3/2)(15/4)
-        assert eta3_expectation(QuantumNumbers(3, 0, 0)) == F(105, 8)
+        assert 16 * part1(QuantumNumbers(3, 0, 0)) == F(105, 8)
 
     def test_2d_ground(self):
-        assert eta3_expectation(QuantumNumbers(2, 0, 0)) == 6
+        assert 16 * part1(QuantumNumbers(2, 0, 0)) == 6
 
     def test_matches_kramers_moment(self):
         for d in (2, 3, 5):
             for n in range(8):
                 for l in range(8):
                     q = QuantumNumbers(d, n, l)
-                    assert eta3_expectation(q) == moment_eta(q, 3)
+                    assert 16 * part1(q) == moment_eta(q, 3)
 
 
 class TestSecondOrder:
     def test_part1_examples(self):
-        assert second_order_part1(QuantumNumbers(3, 0, 0)) == F(105, 128)
-        assert second_order_part1(QuantumNumbers(2, 0, 0)) == F(3, 8)
+        assert part1(QuantumNumbers(3, 0, 0)) == F(105, 128)
+        assert part1(QuantumNumbers(2, 0, 0)) == F(3, 8)
         # printed constant term (d/8)(8+6d+d^2)/16 at ground state
         for d in (1, 2, 3, 7):
             q = QuantumNumbers.one_dim(0) if d == 1 else QuantumNumbers(d, 0, 0)
-            assert second_order_part1(q) == F(d * (8 + 6 * d + d * d), 8 * 16)
+            assert part1(q) == F(d * (8 + 6 * d + d * d), 8 * 16)
 
     def test_part2_examples(self):
         assert second_order_part2(QuantumNumbers(3, 0, 0)) == F(-165, 512)
@@ -146,12 +153,5 @@ class TestSecondOrder:
 
 def test_public_functions_return_fractions():
     q = QuantumNumbers(2, 0, 0)
-    for f in (
-        eta2_expectation,
-        first_order_method2,
-        eta3_expectation,
-        second_order_part1,
-        second_order_part2,
-        second_order_method2,
-    ):
+    for f in (first_order_method2, second_order_part2, second_order_method2):
         assert type(f(q)) is Fraction

@@ -3,7 +3,9 @@
 Agreement between the exact methods is only evidence when no method uses
 another's code, so corrections, kramers, laguerre_me and ladder2d may import
 nothing from the package except the exact names of states, and the oracle,
-which checks them, imports none of them.
+which checks them, imports none of them.  Every name in a module's __all__
+is loaded by package or benchmark code, or is kept in UNUSED_EXPORTS with
+its reason.
 """
 
 import ast
@@ -14,7 +16,6 @@ from pathlib import Path
 import pytest
 
 import salpeter_qho
-from salpeter_qho import states
 
 PACKAGE_DIR = Path(salpeter_qho.__path__[0])
 MODULES = sorted(m.name for m in pkgutil.iter_modules(salpeter_qho.__path__))
@@ -90,11 +91,22 @@ def test_scan_sees_package_imports():
     assert {"QuantumNumbers", "laguerre_fixed", "u_derivatives"} <= names_from_states("oracle")
 
 
+BENCHMARK_DIR = Path(__file__).parents[1] / "benchmarks"
+# exported names that no package or benchmark code loads, each kept for a reason
+UNUSED_EXPORTS = {
+    "ladder2d.matrix_element_squared": "the tests' reference for single transition amplitudes",
+    "spectrum.landau_analogue": "the paper's two-dimensional physical example",
+    "oracle.gauss_laguerre_rule": "the public rule, which the tests compare with Golub-Welsch",
+    "oracle.rule_cache_stats": "rule-cache hits, misses and build time for a run's report",
+}
+
+
 def names_used_in_package() -> set[str]:
-    """Every name the package's modules load or take as an attribute, outside the
-    top-level def or class of that same name (a recursive helper is still dead)."""
+    """Every name the package's and the benchmark's modules load or take as an
+    attribute, outside the top-level def or class of that same name (a
+    recursive helper is still dead)."""
     used = set()
-    for path in PACKAGE_DIR.glob("*.py"):
+    for path in [*PACKAGE_DIR.glob("*.py"), *BENCHMARK_DIR.glob("*.py")]:
         for top in ast.parse(path.read_text()).body:
             names = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
             names |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)}
@@ -102,5 +114,17 @@ def names_used_in_package() -> set[str]:
     return used
 
 
-def test_states_exports_only_what_the_package_uses():
-    assert sorted(set(states.__all__) - names_used_in_package()) == []
+@pytest.mark.parametrize("module", ["__init__"] + MODULES)
+def test_exports_only_what_the_package_uses(module):
+    name = "salpeter_qho" if module == "__init__" else f"salpeter_qho.{module}"
+    exported = set(getattr(importlib.import_module(name), "__all__", []))
+    kept = {entry.split(".")[1] for entry in UNUSED_EXPORTS if entry.split(".")[0] == module}
+    assert sorted(exported - names_used_in_package() - kept) == []
+
+
+def test_unused_exports_are_exported_and_unused():
+    # an allow-list entry that is no longer exported, or is now used, is stale
+    for name in UNUSED_EXPORTS:
+        module, attr = name.split(".")
+        assert attr in importlib.import_module(f"salpeter_qho.{module}").__all__
+        assert attr not in names_used_in_package()

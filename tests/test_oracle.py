@@ -128,6 +128,34 @@ class TestRule:
         nodes, _ = gauss_laguerre_rule(alpha, npoints)
         assert all(a < b for a, b in zip(nodes, nodes[1:]))
 
+    @pytest.mark.parametrize(
+        "scale",
+        [lambda i: 1.002, lambda i: 1 + 1e-6 if i == 0 else 1],
+        ids=["all-seeds-0.2-percent", "first-seed-1e-6"],
+    )
+    def test_unconverged_polish_raises_and_is_not_cached(self, monkeypatch, scale):
+        # seeds that hold 3 or 6 digits, not the 12 the step count assumes; one
+        # seed 1e-6 off passes the node, weight and table checks at 50 digits
+        alpha, npoints = F(1, 2), 24
+        seed_zeros = oracle._seed_zeros
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        monkeypatch.setattr(
+            oracle,
+            "_seed_zeros",
+            lambda a, n: [scale(i) * z for i, z in enumerate(seed_zeros(a, n))],
+        )
+        with pytest.raises(ArithmeticError, match="Newton polish did not converge"):
+            gauss_laguerre_rule(alpha, npoints)
+        key = (alpha, npoints, working_precision())
+        assert key not in oracle._rule_cache
+        monkeypatch.setattr(oracle, "_seed_zeros", seed_zeros)
+        nodes, weights = gauss_laguerre_rule(alpha, npoints)
+        assert key in oracle._rule_cache
+        with mp.workdps(working_precision() + 10):
+            ref_nodes, ref_weights = golub_welsch_rule(alpha, npoints)
+            assert max_rel_diff(nodes, ref_nodes) < mpf("1e-45")
+            assert max_rel_diff(weights, ref_weights) < mpf("1e-45")
+
     def test_cache_stats(self):
         before = rule_cache_stats()
         first = gauss_laguerre_rule(F(7, 3), 3)  # a rule no other test builds

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from salpeter_qho.corrections import correction_triple
+from salpeter_qho.corrections import epsilon1_general, epsilon2_general
 from salpeter_qho.spectrum import (
     DiagramLevel,
     DiagramModel,
@@ -29,7 +29,7 @@ from salpeter_qho.spectrum import (
     render_svg,
     split_count,
 )
-from salpeter_qho.states import QuantumNumbers
+from salpeter_qho.states import QuantumNumbers, energy_unperturbed
 
 F = Fraction
 
@@ -43,15 +43,15 @@ def reference_rows(N_max, d, lam):
         else:
             states = [QuantumNumbers(d, F(N - l, 2), l) for l in allowed_l(N)]
         for q in states:
-            t = correction_triple(q)
+            eps0, eps1, eps2 = energy_unperturbed(q), epsilon1_general(q), epsilon2_general(q)
             rows.append(
                 LevelRow(
                     N=N,
                     l=q.l,
-                    eps0=t.epsilon0,
-                    eps1=t.epsilon1,
-                    eps2=t.epsilon2,
-                    energy=t.shifted_energy(lam),
+                    eps0=eps0,
+                    eps1=eps1,
+                    eps2=eps2,
+                    energy=eps0 + lam * eps1 + lam * lam * eps2,
                     degeneracy=degeneracy_level(q.l, d),
                 )
             )
