@@ -354,21 +354,26 @@ def sum_over_states_check(q: QuantumNumbers, n_cutoff: int) -> mpf:
 def radial_residual(q: QuantumNumbers, sample_etas, energy=None) -> mpf:
     """Max relative residual of the radial equation at the sample points.
 
+    The sample must be non-empty with every eta > 0, else ValueError.
     `energy` overrides the eigenvalue (used to confirm the test has power:
-    a wrong energy must produce a large residual).
+    a wrong energy must produce a large residual); it is read at working
+    precision.
     """
     if q.d < 2:
         raise UnsupportedDimension("radial residual requires d >= 2")
-    e = _to_mpf(energy_unperturbed(q) if energy is None else energy)
+    etas = list(sample_etas)
+    if not etas or any(eta <= 0 for eta in etas):
+        raise ValueError(f"sample points must be a non-empty list of eta > 0, got {etas}")
     ang = q.d - 3 + q.l * (q.l + q.d - 2)
     with mp.workdps(working_precision()):
+        e = _to_mpf(energy_unperturbed(q) if energy is None else energy)
+        radii = [mp.sqrt(_to_mpf(eta)) for eta in etas]
         worst = mpf(0)
-        for eta in sample_etas:
-            r = mp.sqrt(_to_mpf(eta))
-            u, du, d2u = u_derivatives(q, r)
+        for r, (u, du, d2u) in zip(radii, u_derivatives(q, radii)):
+            rr = r * r
             terms = [
                 d2u,
-                (r * r - 2 * e + ang / (r * r)) * u,
+                (rr - 2 * e + ang / rr) * u,
                 -((q.d - 3) / r) * du,
             ]
             residual = abs(terms[0] - terms[1] - terms[2])

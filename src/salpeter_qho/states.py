@@ -5,7 +5,8 @@ The exact methods read only QuantumNumbers and energy_unperturbed, whose
 energies are exact rationals (coefficients of hbar*omega).  The rest serves
 the oracle: laguerre_fixed builds its quadrature rules in int fixed point,
 and u_derivatives evaluates the normalized eigenfunction and its first two
-derivatives in mpf for the radial residual.
+derivatives in mpf at a list of radii, one call per state of the radial
+residual.
 """
 
 from __future__ import annotations
@@ -143,37 +144,43 @@ def laguerre_fixed(n: int, alpha: Fraction, X: int, bits: int) -> list[int]:
     return values
 
 
-def u_derivatives(q: QuantumNumbers, r) -> tuple[mpf, mpf, mpf]:
-    """(u, u', u'') at radius r > 0, derivatives taken analytically.
+def u_derivatives(q: QuantumNumbers, radii) -> list[tuple[mpf, mpf, mpf]]:
+    """[(u, u', u'') at each radius r > 0], derivatives taken analytically.
 
     Uses dL_n^(a)/dx = -L_{n-1}^(a+1) so the result is exact up to rounding.
+    Every radius is checked before any work; the normalization and the three
+    Laguerre orders are computed once for all of them.
     """
     if q.d < 2:
         raise UnsupportedDimension("u_derivatives is defined for d >= 2 only")
-    r = _to_mpf(r)
-    if r <= 0:
+    radii = [_to_mpf(r) for r in radii]
+    if any(r <= 0 for r in radii):
         raise ValueError("r must be > 0")
     n, l = int(q.n), q.l
-    eta = r * r
-
-    def p(k):  # L_{n-k}^(alpha+k)(eta), 0 for a negative index
-        return (laguerre_values(n - k, _to_mpf(q.alpha + k), eta) or [0])[-1]
-
-    p0, p1, p2 = p(0), -p(1), p(2)
+    alphas = [_to_mpf(q.alpha + k) for k in range(3)]
     a = normalization(q)
-    e = mp.exp(-eta / 2)
-    # u = A r^(l+1) e^(-r^2/2) P(r^2)
-    u = a * r ** (l + 1) * e * p0
-    # h := e^(eta/2) u' / A
-    h = (l + 1) * r**l * p0 - r ** (l + 2) * p0 + 2 * r ** (l + 2) * p1
-    du = a * e * h
-    hp = (
-        l * (l + 1) * (r ** (l - 1) if l > 0 else 0) * p0
-        + 2 * (l + 1) * r ** (l + 1) * p1
-        - (l + 2) * r ** (l + 1) * p0
-        - 2 * r ** (l + 3) * p1
-        + 2 * (l + 2) * r ** (l + 1) * p1
-        + 4 * r ** (l + 3) * p2
-    )
-    d2u = a * e * (hp - r * h)
-    return u, du, d2u
+
+    def p(k):  # L_{n-k}^(alpha+k)(eta) at the current eta, 0 for a negative index
+        return (laguerre_values(n - k, alphas[k], eta) or [0])[-1]
+
+    result = []
+    for r in radii:
+        eta = r * r
+        p0, p1, p2 = p(0), -p(1), p(2)
+        e = mp.exp(-eta / 2)
+        r1, r2, r3 = r ** (l + 1), r ** (l + 2), r ** (l + 3)
+        ae = a * e
+        # u = A r^(l+1) e^(-r^2/2) P(r^2)
+        u = a * r1 * e * p0
+        # h := e^(eta/2) u' / A
+        h = (l + 1) * r**l * p0 - r2 * p0 + 2 * r2 * p1
+        hp = (
+            l * (l + 1) * (r ** (l - 1) if l > 0 else 0) * p0
+            + 2 * (l + 1) * r1 * p1
+            - (l + 2) * r1 * p0
+            - 2 * r3 * p1
+            + 2 * (l + 2) * r1 * p1
+            + 4 * r3 * p2
+        )
+        result.append((u, ae * h, ae * (hp - r * h)))
+    return result

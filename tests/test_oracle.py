@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from salpeter_qho import oracle
+from salpeter_qho import checks, oracle, states
 from salpeter_qho.kramers import moment_eta
 from salpeter_qho.laguerre_me import second_order_part2
 from salpeter_qho.oracle import (
@@ -584,6 +584,44 @@ class TestRadialResidual:
         q = QuantumNumbers(3, 1, 0)
         wrong = radial_residual(q, SAMPLE_ETAS, energy=F(7, 2) + F(1, 100))
         assert wrong > mpf("1e-3")
+
+    def test_energy_override_read_at_working_precision(self):
+        # at the 15-digit ambient precision the shifted energy would round to 7/2
+        assert mp.dps == 15
+        energy = F(7, 2) + F(1, 10**30)
+        assert radial_residual(QuantumNumbers(3, 1, 0), SAMPLE_ETAS, energy=energy) > mpf("1e-31")
+
+    @pytest.mark.parametrize(
+        "etas",
+        [[], [1, -1], [F(-1, 2)], [0], [F(1, 2), 0, 2]],
+        ids=["empty", "negative", "negative-fraction", "zero", "zero-among-positive"],
+    )
+    def test_rejects_bad_sample(self, etas):
+        with pytest.raises(ValueError):
+            radial_residual(QuantumNumbers(3, 1, 0), etas)
+
+    def test_far_beyond_acceptance_grid(self):
+        etas = [F(1, 10), F(1, 2), 1, 2, F(7, 2), 5, 20, 60]
+        worst = max(
+            radial_residual(QuantumNumbers(d, n, l), etas)
+            for d in (2, 3, 7, 20)
+            for n in (10, 25, 40)
+            for l in (0, 15, 30)
+        )
+        assert worst <= checks.TOL_RESIDUAL
+
+    def test_one_normalization_per_call(self, monkeypatch):
+        calls = []
+        normalization = states.normalization
+
+        def counted(q):
+            calls.append(q)
+            return normalization(q)
+
+        monkeypatch.setattr(states, "normalization", counted)
+        for q in (QuantumNumbers(2, 0, 0), QuantumNumbers(5, 2, 1)):
+            radial_residual(q, SAMPLE_ETAS)
+        assert calls == [QuantumNumbers(2, 0, 0), QuantumNumbers(5, 2, 1)]
 
     def test_d1_unsupported(self):
         with pytest.raises(UnsupportedDimension):

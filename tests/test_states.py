@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from salpeter_qho import states
 from salpeter_qho.states import (
     InvalidQuantumNumbers,
     QuantumNumbers,
@@ -80,7 +81,7 @@ class TestEnergy:
 def u_at(q, eta):
     """u at r = sqrt(eta), as u_derivatives returns it."""
     eta = F(eta)
-    return u_derivatives(q, mp.sqrt(mpf(eta.numerator) / eta.denominator))[0]
+    return u_derivatives(q, [mp.sqrt(mpf(eta.numerator) / eta.denominator)])[0][0]
 
 
 class TestUEval:
@@ -90,7 +91,7 @@ class TestUEval:
     def test_zero_at_origin(self):
         # u_derivatives refuses r = 0; u = A r (1 + O(r^2)) for the d = 3 ground state
         for r in (mpf("1e-10"), mpf("1e-20")):
-            assert 0 < u_derivatives(QuantumNumbers(3, 0, 0), r)[0] < 2 * r
+            assert 0 < u_derivatives(QuantumNumbers(3, 0, 0), [r])[0][0] < 2 * r
 
     def test_d2_ground_value(self):
         # A_00 = sqrt(2) for d=2
@@ -106,7 +107,7 @@ class TestUEval:
 
     def test_d1_unsupported(self):
         with pytest.raises(UnsupportedDimension):
-            u_derivatives(QuantumNumbers.one_dim(0), 1)
+            u_derivatives(QuantumNumbers.one_dim(0), [1])
 
     @pytest.mark.parametrize("d,n,l", [(2, 0, 0), (3, 2, 1), (5, 4, 3)])
     def test_gaussian_decay(self, d, n, l):
@@ -140,10 +141,10 @@ class TestUDerivatives:
         q = QuantumNumbers(d, n, l)
         with mp.workdps(50):
             r = mpf(r)
-            _, du, d2u = u_derivatives(q, r)
+            _, du, d2u = u_derivatives(q, [r])[0]
 
             def u(x):
-                return u_derivatives(q, x)[0]
+                return u_derivatives(q, [x])[0][0]
 
             assert abs(du - mp.diff(u, r, 1)) < mpf("1e-45")
             assert abs(d2u - mp.diff(u, r, 2)) < mpf("1e-45")
@@ -153,10 +154,30 @@ class TestUDerivatives:
         # A normalizes u under the measure r^(d-3) dr; plain u^2 dr integrates to 1 only for d = 3
         q = QuantumNumbers(d, n, l)
         with mp.workdps(30):
-            norm = mp.quad(lambda r: u_derivatives(q, r)[0] ** 2 * r ** (d - 3), [0, 2, mp.inf])
+
+            def u(r):
+                return u_derivatives(q, [r])[0][0]
+
+            norm = mp.quad(lambda r: u(r) ** 2 * r ** (d - 3), [0, 2, mp.inf])
             assert abs(norm - 1) < mpf("1e-25")
 
     @pytest.mark.parametrize("r", [0, -1, F(-1, 2)])
-    def test_rejects_non_positive_radius(self, r):
-        with pytest.raises(ValueError):
-            u_derivatives(QuantumNumbers(3, 0, 0), r)
+    def test_rejects_non_positive_radius(self, r, monkeypatch):
+        calls = []
+        monkeypatch.setattr(states, "normalization", lambda q: calls.append(q))
+        for radii in ([r], [1, 2, r]):
+            with pytest.raises(ValueError):
+                u_derivatives(QuantumNumbers(3, 0, 0), radii)
+        assert calls == []  # every radius is checked before any work
+
+    @pytest.mark.parametrize("d,n,l", [(2, 0, 0), (3, 2, 1), (3, 1, 0), (7, 9, 12)])
+    def test_batch_equals_single_radius_calls(self, d, n, l):
+        q = QuantumNumbers(d, n, l)
+        radii = [F(1, 3), mpf("0.7"), 1, 2, mp.sqrt(5), mpf(7), F(1, 3)]
+        with mp.workdps(50):
+            batch = u_derivatives(q, radii)
+            single = [u_derivatives(q, [r])[0] for r in radii]
+        assert len(batch) == len(radii)
+        for got, want in zip(batch, single):
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+        assert u_derivatives(q, []) == []
