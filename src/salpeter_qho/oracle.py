@@ -5,8 +5,8 @@ Nodes are the zeros of L_n^(alpha), found by Newton steps on the three-term
 recurrence, O(n^2) per rule (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29
 (2007) 1420), all on one recurrence: states.laguerre_fixed, in Python-int
 fixed point with alpha = a/b kept as two ints.  The seeds, by Newton with
-deflation at 64 bits, hold about 12 digits and cannot overflow: only
-L_n / (x L_n') becomes a float.  The polish takes each node as an int
+deflation at 64 bits from Sturm-bounded starts, hold about 12 digits and
+cannot overflow: only L_n / (x L_n') becomes a float.  The polish takes each node as an int
 X = x 2^P, with P = ceil((dps + 10) log2 10) + 32 guard bits for dps working
 digits (232 at the default 50), and its steps double the seeds' digits until
 X holds dps + 10.  Weights come from the derivative at each node,
@@ -31,9 +31,11 @@ table is Python-int fixed point at the scale 2^B, with B = ceil(dps log2 10)
 Q_ik = round(sqrt(w_i) p_k(x_i) 2^B) for k <= 2 * npoints - 1, the highest
 order any sum on the rule can need, where p_k = c_k L_k^(alpha) is
 orthonormal, c_k^2 = k! / Gamma(k + alpha + 1).  Each node's row is rounded
-straight from the int L_k(x_i) 2^P, times the mpf mantissas of c_k and
-sqrt(w_i), as soon as it is built, so no rule holds mpf rows.  A sum on one
-rule is then one int sum, sum_i X_i^s Q_(i,n1) Q_(i,n2) = <u_n1|eta^s|u_n2>
+straight from the int L_k(x_i) 2^P, times c_k sqrt(w_i) = sqrt(rho_k) /
+(sqrt(x_i) |L_n'(x_i)|) as two math.isqrt floors at B + 32 bits, of the exact
+int ratio rho_k = k! Gamma(n + alpha + 1) / (n! Gamma(k + alpha + 1)) and of
+1 / (x_i L_n'(x_i)^2) from the node's ints, so the table is int from end to
+end.  A sum on one rule is then one int sum, sum_i X_i^s Q_(i,n1) Q_(i,n2) = <u_n1|eta^s|u_n2>
 2^(B (s + 2)), rounded once to working precision; no per-call result is
 cached.  Each build checks its polish (a last Newton step small enough for
 X to hold dps + 10 digits), its nodes (positive, strictly increasing), its
@@ -49,7 +51,7 @@ int sum differs from the same sum in exact arithmetic on the unrounded
 entries by at most npoints (s + 1) max(1, x_max)^s 2^-B.  The entries' own
 error adds its share: that of the recurrence, bounded in
 states.laguerre_fixed in units of 2^-P and carried into Q_ik times
-c_k sqrt(w_i) 2^(B - P), and that of the mpf c_k and w_i at dps + 10 digits.
+c_k sqrt(w_i) 2^(B - P), and under 2^-30 from the isqrt floors at B + 32 bits.
 """
 
 from __future__ import annotations
@@ -116,21 +118,29 @@ def _seed_zeros(alpha: Fraction, n: int) -> list[float]:
 
     Newton on L_n^(alpha)(z) / prod_{j<i} (z - x_j) converges monotonically to
     x_i from any start between x_{i-1} and x_i, because the polynomial is
-    real-rooted.  Each zero starts a hundredth of the last gap past the
-    previous one, the first at the larger of two bounds below every zero:
-    (alpha + 1) / n, the reciprocals of the zeros summing to n / (alpha + 1),
-    and the Laguerre-Samuelson (n + alpha) - (n - 1) sqrt(n + alpha), from
-    their mean n + alpha and variance (n + alpha)(n - 1).  Far below the zeros
-    a step covers about 1/n of the way: the first zero takes up to 2.5 n steps
-    at large alpha, and each gets 100 + 3 n.  There the second start can pass
-    the second zero, which deflation then finds last, so they come sorted.
+    real-rooted.  The first zero starts at the larger of two bounds below
+    every zero: (alpha + 1) / n, the reciprocals of the zeros summing to
+    n / (alpha + 1), and the Laguerre-Samuelson (n + alpha) - (n - 1)
+    sqrt(n + alpha), from their mean n + alpha and variance (n + alpha)(n - 1).
+    Far below the zeros a step covers about 1/n of the way: the first zero
+    takes up to 2.5 n steps at large alpha, and each gets 100 + 3 n.  Each
+    later zero starts at x_(i-1) + pi / sqrt(Q(max(x_(i-1), x*))), between
+    x_(i-1) and x_i by Sturm comparison (Szego, Orthogonal Polynomials, ch. 6):
+    u = x^((alpha + 1) / 2) e^(-x / 2) L_n^(alpha) solves u'' + Q u = 0, with
+    Q(x) = (2 n + alpha + 1) / (2 x) + (1 - alpha^2) / (4 x^2) - 1/4 falling
+    on x > 0 if alpha^2 <= 1, else after its peak at
+    x* = (alpha^2 - 1) / (2 n + alpha + 1).  It takes 5 to 7 steps.
     L_n comes from laguerre_fixed at SEED_SHIFT bits, and only L_n / (x L_n')
     becomes a float, by int true division, so nothing overflows.
     """
     a, b = alpha.numerator, alpha.denominator
+    alpha_f, top = float(alpha), 2 * n + float(alpha) + 1
     zeros: list[float] = []
-    z = max((float(alpha) + 1) / n, n + float(alpha) - (n - 1) * math.sqrt(n + float(alpha)))
+    z = max((alpha_f + 1) / n, n + alpha_f - (n - 1) * math.sqrt(n + alpha_f))
     for i in range(n):
+        if i:  # pi / sqrt(Q(max(x_(i-1), x*))) past the previous zero
+            at = max(z, (alpha_f**2 - 1) / top)
+            z += math.pi / math.sqrt(top / (2 * at) + (1 - alpha_f**2) / (4 * at * at) - 0.25)
         for _ in range(100 + 3 * n):
             *_, prev, curr = laguerre_fixed(n, alpha, int(math.ldexp(z, SEED_SHIFT)), SEED_SHIFT)
             # L_n / L_n' = x b Y_n / (n b Y_n - (n b + a) Y_(n-1))
@@ -140,8 +150,7 @@ def _seed_zeros(alpha: Fraction, n: int) -> list[float]:
             if abs(step) <= 1e-15 * z:
                 break
         zeros.append(z)
-        z += (z - (zeros[-2] if i else 0)) / 100
-    return sorted(zeros)
+    return zeros
 
 
 def gauss_laguerre_rule(alpha, npoints: int) -> tuple[list, list]:
@@ -185,15 +194,34 @@ def _polish(z: float, n: int, alpha: Fraction, shift: int, steps: int) -> int:
     return X
 
 
-def _table_row(values: list[int], root_w, c: list, shift: int, bits: int) -> list[int]:
-    """[sqrt(w) p_k(x) 2^bits for k < len(c)] at one node from values[k] =
-    L_k^(alpha)(x) 2^shift, with p_k = c_k L_k^(alpha) and c[k] = (mantissa,
-    exponent) of c_k: each entry is the exact product of two mantissas and
-    values[k], rounded once."""
-    _, man_w, exp_w, _ = root_w._mpf_
+def _root(num: int, den: int, bits: int) -> tuple[int, int]:
+    """(man, exp) with man 2^exp = sqrt(num / den), man the isqrt floor of about `bits` bits."""
+    exp = (num.bit_length() - den.bit_length()) // 2 - bits
+    return math.isqrt((num << -2 * exp) // den if exp < 0 else num // (den << 2 * exp)), exp
+
+
+def _scales(alpha: Fraction, n: int, bits: int) -> list[tuple[int, int]]:
+    """[_root of rho_k for k < 2 n], rho_k = k! Gamma(n + alpha + 1) / (n! Gamma(k + alpha + 1))
+    as a ratio of ints: with alpha = a/b, rho_0 = prod_(j=1..n) (j b + a) / (j b)
+    and rho_k = rho_(k-1) k b / (k b + a)."""
+    a, b = alpha.numerator, alpha.denominator
+    num, den = math.prod(j * b + a for j in range(1, n + 1)), b**n * math.factorial(n)
+    scales = [_root(num, den, bits)]
+    for k in range(1, 2 * n):
+        num, den = num * k * b, den * (k * b + a)
+        scales.append(_root(num, den, bits))
+    return scales
+
+
+def _table_row(values: list[int], node_scale, scales: list, shift: int, bits: int) -> list[int]:
+    """[sqrt(w) p_k(x) 2^bits for k < len(scales)] at one node from values[k] =
+    L_k^(alpha)(x) 2^shift, with p_k = c_k L_k^(alpha) and c_k sqrt(w) the product
+    of scales[k], sqrt(rho_k), and node_scale, 1 / (sqrt(x) |L_n'(x)|): each
+    entry is the exact product of two mantissas and values[k], rounded once."""
+    man_w, exp_w = node_scale
     return [
         _fixed(y < 0, man_c * man_w * abs(y), exp_c + exp_w - shift, bits)
-        for (man_c, exp_c), y in zip(c, values)
+        for (man_c, exp_c), y in zip(scales, values)
     ]
 
 
@@ -229,25 +257,21 @@ def _rule_entry(alpha, npoints: int) -> tuple:
         raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
     a, b = alpha.numerator, alpha.denominator
     bits = math.ceil(dps * math.log2(10)) + 20  # dps digits and 20 guard bits
+    scales = _scales(alpha, npoints, bits + 32)
     with mp.workdps(dps + 10):
         alpha_f = _to_mpf(alpha)
         scale = mp.gamma(npoints + alpha_f + 1) / mp.factorial(npoints)
         mu0 = mp.gamma(alpha_f + 1)
-        # orthonormal scales: c_0 = Gamma(alpha + 1)^(-1/2), c_k = c_(k-1) sqrt(k / (k + alpha))
-        c = [1 / mp.sqrt(mu0)]
-        for k in range(1, 2 * npoints):
-            c.append(c[-1] * mp.sqrt(mpf(k) / (k + alpha_f)))
-        c = [(man, exp) for _, man, exp, _ in (ck._mpf_ for ck in c)]
         nodes, weights, rows = [], [], []
         # one node's int values at a time, each row converted as soon as it is built
         for X in fixed_nodes:
             values = laguerre_fixed(2 * npoints - 1, alpha, X, shift)
-            # b x L_n' 2^shift; w = Gamma(n + alpha + 1) / (n! x L_n'^2)
+            # b x L_n' 2^shift, so w = scale / (x L_n'^2) = scale b^2 X 2^shift / slope^2
             slope = npoints * b * values[npoints] - (npoints * b + a) * values[npoints - 1]
-            weight = scale * mpf((b * b * X, shift)) / mpf(slope) ** 2
             nodes.append(mpf((X, -shift)))
-            weights.append(weight)
-            rows.append(_table_row(values, mp.sqrt(weight), c, shift, bits))
+            weights.append(scale * mpf((b * b * X, shift)) / mpf(slope) ** 2)
+            node_scale = _root(b * b * X << shift, slope * slope, bits + 32)
+            rows.append(_table_row(values, node_scale, scales, shift, bits))
         if abs(mp.fsum(weights) - mu0) > mpf(10) ** (5 - dps) * mu0:
             raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
     xs = tuple(_fixed(0, X, -shift, bits) for X in fixed_nodes)

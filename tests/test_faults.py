@@ -112,6 +112,17 @@ def laguerre_fixed_coefficient_plus_one(n, alpha, X, bits):
     return values
 
 
+def scales_alpha_plus_one(alpha, n, bits):
+    """oracle._scales with j b + a + b in place of j b + a: rho_k of alpha + 1."""
+    a, b = alpha.numerator, alpha.denominator
+    num, den = math.prod(j * b + a + b for j in range(1, n + 1)), b**n * math.factorial(n)
+    scales = [oracle._root(num, den, bits)]
+    for k in range(1, 2 * n):
+        num, den = num * k * b, den * (k * b + a + b)
+        scales.append(oracle._root(num, den, bits))
+    return scales
+
+
 # name -> (module or dict, name or key, replacement, checks that must fail)
 FAULTS = {
     "laguerre-d2-off-by-one": (laguerre_me, "_rung", rung_off_by_one, {"first_order", "second_order"}),
@@ -168,6 +179,8 @@ FAULTS = {
         laguerre_fixed_coefficient_plus_one,
         {"oracle"},
     ),
+    # the table's orthonormal scales; the table check refuses every rule built under it
+    "oracle-scales-alpha-plus-one": (oracle, "_scales", scales_alpha_plus_one, {"oracle"}),
 }
 
 

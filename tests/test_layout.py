@@ -85,6 +85,18 @@ def test_oracle_builds_rules_on_the_int_recurrence_only():
     assert "laguerre_fixed" in imported and "laguerre_values" not in imported
 
 
+def test_oracle_table_is_int_from_end_to_end():
+    # the scales and the table rows load no mpmath name or mpf mantissa, so
+    # every entry is an int product rounded once
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_root", "_scales", "_table_row"):
+        nodes = list(ast.walk(functions[name]))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        assert names.isdisjoint({"mp", "mpf", "mpmath"}) and "_mpf_" not in attrs, name
+
+
 def test_scan_sees_package_imports():
     assert set(METHODS) | {"oracle", "spectrum", "states"} <= package_imports("checks")
     assert package_imports("spectrum") == {"corrections"}

@@ -193,7 +193,10 @@ class TestRule:
 
 def float_seeds(alpha: float, n: int) -> list[float]:
     """The oracle's seeds as they were built before its int recurrence: the
-    same deflated Newton on states.laguerre_values in double precision."""
+    same deflated Newton on states.laguerre_values in double precision.  It
+    keeps the old start, a hundredth of the last gap past the previous zero,
+    on purpose, so that it stays an independent reference for the oracle's
+    seeds from their Sturm-bounded starts."""
     zeros: list[float] = []
     z = (alpha + 1) / n
     for i in range(n):
@@ -228,10 +231,13 @@ class TestSeeds:
         "alpha,npoints", [(49999, 12), (49999, 24), (49999, 96), (4999999, 96)]
     )
     def test_zeros_far_from_zero(self, alpha, npoints):
-        # the zeros sit near alpha.  The second start, a hundredth of the first
-        # zero past it, passes the second zero (12 and 24 nodes).  The first
-        # zero takes more than 100 Newton steps (96 nodes: 187 at alpha = 49999),
-        # and from (alpha + 1) / n more than 100 + 3 n (486 at alpha = 4999999)
+        # the zeros sit near alpha, with gaps far smaller than the zeros.  Each
+        # later start is the Sturm bound on the gap past the previous zero, which
+        # stays below the next zero however close they sit; at 12 and 24 nodes a
+        # start a hundredth of the first zero past it would pass the second.  The
+        # first zero takes more than 100 Newton steps (96 nodes: 187 at
+        # alpha = 49999), and from (alpha + 1) / n more than 100 + 3 n (486 at
+        # alpha = 4999999)
         alpha = F(alpha)
         nodes, weights = gauss_laguerre_rule(alpha, npoints)
         seeds = oracle._seed_zeros(alpha, npoints)
@@ -243,6 +249,35 @@ class TestSeeds:
             square = mp.fsum(w * x * x for w, x in zip(weights, nodes)) / total
             assert abs(mean / (alpha + 1) - 1) < mpf("1e-45")
             assert abs(square / ((alpha + 1) * (alpha + 2)) - 1) < mpf("1e-45")
+
+    @pytest.mark.parametrize("alpha", [F(-1, 2), 0, F(1, 2), F(9, 2), 40, 49999])
+    def test_start_lies_between_two_zeros(self, alpha):
+        # Sturm comparison on u'' + Q u = 0, u = x^((alpha + 1) / 2) e^(-x / 2) L_n:
+        # from the polished nodes in floats, x_(i-1) + pi / sqrt(Q(max(x_(i-1), x*)))
+        # lies between x_(i-1) and x_i, with x* where Q peaks
+        a = float(alpha)
+        for n in (8, 24, 96):
+            nodes = [float(x) for x in gauss_laguerre_rule(alpha, n)[0]]
+            peak = (a * a - 1) / (2 * n + a + 1)
+            for lo, hi in zip(nodes, nodes[1:]):
+                x = max(lo, peak)
+                q = (2 * n + a + 1) / (2 * x) + (1 - a * a) / (4 * x * x) - 1 / 4
+                assert lo < lo + math.pi / math.sqrt(q) < hi
+
+    def test_few_recurrence_runs_per_zero(self, monkeypatch):
+        # about 5 runs per zero at 192 nodes from the Sturm-bounded starts,
+        # against about 11 from a hundredth of the last gap
+        bits = []
+        evaluate = oracle.laguerre_fixed
+
+        def spy(n, alpha, X, shift):
+            bits.append(shift)
+            return evaluate(n, alpha, X, shift)
+
+        monkeypatch.setattr(oracle, "laguerre_fixed", spy)
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        gauss_laguerre_rule(F(1, 2), 192)
+        assert 192 <= bits.count(oracle.SEED_SHIFT) <= 6 * 192
 
 
 BUCKETS = sorted({2**k for k in range(3, 12)} | {3 * 2 ** (k - 1) for k in range(3, 12)})
