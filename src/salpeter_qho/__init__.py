@@ -7,7 +7,7 @@ lambda^2*hbar*omega, with lambda = hbar*omega/(m c^2).
 """
 
 from .corrections import epsilon1_general, epsilon1_rewritten, epsilon2_general
-from .kramers import first_order_method1, moment_r_even
+from .kramers import first_order_method1
 from .ladder2d import FockState2D, first_order_2d, map_Nm_to_nl, second_order_2d
 from .laguerre_me import first_order_method2, second_order_method2
 from .spectrum import degeneracy_level, degeneracy_total, level_table, split_count
@@ -23,7 +23,6 @@ __all__ = [
     "first_order_method1",
     "first_order_method2",
     "second_order_method2",
-    "moment_r_even",
     "first_order_2d",
     "second_order_2d",
     "map_Nm_to_nl",

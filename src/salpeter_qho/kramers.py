@@ -54,9 +54,8 @@ def moment_eta(q: QuantumNumbers, s: int) -> Fraction:
     """<eta^s> = <r^(2s)> in reduced units."""
     if not isinstance(s, int) or s < 0:
         raise ValueError(f"s must be a non-negative integer, got {s}")
-    if s == 0:
-        return Fraction(1)
-    return moment_r_even(q, 2 * s - 2)
+    # at s = 0 the loop runs no step and gives <r^0> = 1
+    return Fraction(*_moment(q, 2 * s - 2))
 
 
 def first_order_method1(q: QuantumNumbers) -> Fraction:

@@ -71,6 +71,8 @@ class Monomial:
     def __post_init__(self):
         if not isinstance(self.coeff, int):
             raise TypeError(f"ladder coefficients are ints, got {self.coeff!r}")
+        if not set(self.gens) <= set(GENERATORS):
+            raise ValueError(f"unknown generator in {self.gens!r}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,6 @@ class LadderExpr:
 
     @classmethod
     def mono(cls, *gens: str, coeff=1) -> "LadderExpr":
-        for g in gens:
-            if g not in GENERATORS:
-                raise ValueError(f"unknown generator {g!r}")
         return cls((Monomial(coeff, tuple(gens)),))
 
     @classmethod
@@ -135,10 +134,8 @@ class LadderExpr:
                 elif g == "b":
                     ob.append(db)
                     db -= 1
-                elif g == "bd":
+                else:  # bd, as Monomial admits only GENERATORS
                     db += 1
-                else:
-                    raise ValueError(f"unknown generator {g!r}")
             terms.append((term.coeff, da, db, tuple(oa), tuple(ob)))
         return tuple(terms)
 

@@ -12,11 +12,11 @@ digits (232 at the default 50), and its steps double the seeds' digits until
 X holds dps + 10.  Weights come from the derivative at each node,
 w_i = Gamma(n + alpha + 1) / (n! x_i L_n^(alpha)'(x_i)^2), with
 x L_n' = n L_n - (n + alpha) L_(n-1) read off the same int recurrence that
-fills the node's table row.  Nodes and weights become mpf once, to form the
-public rule.  Working precision defaults to 50 significant digits and can be
-overridden with the SALPETER_PRECISION environment variable.  All integrands
-here are polynomials times the weight function, so the rules are exact up to
-rounding and the two-rule convergence check is a pure sanity assertion.
+fills the node's table row, the only place a weight is held.  Working
+precision defaults to 50 significant digits and can be overridden with the
+SALPETER_PRECISION environment variable.  All integrands here are polynomials
+times the weight function, so the rules are exact up to rounding and the
+two-rule convergence check is a pure sanity assertion.
 
 Node counts come from a fixed set of buckets, 8, 12, 16, 24, 32, 48, ...
 (2^k and 3 * 2^(k-1)): an integrand of polynomial degree D is summed on the
@@ -38,10 +38,10 @@ int ratio rho_k = k! Gamma(n + alpha + 1) / (n! Gamma(k + alpha + 1)) and of
 end.  A sum on one rule is then one int sum, sum_i X_i^s Q_(i,n1) Q_(i,n2) = <u_n1|eta^s|u_n2>
 2^(B (s + 2)), rounded once to working precision; no per-call result is
 cached.  Each build checks its polish (a last Newton step small enough for
-X to hold dps + 10 digits), its nodes (positive, strictly increasing), its
-weights (summing to Gamma(alpha + 1) to 10^(5 - dps)) and
-sum_i Q_i0^2 = <p_0|p_0> 2^(2B) against 2^(2B) to the weights' tolerance, so
-a table that disagrees with its weights is never cached.
+X to hold dps + 10 digits), its nodes (positive, strictly increasing) and
+sum_i Q_i0^2 = <p_0|p_0> 2^(2B) against 2^(2B) to 10^(5 - dps), which is
+sum_i w_i = Gamma(alpha + 1) on the numbers the sums read, so a table with
+wrong weights is never cached.
 
 Error bound: for k < npoints, Q_ik / 2^B is an orthogonal matrix (Golub &
 Welsch, Math. Comp. 23 (1969) 221), so |Q_ik| <= 2^B; the rows k >= npoints
@@ -77,7 +77,6 @@ from .states import (
 
 __all__ = [
     "working_precision",
-    "gauss_laguerre_rule",
     "rule_cache_stats",
     "quad_expectation",
     "quad_matrix_element",
@@ -91,7 +90,7 @@ MAX_NODES = 384  # the fine rule of <eta^2> at n = 250
 SEED_SHIFT = 64  # fixed-point bits of the seeds: a double's mantissa at the smallest zero
 GUARD_BITS = 32  # of the polish, beyond the dps + 10 digits each node holds
 
-# (alpha, npoints, dps) -> ((nodes, weights), (bits, xs, columns)); see _rule_entry
+# (alpha, npoints, dps) -> (bits, xs, columns); see _rule_entry
 _rule_cache: dict = {}
 _rule_lock = threading.Lock()
 _rule_stats = {"hits": 0, "misses": 0, "build_s": 0.0}
@@ -151,18 +150,6 @@ def _seed_zeros(alpha: Fraction, n: int) -> list[float]:
                 break
         zeros.append(z)
     return zeros
-
-
-def gauss_laguerre_rule(alpha, npoints: int) -> tuple[list, list]:
-    """Nodes and weights for weight x^alpha e^(-x) on (0, inf).
-
-    Exact for polynomial integrands of degree <= 2*npoints - 1.  Rules are
-    memoized per (alpha, npoints, precision) behind a lock; the returned
-    lists must not be mutated.  Raises ArithmeticError if a built rule fails
-    its checks: positive, strictly increasing nodes and weights summing to
-    Gamma(alpha + 1); ValueError if npoints is not 1 to MAX_NODES.
-    """
-    return _rule_entry(alpha, npoints)[0]
 
 
 def _fixed(sign: int, man: int, exp: int, bits: int) -> int:
@@ -225,11 +212,12 @@ def _table_row(values: list[int], node_scale, scales: list, shift: int, bits: in
     ]
 
 
-def _rule_entry(alpha, npoints: int) -> tuple:
-    """The cache entry ((nodes, weights), (bits, xs, columns)) of a rule, built on a miss.
+def _rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
+    """The cache entry (bits, xs, columns) of a rule, built on a miss.
 
     xs[i] = round(x_i 2^bits) and columns[k][i] = round(sqrt(w_i) p_k(x_i) 2^bits)
-    for k <= 2 npoints - 1, all Python ints.
+    for k <= 2 npoints - 1, all Python ints.  Raises ArithmeticError if a build
+    fails its checks, ValueError if alpha <= -1 or npoints is not 1 to MAX_NODES.
     """
     if type(alpha) is not Fraction:
         alpha = Fraction(alpha)
@@ -258,29 +246,21 @@ def _rule_entry(alpha, npoints: int) -> tuple:
     a, b = alpha.numerator, alpha.denominator
     bits = math.ceil(dps * math.log2(10)) + 20  # dps digits and 20 guard bits
     scales = _scales(alpha, npoints, bits + 32)
-    with mp.workdps(dps + 10):
-        alpha_f = _to_mpf(alpha)
-        scale = mp.gamma(npoints + alpha_f + 1) / mp.factorial(npoints)
-        mu0 = mp.gamma(alpha_f + 1)
-        nodes, weights, rows = [], [], []
-        # one node's int values at a time, each row converted as soon as it is built
-        for X in fixed_nodes:
-            values = laguerre_fixed(2 * npoints - 1, alpha, X, shift)
-            # b x L_n' 2^shift, so w = scale / (x L_n'^2) = scale b^2 X 2^shift / slope^2
-            slope = npoints * b * values[npoints] - (npoints * b + a) * values[npoints - 1]
-            nodes.append(mpf((X, -shift)))
-            weights.append(scale * mpf((b * b * X, shift)) / mpf(slope) ** 2)
-            node_scale = _root(b * b * X << shift, slope * slope, bits + 32)
-            rows.append(_table_row(values, node_scale, scales, shift, bits))
-        if abs(mp.fsum(weights) - mu0) > mpf(10) ** (5 - dps) * mu0:
-            raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
+    rows = []
+    # one node's int values at a time, each row converted as soon as it is built
+    for X in fixed_nodes:
+        values = laguerre_fixed(2 * npoints - 1, alpha, X, shift)
+        # b x L_n' 2^shift, so 1 / (x L_n'^2) = b^2 X 2^shift / slope^2
+        slope = npoints * b * values[npoints] - (npoints * b + a) * values[npoints - 1]
+        node_scale = _root(b * b * X << shift, slope * slope, bits + 32)
+        rows.append(_table_row(values, node_scale, scales, shift, bits))
     xs = tuple(_fixed(0, X, -shift, bits) for X in fixed_nodes)
     columns = tuple(zip(*rows))
-    # <p_0|p_0> = 1 from the table itself, to the tolerance of the weight check
+    # sum_i w_i = Gamma(alpha + 1) as sum_i Q_i0^2 = <p_0|p_0> 2^(2B) = 2^(2B)
     one = 1 << 2 * bits
     if abs(sum(q * q for q in columns[0]) - one) * 10 ** (dps - 5) > one:
-        raise ArithmeticError(f"rule alpha={alpha} npoints={npoints}: table disagrees with weights")
-    entry = ((nodes, weights), (bits, xs, columns))
+        raise ArithmeticError(f"rule alpha={alpha} npoints={npoints}: sum_i Q_i0^2 != 2^(2B)")
+    entry = (bits, xs, columns)
     with _rule_lock:
         _rule_cache[key] = entry
         _rule_stats["build_s"] += time.perf_counter() - start
@@ -301,7 +281,7 @@ def _bucket(degree: int) -> int:
 
 def _rule_sum(alpha: Fraction, npoints: int, n1: int, n2: int, s: int) -> tuple[int, int]:
     """(total, exp) with sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = total 2^exp on one rule."""
-    _, (bits, xs, columns) = _rule_entry(alpha, npoints)
+    bits, xs, columns = _rule_entry(alpha, npoints)
     powers = map(pow, xs, repeat(s))
     return sum(map(mul, powers, map(mul, columns[n1], columns[n2]))), -bits * (s + 2)
 

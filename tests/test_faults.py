@@ -91,10 +91,10 @@ def scaled_rules(only=None):
     factor = math.isqrt(2**128 + 2**128 // 10**9)  # sqrt(1 + 1e-9) 2^64
 
     def entry(alpha, npoints):
-        rule, (bits, xs, columns) = _rule_entry(alpha, npoints)
+        bits, xs, columns = _rule_entry(alpha, npoints)
         if only in (None, npoints):
             columns = tuple(tuple(q * factor >> 64 for q in column) for column in columns)
-        return rule, (bits, xs, columns)
+        return bits, xs, columns
 
     return entry
 
