@@ -3,10 +3,12 @@
 epsilon0 is the coefficient of hbar*omega, epsilon1 of lambda*hbar*omega and
 epsilon2 of lambda^2*hbar*omega, where lambda = hbar*omega/(m c^2).
 
-In m = 2n = N - l, 32*epsilon1 and 512*epsilon2 are integer polynomials in
-(d, m, l); that holds for d = 1 too, where n = N/2 and m = N.  m is taken
-from the int QuantumNumbers.big_N, both are evaluated in int arithmetic and
-one Fraction is built per result.
+The radial equation depends on d and l only through s = d + 2l (Herrick's
+interdimensional degeneracy), and so do the corrections: in m = 2n = N - l
+and s, 32*epsilon1 and 512*epsilon2 are integer polynomials.  That holds for
+d = 1 too, where n = N/2, m = N and s = 1.  m is taken from the int
+QuantumNumbers.big_N, both are evaluated in int arithmetic and one Fraction
+is built per result.
 """
 
 from __future__ import annotations
@@ -18,35 +20,26 @@ from .states import QuantumNumbers, energy_unperturbed
 __all__ = ["epsilon1_general", "epsilon1_rewritten", "epsilon2_general"]
 
 
-def _scaled_corrections(d: int, m: int, l: int) -> tuple[int, int]:
-    """(32*epsilon1, 512*epsilon2) as ints, with m = 2n = N - l.
+def _scaled_corrections(m: int, s: int) -> tuple[int, int]:
+    """(32*epsilon1, 512*epsilon2) as ints, with m = N - l and s = d + 2l.
 
-    32*epsilon1 = -(6m^2 + 4l^2 + 12ml + 6md + 4ld + 4l + d^2 + 2d)
-    512*epsilon2 = 46m^3 + 69m^2 d + (27d^2 + 30d + 44)m + 16l^3
-                   + (24d + 60)l^2 + (12d^2 + 60d + 44)l + 138m^2 l + 108ml^2
-                   + (108d + 60)ml + 2d^3 + 15d^2 + 22d
+    -32*epsilon1 = 6m^2 + 6ms + s(s + 2)
+    512*epsilon2 = 46m^3 + 69sm^2 + (27s^2 + 30s + 44)m + s(s + 2)(2s + 11)
 
-    evaluated in nested (Horner) form.
+    evaluated in nested (Horner) form.  Laguerre's epsilon1 and epsilon2
+    (laguerre_me) are polynomials of degree <= 3 in m and in s as well, once
+    part II's up and down sums cancel their equal m^4 terms.  So agreement on
+    the 4 x 4 product m in {0, 2, 4, 6}, s in {2, 3, 4, 5}, which the
+    acceptance grid holds, proves the two equal for every state.
     """
-    e1 = -(6 * m * (m + 2 * l + d) + 4 * l * (l + d + 1) + d * (d + 2))
-    e2 = (
-        m * (
-            m * (46 * m + 69 * d + 138 * l)
-            + 108 * l * l
-            + (108 * d + 60) * l
-            + 27 * d * d
-            + 30 * d
-            + 44
-        )
-        + l * (l * (16 * l + 24 * d + 60) + 12 * d * d + 60 * d + 44)
-        + d * (d * (2 * d + 15) + 22)
-    )
+    e1 = -(6 * m * (m + s) + s * (s + 2))
+    e2 = m * (m * (46 * m + 69 * s) + s * (27 * s + 30) + 44) + s * (s + 2) * (2 * s + 11)
     return e1, e2
 
 
 def epsilon1_general(q: QuantumNumbers) -> Fraction:
     """First-order correction, always negative."""
-    return Fraction(_scaled_corrections(q.d, q.big_N - q.l, q.l)[0], 32)
+    return Fraction(_scaled_corrections(q.big_N - q.l, q.d + 2 * q.l)[0], 32)
 
 
 def epsilon1_rewritten(q: QuantumNumbers) -> Fraction:
@@ -67,4 +60,4 @@ def epsilon1_rewritten(q: QuantumNumbers) -> Fraction:
 
 def epsilon2_general(q: QuantumNumbers) -> Fraction:
     """Second-order correction, always positive."""
-    return Fraction(_scaled_corrections(q.d, q.big_N - q.l, q.l)[1], 512)
+    return Fraction(_scaled_corrections(q.big_N - q.l, q.d + 2 * q.l)[1], 512)

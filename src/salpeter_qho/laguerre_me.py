@@ -7,10 +7,11 @@ never enters a result: a diagonal element of eta^2 or eta^3 sums closed
 paths, which descend every rung they climb and so carry D_k^2 only, and
 part II needs only squared matrix elements.
 
-With m = 2n = N - l from the int QuantumNumbers.big_N, 4 D_{n+j}^2 =
-(m+2j+2)(m+2j+2l+d) and 2 eps0(n+j) = 2m+4j+2l+d are integers, d = 1
-included.  So each expectation and each part of the correction is an
-integer sum over these rungs divided by a power of two, one Fraction.
+The radial functions depend on d and l only through s = d + 2l.  With
+m = 2n = N - l from the int QuantumNumbers.big_N, 4 D_{n+j}^2 =
+(m+2j+2)(m+2j+s) and 2 eps0(n+j) = 2m+4j+s are integers, d = 1 included.
+So each expectation and each part of the correction is an integer sum over
+these rungs divided by a power of two, one Fraction.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ __all__ = ["first_order_method2", "second_order_part2", "second_order_method2"]
 
 def _rung(q: QuantumNumbers, j: int) -> tuple[int, int]:
     """(4 D_{n+j}^2, 2 eps0(n+j)) as ints, with D^2 = 0 below the bottom of the ladder."""
-    k = q.big_N - q.l + 2 * j  # 2(n + j)
-    e = 2 * k + 2 * q.l + q.d
-    return ((k + 2) * (e - k) if k + 2 > 0 else 0), e
+    k, s = q.big_N - q.l + 2 * j, q.d + 2 * q.l  # k = 2(n + j)
+    return ((k + 2) * (k + s) if k + 2 > 0 else 0), 2 * k + s
 
 
 def first_order_method2(q: QuantumNumbers) -> Fraction:

@@ -107,7 +107,7 @@ def level_table(N_max: int, d: int, lam) -> LevelTable:
         eps0 = Fraction(2 * N + d, 2)
         base = c0 * (2 * N + d)
         for l in allowed_l(N) if d > 1 else (0,):
-            e1, e2 = _scaled_corrections(d, N - l, l)
+            e1, e2 = _scaled_corrections(N - l, d + 2 * l)
             rows.append(
                 LevelRow(
                     N=N,

@@ -54,6 +54,21 @@ class TestCorrect:
         assert code == 0
         assert "epsilon0 = 3/2" in out and "-15/32" in out
 
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [
+            ("correct_d1_N3", ["--d", "1", "--N", "3"]),
+            ("correct_d2_N4_m2", ["--d", "2", "--N", "4", "--m", "2"]),
+            ("correct_d3_n1_l2", ["--d", "3", "--n", "1", "--l", "2"]),
+        ],
+        ids=["d1", "d2-ladder", "d3"],
+    )
+    @pytest.mark.parametrize("fmt,suffix", [("text", ".txt"), ("json", ".json")])
+    def test_output_matches_golden(self, capsys, golden, argv, fmt, suffix):
+        code, out, err = run(capsys, "correct", *argv, "--format", fmt)
+        assert out.encode() == (GOLDEN / f"{golden}{suffix}").read_bytes()
+        assert (code, err) == (0, "")
+
     def test_ladder_requires_d2(self, capsys):
         code, _, err = run(capsys, "correct", "--d", "3", "--n", "0", "--method", "ladder")
         assert code == 2 and "error" in err

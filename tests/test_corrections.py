@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from salpeter_qho import kramers, ladder2d, laguerre_me
-from salpeter_qho.checks import radial_grid
+from salpeter_qho.checks import GRIDS, radial_grid
 from salpeter_qho.corrections import epsilon1_general, epsilon1_rewritten, epsilon2_general
 from salpeter_qho.spectrum import level_table
 from salpeter_qho.states import QuantumNumbers, energy_unperturbed
@@ -166,3 +166,47 @@ class TestLargeQuantumNumbers:
         q = ladder2d.map_Nm_to_nl(s)
         assert ladder2d.first_order_2d(s) == epsilon1_general(q)
         assert ladder2d.second_order_2d(s) == epsilon2_general(q)
+
+
+def radial_values(q):
+    """eps1 and eps2 by the closed forms, Kramers and Laguerre, and <eta^s> for s <= 5."""
+    return (
+        epsilon1_general(q),
+        epsilon2_general(q),
+        kramers.first_order_method1(q),
+        *(kramers.moment_eta(q, s) for s in range(6)),
+        laguerre_me.first_order_method2(q),
+        laguerre_me.second_order_part2(q),
+        laguerre_me.second_order_method2(q),
+    )
+
+
+def same_radial_problem(q):
+    """Another state with the radial problem of q, or None.
+
+    (d, n, l) with l >= 1 has the m = N - l and s = d + 2l of (d + 2, n, l - 1).
+    The odd 1D state N = 2k + 1 is the d = 1 radial problem with l = 1, so
+    s = 3 and m = 2k: the 3D s-wave (3, k, 0).
+    """
+    if q.d == 1:
+        return QuantumNumbers(3, q.big_N // 2, 0) if q.big_N % 2 else None
+    return QuantumNumbers(q.d + 2, q.n, q.l - 1) if q.l else None
+
+
+class TestInterdimensionalDegeneracy:
+    """Herrick's degeneracy: the radial results depend on d and l only through s = d + 2l."""
+
+    def test_on_acceptance_grid(self):
+        g = GRIDS["large"]
+        grid = radial_grid(g["d_max"], g["nl_max"], g["N1_max"])
+        pairs = [(q, partner) for q in grid if (partner := same_radial_problem(q))]
+        # the odd 1D states, and every (d, n, l) with l >= 1
+        assert len(pairs) == g["N1_max"] // 2 + (g["d_max"] - 1) * (g["nl_max"] + 1) * g["nl_max"]
+        for q, partner in pairs:
+            assert radial_values(q) == radial_values(partner), q
+
+    @given(q=large_states)
+    def test_at_large_quantum_numbers(self, q):
+        partner = same_radial_problem(q)
+        assume(partner is not None)
+        assert radial_values(q) == radial_values(partner)

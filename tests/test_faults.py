@@ -56,15 +56,15 @@ def part2_unit_denominators(a2, a, e, b, b2):
 _scaled_corrections = corrections._scaled_corrections
 
 
-def closed_form_e2_plus_one(d, m, l):
+def closed_form_e2_plus_one(m, s):
     """512 eps2 one too large."""
-    e1, e2 = _scaled_corrections(d, m, l)
+    e1, e2 = _scaled_corrections(m, s)
     return e1, e2 + 1
 
 
-def closed_form_e1_minus_one(d, m, l):
+def closed_form_e1_minus_one(m, s):
     """32 eps1 one too small."""
-    e1, e2 = _scaled_corrections(d, m, l)
+    e1, e2 = _scaled_corrections(m, s)
     return e1 - 1, e2
 
 

@@ -8,11 +8,7 @@ from test_corrections import large_states
 
 from salpeter_qho.checks import GRIDS, radial_grid
 from salpeter_qho.corrections import epsilon1_general
-from salpeter_qho.kramers import (
-    first_order_method1,
-    moment_eta,
-    moment_r_even,
-)
+from salpeter_qho.kramers import first_order_method1, moment_eta
 from salpeter_qho.states import QuantumNumbers, energy_unperturbed
 
 F = Fraction
@@ -20,7 +16,11 @@ DRIFT_S = (0, 2, 4, 6, 10, 40)
 
 
 def reference_moment_r_even(q, s):
-    """<r^(s+2)> by the recursion in Fraction arithmetic, one Fraction operation per term."""
+    """<r^(s+2)> by the recursion in Fraction arithmetic, one Fraction operation per term.
+
+    It keeps the relation's (d, l) form, with the angular term ang, as an
+    independent check of the package's recursion in s = d + 2l.
+    """
     d, l = q.d, q.l
     e = energy_unperturbed(q)
     ang = d - 3 + l * (l + d - 2)
@@ -57,35 +57,31 @@ class TestMomentR2:
             (QuantumNumbers(2, 1, 1), 4),
         ]
         for q, r2 in examples:
-            assert moment_r_even(q, 0) == energy_unperturbed(q) == r2
+            assert moment_eta(q, 1) == energy_unperturbed(q) == r2
 
 
 class TestMomentEven:
     def test_r4_3d_ground(self):
-        assert moment_r_even(QuantumNumbers(3, 0, 0), 2) == F(15, 4)
+        assert moment_eta(QuantumNumbers(3, 0, 0), 2) == F(15, 4)
 
     def test_r4_2d_ground(self):
         # oracle-confirmed: 8<r^4> = 12 E <r^2> - [4(d-3+l(l+d-2)) + (2-d)(6-d)]
-        assert moment_r_even(QuantumNumbers(2, 0, 0), 2) == 2
+        assert moment_eta(QuantumNumbers(2, 0, 0), 2) == 2
 
     @pytest.mark.parametrize("d,n,l", [(2, 0, 0), (3, 4, 2), (7, 1, 5)])
     def test_self_seeding(self, d, n, l):
         q = QuantumNumbers(d, n, l)
-        assert moment_r_even(q, 0) == energy_unperturbed(q)
-
-    def test_odd_s_rejected(self):
-        with pytest.raises(ValueError):
-            moment_r_even(QuantumNumbers(3, 0, 0), 3)
+        assert moment_eta(q, 1) == energy_unperturbed(q)
 
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):
-            moment_r_even(QuantumNumbers(3, 0, 0), -2)
+            moment_eta(QuantumNumbers(3, 0, 0), -1)
 
     def test_d1_is_the_fock_space_moment(self):
-        # d = 1 is the full-line oscillator: both parities give the true <x^(s+2)>
+        # d = 1 is the full-line oscillator: both parities give the true <x^(2s)>
         for N in range(12):
-            for s in range(0, 9, 2):
-                assert moment_r_even(QuantumNumbers.one_dim(N), s) == fock_moment(N, s + 2)
+            for s in range(1, 6):
+                assert moment_eta(QuantumNumbers.one_dim(N), s) == fock_moment(N, 2 * s)
 
     def test_eta_moment_wrapper(self):
         q = QuantumNumbers(3, 0, 0)
@@ -96,10 +92,10 @@ class TestMomentEven:
     def test_positive_and_increasing_in_n(self):
         for d in range(2, 11):
             for l in range(0, 21, 4):
-                for s in (0, 2, 4):
+                for s in (1, 2, 3):
                     prev = None
                     for n in range(21):
-                        val = moment_r_even(QuantumNumbers(d, n, l), s)
+                        val = moment_eta(QuantumNumbers(d, n, l), s)
                         assert val > 0
                         if prev is not None:
                             assert val > prev
@@ -109,20 +105,20 @@ class TestMomentEven:
         g = GRIDS["large"]
         for q in radial_grid(g["d_max"], g["nl_max"], g["N1_max"]):
             for s in DRIFT_S:
-                assert moment_r_even(q, s) == reference_moment_r_even(q, s)
+                assert moment_eta(q, s // 2 + 1) == reference_moment_r_even(q, s)
 
     @given(q=large_states)
     def test_matches_reference_at_large_quantum_numbers(self, q):
         for s in DRIFT_S:
-            assert moment_r_even(q, s) == reference_moment_r_even(q, s)
+            assert moment_eta(q, s // 2 + 1) == reference_moment_r_even(q, s)
 
     def test_cauchy_schwarz(self):
         for d in range(2, 11):
             for n in range(21):
                 for l in range(21):
                     q = QuantumNumbers(d, n, l)
-                    r2 = moment_r_even(q, 0)
-                    r4 = moment_r_even(q, 2)
+                    r2 = moment_eta(q, 1)
+                    r4 = moment_eta(q, 2)
                     assert r4 >= r2 * r2
 
 
@@ -152,6 +148,5 @@ class TestFirstOrderMethod1:
 
 def test_public_functions_return_fractions():
     q = QuantumNumbers(2, 0, 0)
-    results = [moment_r_even(q, 0), moment_r_even(q, 2), first_order_method1(q)]
-    results += [moment_eta(q, s) for s in range(3)]
+    results = [first_order_method1(q)] + [moment_eta(q, s) for s in range(4)]
     assert all(type(r) is Fraction for r in results)

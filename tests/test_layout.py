@@ -5,7 +5,7 @@ another's code, so corrections, kramers, laguerre_me and ladder2d may import
 nothing from the package except the exact names of states, and the oracle,
 which checks them, imports none of them.  Every name in a module's __all__
 is loaded by package or benchmark code, or is kept in UNUSED_EXPORTS with
-its reason.
+its reason, and every package name the benchmark loads exists.
 """
 
 import ast
@@ -106,7 +106,6 @@ def test_scan_sees_package_imports():
 BENCHMARK_DIR = Path(__file__).parents[1] / "benchmarks"
 # exported names that no package or benchmark code loads, each kept for a reason
 UNUSED_EXPORTS = {
-    "kramers.moment_r_even": "Method I's <r^(s+2)>, d = 1 included, which the tests check",
     "ladder2d.matrix_element_squared": "the tests' reference for single transition amplitudes",
     "spectrum.landau_analogue": "the paper's two-dimensional physical example",
     "oracle.rule_cache_stats": "rule-cache hits, misses and build time for a run's report",
@@ -140,3 +139,38 @@ def test_unused_exports_are_exported_and_unused():
         module, attr = name.split(".")
         assert attr in importlib.import_module(f"salpeter_qho.{module}").__all__
         assert attr not in names_used_in_package()
+
+
+def benchmark_package_names() -> set[tuple[str, str]]:
+    """(module, name) for each attribute the benchmark's modules load from the
+    package or one of its modules, and each name they import from it."""
+    modules = {"salpeter_qho", "oracle", "spectrum", *METHODS}
+    found = set()
+    for path in BENCHMARK_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                prefix = "" if node.value.id == "salpeter_qho" else "salpeter_qho."
+                found.add((prefix + node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and str(node.module).split(".")[0] == "salpeter_qho":
+                found |= {(node.module, alias.name) for alias in node.names}
+    return found
+
+
+def test_benchmark_uses_only_names_that_exist():
+    # the benchmark runs outside the tier-1 suite, so a name it loads that a
+    # change removed would fail only there
+    used = benchmark_package_names()
+    assert ("salpeter_qho.kramers", "moment_eta") in used and len(used) > 20
+    missing = [
+        (module, name)
+        for module, name in sorted(used)
+        # a submodule is an attribute of the package only once imported
+        if not hasattr(importlib.import_module(module), name)
+        and not (module == "salpeter_qho" and name in MODULES)
+    ]
+    assert missing == []
