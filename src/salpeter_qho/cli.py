@@ -15,7 +15,6 @@ from mpmath import mp, mpf, nstr
 from . import checks, kramers, ladder2d, laguerre_me, oracle, spectrum
 from .corrections import epsilon1_general, epsilon2_general
 from .ladder2d import FockState2D, map_Nm_to_nl
-from .spectrum import _fmt
 from .states import InvalidQuantumNumbers, QuantumNumbers, _to_mpf, energy_unperturbed
 
 USAGE_ERROR, VERIFY_ERROR, IO_ERROR = 2, 1, 3
@@ -95,13 +94,13 @@ def cmd_correct(args) -> int:
     verdict = "AGREE" if len(eps1_values) == 1 and len(eps2_values) <= 1 else "DISAGREE"
     eps0 = energy_unperturbed(q)
     payload = {
-        "state": {"d": q.d, "n": _fmt(q.n), "l": q.l, "N": q.big_N},
-        "epsilon0": {"pq": _fmt(eps0), "dec_approx": _dec(eps0)},
+        "state": {"d": q.d, "n": str(q.n), "l": q.l, "N": q.big_N},
+        "epsilon0": {"pq": str(eps0), "dec_approx": _dec(eps0)},
         "methods": {
             name: {
-                "epsilon1_pq": _fmt(e1),
+                "epsilon1_pq": str(e1),
                 "epsilon1_dec_approx": _dec(e1),
-                "epsilon2_pq": _fmt(e2) if e2 is not None else None,
+                "epsilon2_pq": str(e2) if e2 is not None else None,
                 "epsilon2_dec_approx": _dec(e2) if e2 is not None else None,
             }
             for name, (e1, e2) in methods.items()
@@ -112,13 +111,13 @@ def cmd_correct(args) -> int:
         _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         lines = [
-            f"state: d={q.d} n={_fmt(q.n)} l={q.l} (N={q.big_N})",
-            f"epsilon0 = {_fmt(eps0)} (~{_dec(eps0)})  [hbar*omega]",
+            f"state: d={q.d} n={q.n} l={q.l} (N={q.big_N})",
+            f"epsilon0 = {eps0} (~{_dec(eps0)})  [hbar*omega]",
         ]
         for name, (e1, e2) in methods.items():
-            line = f"{name:12s} epsilon1 = {_fmt(e1)} (~{_dec(e1)})"
+            line = f"{name:12s} epsilon1 = {e1} (~{_dec(e1)})"
             if e2 is not None:
-                line += f"   epsilon2 = {_fmt(e2)} (~{_dec(e2)})"
+                line += f"   epsilon2 = {e2} (~{_dec(e2)})"
             lines.append(line)
         lines.append(f"verdict: {verdict}")
         _write_output("\n".join(lines) + "\n", args.out)
@@ -159,7 +158,7 @@ def cmd_oracle(args) -> int:
         print(f"error: {exc}{hint}", file=sys.stderr)
         return USAGE_ERROR
     rel = checks.rel_error(approx, exact)
-    print(f"<eta^{args.s}> exact      = {_fmt(exact)} (~{_dec(exact)})")
+    print(f"<eta^{args.s}> exact      = {exact} (~{_dec(exact)})")
     print(f"<eta^{args.s}> quadrature = {nstr(approx, 30)}")
     print(f"relative difference = {nstr(rel, 3)}")
     return 0
@@ -176,7 +175,7 @@ def _record(case, method, value, ok, detail="") -> dict:
     return {
         "case": case if not detail else f"{case} [{detail}]",
         "method": method,
-        "value_pq": _fmt(value) if isinstance(value, Fraction) else str(value),
+        "value_pq": str(value),
         "value_dec": _dec(value) if isinstance(value, (Fraction, mpf, float)) else "",
         "status": "pass" if ok else "FAIL",
     }
@@ -220,7 +219,7 @@ def run_verification(grid: str = "small", perturb: bool = False) -> tuple[bool, 
     )
     for q, e1, e2 in checks.SPOTS:
         ok = checks.spot_value_holds(q, e1, e2)
-        records.append(_record(f"spot value d={q.d} n={_fmt(q.n)} l={q.l}", "closed", e1, ok))
+        records.append(_record(f"spot value d={q.d} n={q.n} l={q.l}", "closed", e1, ok))
     for case, method, ok in [
         (
             "degeneracy sum rule and split count, N<=30, d<=10",

@@ -8,10 +8,11 @@ Since |n) = sqrt(n!)|n>, each path from ket to bra carries the same factor
 sqrt(n_a'! n_b'! / (n_a! n_b!)), which squared is a short rational product.
 
 Coefficients are ints; any other raises TypeError.  Each LadderExpr
-compiles itself once, on first use, into int terms: a coefficient, the
-shift (dn_a, dn_b) and the offsets o of its lowering factors, so its image
-coefficient is coeff prod(n_a + o) prod(n_b + o').  One evaluator, _apply,
-serves every operator, and the corrections build one Fraction per result.
+compiles itself once, on first use, into one int polynomial in (n_a, n_b)
+per shift (dn_a, dn_b), generated from its generator words with like terms
+merged, so its image coefficient at that shift is sum c n_a^i n_b^j.  One
+evaluator, _apply, serves every operator, and the corrections build one
+Fraction per result.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class FockState2D:
     m: int
 
     def __post_init__(self):
+        if not isinstance(self.N, int) or not isinstance(self.m, int):
+            raise InvalidQuantumNumbers(f"N and m must be integers, got N={self.N!r}, m={self.m!r}")
         if self.N < 0 or abs(self.m) > self.N or (self.N - self.m) % 2 != 0:
             raise InvalidQuantumNumbers(f"invalid 2D state (N={self.N}, m={self.m})")
 
@@ -113,15 +116,17 @@ class LadderExpr:
 
     @cached_property
     def _compiled(self) -> tuple[tuple, ...]:
-        """The terms as (c, da, db, oa, ob), compiled on first use.
+        """The terms as one int polynomial per shift, compiled on first use.
 
-        (c, da, db, oa, ob) takes |n_a n_b) to
-        c prod(n_a + o for o in oa) prod(n_b + o for o in ob) |n_a + da, n_b + db):
-        walking the generators right to left, a takes a factor n_a + (its shift
-        so far) and lowers the shift, ad raises it; b and bd do the same for
-        n_b.  Annihilating past the vacuum gives a factor 0.
+        An entry (da, db, ((c, i, j), ...)) takes |n_a n_b) to
+        sum(c n_a^i n_b^j) |n_a + da, n_b + db).  Walking a word's generators
+        right to left, a takes a factor n_a + (its shift so far) and lowers
+        the shift, ad raises it; b and bd do the same for n_b.  The words of
+        one shift are expanded and summed, like monomials merged and zero
+        ones dropped.  Annihilating past the vacuum gives a factor 0, so every
+        polynomial vanishes where its shift leaves the Fock space.
         """
-        terms = []
+        shifts: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
         for term in self.terms:
             da = db = 0
             oa, ob = [], []
@@ -136,21 +141,35 @@ class LadderExpr:
                     db -= 1
                 else:  # bd, as Monomial admits only GENERATORS
                     db += 1
-            terms.append((term.coeff, da, db, tuple(oa), tuple(ob)))
-        return tuple(terms)
+            poly = shifts.setdefault((da, db), {})
+            for i, ca in enumerate(_expand(oa)):
+                for j, cb in enumerate(_expand(ob)):
+                    poly[i, j] = poly.get((i, j), 0) + term.coeff * ca * cb
+        compiled = []
+        for (da, db), poly in sorted(shifts.items()):
+            monomials = tuple((c, i, j) for (i, j), c in sorted(poly.items()) if c)
+            if monomials:
+                compiled.append((da, db, monomials))
+        return tuple(compiled)
+
+
+def _expand(offsets: list[int]) -> list[int]:
+    """The int coefficients of prod(n + o for o in offsets), lowest degree first."""
+    poly = [1]
+    for o in offsets:
+        poly = [o * c + p for c, p in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 def _apply(expr: LadderExpr, n_a: int, n_b: int) -> dict[tuple[int, int], int]:
-    """expr applied to the unnormalized |n_a n_b): int coefficient per image (n_a', n_b')."""
+    """expr on the unnormalized |n_a n_b): the nonzero int coefficient per image (n_a', n_b')."""
     image: dict[tuple[int, int], int] = {}
-    for c, da, db, oa, ob in expr._compiled:
-        for o in oa:
-            c *= n_a + o
-        for o in ob:
-            c *= n_b + o
+    for da, db, monomials in expr._compiled:
+        c = 0
+        for k, i, j in monomials:
+            c += k * n_a**i * n_b**j
         if c:
-            key = (n_a + da, n_b + db)
-            image[key] = image.get(key, 0) + c
+            image[n_a + da, n_b + db] = c
     return image
 
 
@@ -271,18 +290,15 @@ def _part2(s: FockState2D) -> tuple[int, int]:
     """Part II as (numerator, denominator): sum |<N',m|hop|N,m>|^2 / (64 (N - N')).
 
     The bra N' = N + 2h has both occupations shifted by h, so its squared
-    element is c^2 (n_a+h)!/n_a! (n_b+h)!/n_b!.
+    element is c^2 (n_a+h)!/n_a! (n_b+h)!/n_b!.  _apply drops zero
+    coefficients, so the loop visits only the bras the hopping reaches.
     """
     n_a, n_b = s.n_a, s.n_b
-    image = _apply(_HOPPING, n_a, n_b)
     num, total = 0, 1
-    for h in (-2, -1, 1, 2):
-        if min(n_a, n_b) + h < 0:
-            continue
-        c = image.get((n_a + h, n_b + h), 0)
-        ra, sa = _factorial_ratio(n_a + h, n_a)
-        rb, sb = _factorial_ratio(n_b + h, n_b)
-        step = -2 * h * sa * sb  # N - N' = -2h
+    for (bra_a, bra_b), c in _apply(_HOPPING, n_a, n_b).items():
+        ra, sa = _factorial_ratio(bra_a, n_a)
+        rb, sb = _factorial_ratio(bra_b, n_b)
+        step = 2 * (n_a - bra_a) * sa * sb  # N - N' = -2h, h = n_a' - n_a
         num, total = num * step + c * c * ra * rb * total, total * step
     return num, 64 * total
 

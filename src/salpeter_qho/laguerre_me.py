@@ -11,7 +11,8 @@ The radial functions depend on d and l only through s = d + 2l.  With
 m = 2n = N - l from the int QuantumNumbers.big_N, 4 D_{n+j}^2 =
 (m+2j+2)(m+2j+s) and 2 eps0(n+j) = 2m+4j+s are integers, d = 1 included.
 So each expectation and each part of the correction is an integer sum over
-these rungs divided by a power of two, one Fraction.
+these rungs divided by a power of two, one Fraction.  Each call reads m and
+s once and takes the rungs j = 1, 0, -1, -2 together.
 """
 
 from __future__ import annotations
@@ -23,15 +24,22 @@ from .states import QuantumNumbers
 __all__ = ["first_order_method2", "second_order_part2", "second_order_method2"]
 
 
-def _rung(q: QuantumNumbers, j: int) -> tuple[int, int]:
-    """(4 D_{n+j}^2, 2 eps0(n+j)) as ints, with D^2 = 0 below the bottom of the ladder."""
-    k, s = q.big_N - q.l + 2 * j, q.d + 2 * q.l  # k = 2(n + j)
-    return ((k + 2) * (k + s) if k + 2 > 0 else 0), 2 * k + s
+def _rungs(q: QuantumNumbers) -> tuple[int, int, int, int, int]:
+    """(4 D_{n+1}^2, 4 D_n^2, 2 eps0, 4 D_{n-1}^2, 4 D_{n-2}^2) as ints, D^2 = 0
+    below the bottom of the ladder: 4 D_{n+j}^2 = (m+2j+2)(m+2j+s), 2 eps0 = 2m+s."""
+    m, s = q.big_N - q.l, q.d + 2 * q.l
+    return (
+        (m + 4) * (m + 2 + s),
+        (m + 2) * (m + s),
+        2 * m + s,
+        m * (m - 2 + s) if m > 0 else 0,
+        (m - 2) * (m - 4 + s) if m > 2 else 0,
+    )
 
 
 def first_order_method2(q: QuantumNumbers) -> Fraction:
     """epsilon1 = -<eta^2>/8, with <eta^2> = D_n^2 + eps0^2 + D_{n-1}^2."""
-    (a, e), (b, _) = _rung(q, 0), _rung(q, -1)
+    _, a, e, b, _ = _rungs(q)
     return Fraction(-(a + e * e + b), 32)
 
 
@@ -58,11 +66,11 @@ def second_order_part2(q: QuantumNumbers) -> Fraction:
     |<n+1|eta^2|n>|^2 = D_n^2 (eps0 + eps0(n+1))^2 and
     |<n+2|eta^2|n>|^2 = D_n^2 D_{n+1}^2, and likewise downwards.
     """
-    (a2, _), (a, e), (b, _), (b2, _) = (_rung(q, j) for j in (1, 0, -1, -2))
+    a2, a, e, b, b2 = _rungs(q)
     return Fraction(_part2_numerator(a2, a, e, b, b2), 4096)
 
 
 def second_order_method2(q: QuantumNumbers) -> Fraction:
     """Full second-order correction, part I <eta^3>/16 plus part II, over one denominator 4096."""
-    (a2, _), (a, e), (b, _), (b2, _) = (_rung(q, j) for j in (1, 0, -1, -2))
+    a2, a, e, b, b2 = _rungs(q)
     return Fraction(32 * _eta3_numerator(a, e, b) + _part2_numerator(a2, a, e, b, b2), 4096)

@@ -191,33 +191,29 @@ def diagram_data(table: LevelTable, exaggeration=None) -> DiagramModel:
     return DiagramModel(d=table.d, lam=table.lam, exaggeration=exag, levels=tuple(levels))
 
 
-def _fmt(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def render_csv(table: LevelTable) -> str:
     lines = ["N,l,eps0,eps1,eps2,energy,degeneracy"]
     for r in table.rows:
         lines.append(
-            f"{r.N},{r.l},{_fmt(r.eps0)},{_fmt(r.eps1)},{_fmt(r.eps2)},"
-            f"{_fmt(r.energy)},{r.degeneracy}"
+            f"{r.N},{r.l},{r.eps0},{r.eps1},{r.eps2},"
+            f"{r.energy},{r.degeneracy}"
         )
     return "\n".join(lines) + "\n"
 
 
 def render_json(table: LevelTable) -> str:
     """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\\n",
-    written directly: keys in sorted order, and _fmt emits only digits, "-"
-    and "/", so no string needs escaping."""
+    written directly: keys in sorted order, and a Fraction's str has only
+    digits, "-" and "/", so no string needs escaping."""
     rows = ",\n".join(
         f'    {{\n      "N": {r.N},\n      "degeneracy": {r.degeneracy},\n'
-        f'      "energy": "{_fmt(r.energy)}",\n      "eps0": "{_fmt(r.eps0)}",\n'
-        f'      "eps1": "{_fmt(r.eps1)}",\n      "eps2": "{_fmt(r.eps2)}",\n'
+        f'      "energy": "{r.energy}",\n      "eps0": "{r.eps0}",\n'
+        f'      "eps1": "{r.eps1}",\n      "eps2": "{r.eps2}",\n'
         f'      "l": {r.l}\n    }}'
         for r in table.rows
     )
     rows = f"[\n{rows}\n  ]" if rows else "[]"
-    return f'{{\n  "d": {table.d},\n  "lambda": "{_fmt(table.lam)}",\n  "rows": {rows}\n}}\n'
+    return f'{{\n  "d": {table.d},\n  "lambda": "{table.lam}",\n  "rows": {rows}\n}}\n'
 
 
 SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 480, 50.0
@@ -249,7 +245,7 @@ def render_svg(model: DiagramModel) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
-        f'<title>Relativistic level splitting, d={model.d}, lambda={_fmt(model.lam)}</title>',
+        f'<title>Relativistic level splitting, d={model.d}, lambda={model.lam}</title>',
         '<style>text{font-family:monospace;font-size:11px}</style>',
     ]
     for lvl, base, subs in levels:

@@ -41,11 +41,14 @@ CHECKS = {
 }
 
 
-def rung_off_by_one(q, j):
-    """4 D^2 from (k+2)(k+l+d/2) in place of (k+1)(k+l+d/2)."""
-    k = int(2 * (q.n + j))
-    e = 2 * k + 2 * q.l + q.d
-    return ((k + 4) * (e - k) if k + 2 > 0 else 0), e
+def rungs_off_by_one(q):
+    """laguerre_me._rungs with each 4 D^2 from (k+2)(k+l+d/2) in place of (k+1)(k+l+d/2)."""
+    k, s = int(2 * q.n), q.d + 2 * q.l
+
+    def d2(k):
+        return (k + 4) * (k + s) if k + 2 > 0 else 0
+
+    return d2(k + 2), d2(k), 2 * k + s, d2(k - 2), d2(k - 4)
 
 
 def part2_unit_denominators(a2, a, e, b, b2):
@@ -125,7 +128,12 @@ def scales_alpha_plus_one(alpha, n, bits):
 
 # name -> (module or dict, name or key, replacement, checks that must fail)
 FAULTS = {
-    "laguerre-d2-off-by-one": (laguerre_me, "_rung", rung_off_by_one, {"first_order", "second_order"}),
+    "laguerre-d2-off-by-one": (
+        laguerre_me,
+        "_rungs",
+        rungs_off_by_one,
+        {"first_order", "second_order"},
+    ),
     "laguerre-part2-denominator": (
         laguerre_me,
         "_part2_numerator",
@@ -163,6 +171,20 @@ FAULTS = {
         ladder2d,
         "_K0",
         ladder2d.p4_operators()["K0"] + ladder2d.LadderExpr.mono("ad", "a"),
+        {"ladder"},
+    ),
+    # the N-conserving p^6 that second_order_2d applies, with one extra ad.a term
+    "ladder-p6-extra-term": (
+        ladder2d,
+        "_P6_ZERO",
+        ladder2d.p6_zero_expr() + ladder2d.LadderExpr.mono("ad", "a"),
+        {"ladder"},
+    ),
+    # the R2 + L2 + R4 + L4 hopping of part II, with one extra ad.bd term at R2's shift
+    "ladder-hopping-extra-term": (
+        ladder2d,
+        "_HOPPING",
+        ladder2d._HOPPING + ladder2d.LadderExpr.mono("ad", "bd"),
         {"ladder"},
     ),
     "degeneracy-off-by-one": (

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from salpeter_qho import ladder2d, laguerre_me
 from salpeter_qho.checks import ladder_grid
@@ -73,6 +75,12 @@ class TestFockState:
             FockState2D(2, 4)  # |m| > N
         with pytest.raises(InvalidQuantumNumbers):
             FockState2D(-1, -1)
+
+    def test_non_int_numbers_raise(self):
+        # refused where they are made, not later inside Fraction
+        for N, m in [(2.5, 0.5), (2.0, 0), (2, 0.0), (F(2), 0), ("2", 0)]:
+            with pytest.raises(InvalidQuantumNumbers):
+                FockState2D(N, m)
 
     def test_occupation_split(self):
         s = FockState2D(5, -1)
@@ -222,22 +230,61 @@ class TestOperatorStructure:
             assert expectation(p2, s) == energy_unperturbed(q)
 
 
+TABLES = ["_K0", "_HOPPING", "_P6_ZERO"]
+
+
+def table_expr(table):
+    """The LadderExpr that the table named `table` is built as, built afresh."""
+    ops = p4_operators()
+    return {
+        "_K0": ops["K0"],
+        "_HOPPING": ops["R2"] + ops["L2"] + ops["R4"] + ops["L4"],
+        "_P6_ZERO": p6_zero_expr(),
+    }[table]
+
+
+# occupations up to 10^6, and the vacuum edges where lowering factors vanish
+occupations = st.integers(0, 10**6) | st.sampled_from((0, 1, 2))
+
+
 class TestCompiledTables:
     """The operators the corrections apply, compiled, against the LadderExpr each is built as."""
 
-    @pytest.mark.parametrize("table", ["_K0", "_HOPPING", "_P6_ZERO"])
+    @pytest.mark.parametrize("table", TABLES)
     def test_same_image_as_expression(self, table):
-        ops = p4_operators()
-        expr = {
-            "_K0": ops["K0"],
-            "_HOPPING": ops["R2"] + ops["L2"] + ops["R4"] + ops["L4"],
-            "_P6_ZERO": p6_zero_expr(),
-        }[table]
-        applied = getattr(ladder2d, table)
+        expr, applied = table_expr(table), getattr(ladder2d, table)
         for s in ladder_grid(12):
-            image = ladder2d._apply(applied, s.n_a, s.n_b)
-            compiled = {key: c for key, c in image.items() if c}
-            assert compiled == reference_image(expr, s.n_a, s.n_b)
+            assert ladder2d._apply(applied, s.n_a, s.n_b) == reference_image(expr, s.n_a, s.n_b)
+
+    @pytest.mark.parametrize("table", TABLES)
+    @given(n_a=occupations, n_b=occupations)
+    def test_same_image_at_large_occupations(self, table, n_a, n_b):
+        expr, applied = table_expr(table), getattr(ladder2d, table)
+        assert ladder2d._apply(applied, n_a, n_b) == reference_image(expr, n_a, n_b)
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_one_entry_per_shift(self, table):
+        compiled = getattr(ladder2d, table)._compiled
+        shifts = [(da, db) for da, db, _ in compiled]
+        assert len(set(shifts)) == len(shifts)
+        for _, _, monomials in compiled:
+            powers = [(i, j) for _, i, j in monomials]
+            assert len(set(powers)) == len(powers)  # like monomials merged
+            assert all(c for c, _, _ in monomials)  # and none of them zero
+
+    def test_table_shapes(self):
+        def shape(table):
+            """{shift: (monomial count, total degree)} of a compiled table."""
+            return {
+                (da, db): (len(monomials), max(i + j for _, i, j in monomials))
+                for da, db, monomials in getattr(ladder2d, table)._compiled
+            }
+
+        # 23 words of p^6 on one shift, 6 of K0, 7 of hopping on four shifts
+        assert len(ladder2d._P6_ZERO.terms) == 23 and shape("_P6_ZERO") == {(0, 0): (10, 3)}
+        assert len(ladder2d._K0.terms) == 6 and shape("_K0") == {(0, 0): (6, 2)}
+        assert len(ladder2d._HOPPING.terms) == 7
+        assert set(shape("_HOPPING")) == {(1, 1), (-1, -1), (2, 2), (-2, -2)}
 
     def test_rational_coefficients_raise(self):
         # every operator of the method has int coefficients; the algebra takes no other

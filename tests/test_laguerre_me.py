@@ -8,7 +8,7 @@ from salpeter_qho.checks import radial_grid
 from salpeter_qho.corrections import epsilon1_general, epsilon2_general
 from salpeter_qho.kramers import first_order_method1, moment_eta
 from salpeter_qho.laguerre_me import (
-    _rung,
+    _rungs,
     first_order_method2,
     second_order_method2,
     second_order_part2,
@@ -36,30 +36,31 @@ def small_states(ds, nl_max):
 class TestCoeffD:
     def test_examples(self):
         # D_n^2 = 1, 3/2 and 7, so 4 D_n^2 = 4, 6 and 28
-        assert _rung(QuantumNumbers(2, 0, 0), 0)[0] == 4
-        assert _rung(QuantumNumbers(3, 0, 0), 0)[0] == 6
-        assert _rung(QuantumNumbers(3, 1, 1), 0)[0] == 28
+        assert _rungs(QuantumNumbers(2, 0, 0))[1] == 4
+        assert _rungs(QuantumNumbers(3, 0, 0))[1] == 6
+        assert _rungs(QuantumNumbers(3, 1, 1))[1] == 28
 
 
 class TestEtaAction:
-    """The rungs (4 D^2, 2 eps0) of the recurrence for eta."""
+    """The rungs (4 D^2 at n+1, n, n-1, n-2 and 2 eps0 at n) of the recurrence for eta."""
 
     def test_3d_ground(self):
         q = QuantumNumbers(3, 0, 0)
-        assert _rung(q, 0) == (6, 3)
-        assert _rung(q, -1)[0] == 0
+        # D_1^2 = 2 (5/2) = 5, D_0^2 = 3/2 and E_0 = 3/2
+        assert _rungs(q) == (20, 6, 3, 0, 0)
 
     def test_diag_is_energy(self):
         for q in small_states((1, 2, 3, 5), 5):
             for j in range(3):
                 shifted = QuantumNumbers(q.d, q.n + j, q.l)
-                assert F(_rung(q, j)[1], 2) == energy_unperturbed(shifted)
+                assert F(_rungs(shifted)[2], 2) == energy_unperturbed(shifted)
 
     def test_hermiticity(self):
-        # the up coefficient at n equals the down coefficient at n+1
+        # each up coefficient at n equals the down coefficient at n+1
         for q in small_states((1, 2, 3, 7), 9):
-            above = QuantumNumbers(q.d, q.n + 1, q.l)
-            assert _rung(q, 0)[0] == _rung(above, -1)[0]
+            up2, up, _, down, _ = _rungs(q)
+            _, up_above, _, down_above, down2_above = _rungs(QuantumNumbers(q.d, q.n + 1, q.l))
+            assert (up, up2, down) == (down_above, up_above, down2_above)
 
 
 class TestEta2:
@@ -85,8 +86,9 @@ class TestEta2:
         states = [QuantumNumbers.one_dim(N) for N in range(4)]
         states += [QuantumNumbers(d, n, l) for d in (2, 3, 6) for n in (0, 1) for l in range(3)]
         for q in states:
-            for j in range(-3, 1):
-                assert (_rung(q, j)[0] == 0) == (q.n + j < 0)
+            up2, up, _, down, down2 = _rungs(q)
+            for j, rung in zip((1, 0, -1, -2), (up2, up, down, down2)):
+                assert (rung == 0) == (q.n + j < 0)
 
 
 class TestFirstOrderMethod2:

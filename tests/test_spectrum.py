@@ -17,7 +17,6 @@ from salpeter_qho.spectrum import (
     DiagramModel,
     LevelRow,
     LevelTable,
-    _fmt,
     allowed_l,
     degeneracy_level,
     degeneracy_total,
@@ -62,15 +61,15 @@ def reference_render_json(table):
     """render_json through the generic encoder."""
     payload = {
         "d": table.d,
-        "lambda": _fmt(table.lam),
+        "lambda": str(table.lam),
         "rows": [
             {
                 "N": r.N,
                 "l": r.l,
-                "eps0": _fmt(r.eps0),
-                "eps1": _fmt(r.eps1),
-                "eps2": _fmt(r.eps2),
-                "energy": _fmt(r.energy),
+                "eps0": str(r.eps0),
+                "eps1": str(r.eps1),
+                "eps2": str(r.eps2),
+                "energy": str(r.energy),
                 "degeneracy": r.degeneracy,
             }
             for r in table.rows
