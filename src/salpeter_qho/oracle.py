@@ -358,6 +358,12 @@ def sum_over_states_check(q: QuantumNumbers, n_cutoff: int) -> mpf:
 def radial_residual(q: QuantumNumbers, sample_etas, energy=None) -> mpf:
     """Max relative residual of the radial equation at the sample points.
 
+    At each r = sqrt(eta) the residual |u'' - (eta - 2E + ang/eta) u +
+    (d - 3) u'/r|, with ang = d - 3 + l(l + d - 2), is divided by the sum of
+    the pieces' sizes, |u''| + |u| (eta + 2|E| + |ang|/eta) + |(d - 3) u'/r|,
+    so it stays at rounding level at a classical turning point, where u''
+    and the potential term both vanish.
+
     The sample must be non-empty with every eta > 0, else ValueError.
     `energy` overrides the eigenvalue (used to confirm the test has power:
     a wrong energy must produce a large residual); it is read at working
@@ -372,18 +378,17 @@ def radial_residual(q: QuantumNumbers, sample_etas, energy=None) -> mpf:
     with mp.workdps(working_precision()):
         e = _to_mpf(energy_unperturbed(q) if energy is None else energy)
         radii = [mp.sqrt(_to_mpf(eta)) for eta in etas]
+        e2 = 2 * e
+        e2_size = abs(e2)
         worst = mpf(0)
         for r, (u, du, d2u) in zip(radii, u_derivatives(q, radii)):
             rr = r * r
-            terms = [
-                d2u,
-                (rr - 2 * e + ang / rr) * u,
-                -((q.d - 3) / r) * du,
-            ]
-            residual = abs(terms[0] - terms[1] - terms[2])
-            scale = max(abs(t) for t in terms)
+            centrifugal = ang / rr
+            drift = ((q.d - 3) / r) * du
+            residual = abs(d2u - (rr - e2 + centrifugal) * u + drift)
+            scale = abs(d2u) + abs(u) * (rr + e2_size + abs(centrifugal)) + abs(drift)
             if scale == 0:
-                # every term vanishes identically at this point (residual too)
+                # every piece vanishes identically at this point (residual too)
                 continue
             worst = max(worst, residual / scale)
         return worst

@@ -1,13 +1,17 @@
 """Degeneracies, level splitting, level tables, diagram data and the
 Landau-analogue energies.
 
-Table values are exact rationals; renderers print them as "p/q". The
-renderers write their text directly, one formatted string per row or
-sub-level: render_json gives the bytes of json.dumps(..., indent=2,
-sort_keys=True) without the generic encoder. diagram_data builds each
-sub-level's position as one exact Fraction from integer numerators and
-denominators; render_svg converts positions to float once, and raises
-ValueError when they exceed the float range.
+Table values are exact rationals; renderers print them as "p/q". A
+LevelRow is a NamedTuple whose field order is the CSV column order, and
+level_table builds each row positionally. The renderers write their text
+directly with one %-template per row or sub-level, so each Fraction goes
+through str once: render_csv formats the row tuple as it is, and
+render_json gives the bytes of json.dumps(..., indent=2, sort_keys=True)
+without the generic encoder. diagram_data builds each sub-level's position
+as one exact Fraction from integer numerators and denominators; render_svg
+converts each position to float once, by the int true division
+numerator / denominator, raises ValueError when positions exceed the float
+range, and formats the x columns of the sub-levels once per sub-level count.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
+from typing import NamedTuple
 
 from .corrections import _scaled_corrections
 
@@ -72,8 +77,9 @@ def allowed_l(N: int) -> list[int]:
     return list(range(N % 2, N + 1, 2))
 
 
-@dataclass(frozen=True)
-class LevelRow:
+class LevelRow(NamedTuple):
+    """One (N, l) sub-level; the field order is the CSV column order."""
+
     N: int
     l: int
     eps0: Fraction
@@ -110,13 +116,13 @@ def level_table(N_max: int, d: int, lam) -> LevelTable:
             e1, e2 = _scaled_corrections(N - l, d + 2 * l)
             rows.append(
                 LevelRow(
-                    N=N,
-                    l=l,
-                    eps0=eps0,
-                    eps1=Fraction(e1, 32),
-                    eps2=Fraction(e2, 512),
-                    energy=Fraction(base + c1 * e1 + c2 * e2, 2 * c0),
-                    degeneracy=degeneracy[l],
+                    N,
+                    l,
+                    eps0,
+                    Fraction(e1, 32),
+                    Fraction(e2, 512),
+                    Fraction(base + c1 * e1 + c2 * e2, 2 * c0),
+                    degeneracy[l],
                 )
             )
     return LevelTable(d=d, lam=lam, rows=tuple(rows))
@@ -177,28 +183,30 @@ def diagram_data(table: LevelTable, exaggeration=None) -> DiagramModel:
     levels = []
     N = None
     # level_table emits rows in (N, l) order, so this sort is one linear pass
-    for r in sorted(table.rows, key=attrgetter("N", "l")):
-        if r.N != N:
+    for row_N, l, eps0, _, _, energy, h in sorted(table.rows, key=attrgetter("N", "l")):
+        if row_N != N:
             if N is not None:
                 levels.append(DiagramLevel(N=N, baseline=baseline, sublevels=tuple(sublevels)))
-            N, baseline, sublevels = r.N, r.eps0, []
+            N, baseline, sublevels = row_N, eps0, []
             zn, zd = baseline.numerator, baseline.denominator
             ed_coef, en_coef, den_coef = zn * (b - a), a * zd, zd * b
-        en, ed = r.energy.numerator, r.energy.denominator
-        sublevels.append((r.l, Fraction(ed * ed_coef + en * en_coef, ed * den_coef), r.degeneracy))
+        en, ed = energy.numerator, energy.denominator
+        sublevels.append((l, Fraction(ed * ed_coef + en * en_coef, ed * den_coef), h))
     if N is not None:
         levels.append(DiagramLevel(N=N, baseline=baseline, sublevels=tuple(sublevels)))
     return DiagramModel(d=table.d, lam=table.lam, exaggeration=exag, levels=tuple(levels))
 
 
 def render_csv(table: LevelTable) -> str:
-    lines = ["N,l,eps0,eps1,eps2,energy,degeneracy"]
-    for r in table.rows:
-        lines.append(
-            f"{r.N},{r.l},{r.eps0},{r.eps1},{r.eps2},"
-            f"{r.energy},{r.degeneracy}"
-        )
-    return "\n".join(lines) + "\n"
+    # LevelRow's field order is the column order, so each row is one template
+    rows = "".join(["%s,%s,%s,%s,%s,%s,%s\n" % row for row in table.rows])
+    return "N,l,eps0,eps1,eps2,energy,degeneracy\n" + rows
+
+
+_JSON_ROW = (
+    '    {\n      "N": %s,\n      "degeneracy": %s,\n      "energy": "%s",\n'
+    '      "eps0": "%s",\n      "eps1": "%s",\n      "eps2": "%s",\n      "l": %s\n    }'
+)
 
 
 def render_json(table: LevelTable) -> str:
@@ -206,11 +214,10 @@ def render_json(table: LevelTable) -> str:
     written directly: keys in sorted order, and a Fraction's str has only
     digits, "-" and "/", so no string needs escaping."""
     rows = ",\n".join(
-        f'    {{\n      "N": {r.N},\n      "degeneracy": {r.degeneracy},\n'
-        f'      "energy": "{r.energy}",\n      "eps0": "{r.eps0}",\n'
-        f'      "eps1": "{r.eps1}",\n      "eps2": "{r.eps2}",\n'
-        f'      "l": {r.l}\n    }}'
-        for r in table.rows
+        [
+            _JSON_ROW % (N, degeneracy, energy, eps0, eps1, eps2, l)
+            for N, l, eps0, eps1, eps2, energy, degeneracy in table.rows
+        ]
     )
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     return f'{{\n  "d": {table.d},\n  "lambda": "{table.lam}",\n  "rows": {rows}\n}}\n'
@@ -222,13 +229,19 @@ SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 480, 50.0
 def render_svg(model: DiagramModel) -> str:
     """Deterministic SVG energy-level diagram.
 
-    Raises ValueError when a position does not fit in a float.
+    Raises ValueError when the diagram or one of its levels is empty, and
+    when a position does not fit in a float.
     """
+    if not model.levels:
+        raise ValueError("diagram has no levels to draw")
+    levels = []
     try:
-        levels = [
-            (lvl, float(lvl.baseline), [float(pos) for (_, pos, _) in lvl.sublevels])
-            for lvl in model.levels
-        ]
+        for lvl in model.levels:
+            if not lvl.sublevels:
+                raise ValueError(f"diagram level N={lvl.N} has no sub-levels to draw")
+            base = lvl.baseline
+            subs = [pos.numerator / pos.denominator for (_, pos, _) in lvl.sublevels]
+            levels.append((lvl, base.numerator / base.denominator, subs))
     except OverflowError as exc:
         raise ValueError("diagram positions exceed the float range") from exc
     lo = min(min(base, *subs) for (_, base, subs) in levels)
@@ -248,6 +261,7 @@ def render_svg(model: DiagramModel) -> str:
         f'<title>Relativistic level splitting, d={model.d}, lambda={model.lam}</title>',
         '<style>text{font-family:monospace;font-size:11px}</style>',
     ]
+    columns = {}  # sub-level count -> the (start, end) x strings of each sub-level
     for lvl, base, subs in levels:
         yb = top - (base - lo) / span * height
         yb_s = f"{yb:.2f}"
@@ -256,13 +270,18 @@ def render_svg(model: DiagramModel) -> str:
             'stroke="black" stroke-width="1.5"/>\n'
             f'<text x="{label_x_s}" y="{yb + 4:.2f}">N={lvl.N}</text>'
         )
-        seg = (x3 - x2) / len(subs)
-        for idx, ((l, _, h), pos) in enumerate(zip(lvl.sublevels, subs)):
+        cols = columns.get(len(subs))
+        if cols is None:
+            seg = (x3 - x2) / len(subs)
+            cols = columns[len(subs)] = [
+                (f"{x2 + idx * seg:.2f}", f"{x2 + (idx + 1) * seg - 6:.2f}")
+                for idx in range(len(subs))
+            ]
+        for (l, _, h), pos, (xa_s, xb_s) in zip(lvl.sublevels, subs, cols):
             ys = top - (pos - lo) / span * height
             ys_s = f"{ys:.2f}"
-            xa_s = f"{x2 + idx * seg:.2f}"
             parts.append(
-                f'<line x1="{xa_s}" y1="{ys_s}" x2="{x2 + (idx + 1) * seg - 6:.2f}" y2="{ys_s}" '
+                f'<line x1="{xa_s}" y1="{ys_s}" x2="{xb_s}" y2="{ys_s}" '
                 'stroke="firebrick" stroke-width="1.5"/>\n'
                 f'<line x1="{x1_s}" y1="{yb_s}" x2="{xa_s}" y2="{ys_s}" '
                 'stroke="gray" stroke-width="0.5" stroke-dasharray="3,3"/>\n'

@@ -22,6 +22,7 @@ from salpeter_qho.states import (
     InvalidQuantumNumbers,
     QuantumNumbers,
     UnsupportedDimension,
+    energy_unperturbed,
     laguerre_fixed,
     laguerre_values,
 )
@@ -646,6 +647,26 @@ class TestRadialResidual:
         q = QuantumNumbers(3, 1, 0)
         wrong = radial_residual(q, SAMPLE_ETAS, energy=F(7, 2) + F(1, 100))
         assert wrong > mpf("1e-3")
+
+    # d = 3 states with a sample eta where eta^2 - 2 E eta + l(l + 1) = 0: there
+    # u'' and the potential term are both rounding noise
+    TURNING_POINTS = [
+        (QuantumNumbers(3, 1, 5), 2),
+        (QuantumNumbers(3, 1, 10), 5),
+        (QuantumNumbers(3, 2, 6), 2),
+        (QuantumNumbers(3, 7, 6), 1),
+    ]
+
+    @pytest.mark.parametrize("q,eta", TURNING_POINTS)
+    def test_classical_turning_point(self, q, eta):
+        e = energy_unperturbed(q)
+        assert eta * eta - 2 * e * eta + q.l * (q.l + 1) == 0
+        assert radial_residual(q, [eta]) <= checks.TOL_RESIDUAL
+
+    @pytest.mark.parametrize("q,eta", TURNING_POINTS)
+    def test_wrong_energy_detected_at_turning_point(self, q, eta):
+        wrong = energy_unperturbed(q) + F(1, 1000)
+        assert radial_residual(q, [eta], energy=wrong) > mpf("1e-6")
 
     def test_energy_override_read_at_working_precision(self):
         # at the 15-digit ambient precision the shifted energy would round to 7/2

@@ -57,6 +57,17 @@ def reference_rows(N_max, d, lam):
     return tuple(rows)
 
 
+def reference_render_csv(table):
+    """render_csv with one f-string per row, field by field."""
+    lines = ["N,l,eps0,eps1,eps2,energy,degeneracy"]
+    for r in table.rows:
+        lines.append(
+            f"{r.N},{r.l},{r.eps0},{r.eps1},{r.eps2},"
+            f"{r.energy},{r.degeneracy}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def reference_render_json(table):
     """render_json through the generic encoder."""
     payload = {
@@ -76,6 +87,55 @@ def reference_render_json(table):
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reference_render_svg(model):
+    """render_svg with float() positions and every coordinate formatted where
+    it is drawn."""
+    width, height_px, margin = 640, 480, 50.0
+    try:
+        levels = [
+            (lvl, float(lvl.baseline), [float(pos) for (_, pos, _) in lvl.sublevels])
+            for lvl in model.levels
+        ]
+    except OverflowError as exc:
+        raise ValueError("diagram positions exceed the float range") from exc
+    lo = min(min(base, *subs) for (_, base, subs) in levels)
+    hi = max(max(base, *subs) for (_, base, subs) in levels)
+    span = (hi - lo) or 1.0
+    if math.isinf(span):
+        raise ValueError("diagram positions exceed the float range")
+    top, height = height_px - margin, height_px - 2 * margin
+
+    plot_width = width - 2 * margin
+    x0, x1 = margin, margin + plot_width * 0.35
+    x2, x3 = margin + plot_width * 0.5, width - margin
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height_px}" '
+        f'viewBox="0 0 {width} {height_px}">',
+        f"<title>Relativistic level splitting, d={model.d}, lambda={model.lam}</title>",
+        "<style>text{font-family:monospace;font-size:11px}</style>",
+    ]
+    for lvl, base, subs in levels:
+        yb = top - (base - lo) / span * height
+        parts.append(
+            f'<line x1="{x0:.2f}" y1="{yb:.2f}" x2="{x1:.2f}" y2="{yb:.2f}" '
+            'stroke="black" stroke-width="1.5"/>\n'
+            f'<text x="{x0 - 38:.2f}" y="{yb + 4:.2f}">N={lvl.N}</text>'
+        )
+        seg = (x3 - x2) / len(subs)
+        for idx, ((l, _, h), pos) in enumerate(zip(lvl.sublevels, subs)):
+            ys = top - (pos - lo) / span * height
+            xa = x2 + idx * seg
+            parts.append(
+                f'<line x1="{xa:.2f}" y1="{ys:.2f}" x2="{x2 + (idx + 1) * seg - 6:.2f}" '
+                f'y2="{ys:.2f}" stroke="firebrick" stroke-width="1.5"/>\n'
+                f'<line x1="{x1:.2f}" y1="{yb:.2f}" x2="{xa:.2f}" y2="{ys:.2f}" '
+                'stroke="gray" stroke-width="0.5" stroke-dasharray="3,3"/>\n'
+                f'<text x="{xa:.2f}" y="{ys - 3:.2f}">l={l} (h={h})</text>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def reference_diagram_data(table, exaggeration=None):
@@ -187,11 +247,34 @@ class TestLevelTable:
             for x in (r.eps0, r.eps1, r.eps2, r.energy)
         )
 
+    def test_rows_are_level_rows(self):
+        for d in (1, 2, 7):
+            assert all(type(r) is LevelRow for r in level_table(12, d, F(3, 70)).rows)
+
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
             level_table(2, 3, 0)
         with pytest.raises(ValueError):
             level_table(2, 3, F(-1, 10))
+
+
+class TestLevelRow:
+    ROW = level_table(2, 3, F(1, 10)).rows[2]  # N = 2, l = 0
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.ROW.eps1 = F(0)
+
+    def test_fields_are_csv_columns(self):
+        # render_csv formats each row tuple as it is, in field order
+        header = render_csv(level_table(0, 3, F(1, 10))).split("\n")[0]
+        assert LevelRow._fields == tuple(header.split(","))
+
+    def test_keyword_and_positional_construction_agree(self):
+        row = self.ROW
+        assert (row.N, row.l) == (2, 0)
+        assert LevelRow(**row._asdict()) == LevelRow(*row) == row
+        assert row._replace(l=2) != row
 
 
 class TestLandau:
@@ -257,6 +340,10 @@ class TestDiagram:
         assert diagram_data(shuffled) == diagram_data(table)
 
 
+# p/q with p, q <= 10**6, lambda > 1 included
+RATIONALS = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
 class TestRenderers:
     def test_csv_header_and_rationals(self):
         text = render_csv(level_table(2, 3, F(1, 1000)))
@@ -304,6 +391,32 @@ class TestRenderers:
         model = DiagramModel(d=3, lam=F(1), exaggeration=F(1), levels=(level,))
         with pytest.raises(ValueError, match="float range"):
             render_svg(model)
+
+    def test_svg_of_empty_diagram(self):
+        model = diagram_data(LevelTable(d=3, lam=F(1, 10), rows=()))
+        assert model.levels == ()
+        with pytest.raises(ValueError, match="no levels"):
+            render_svg(model)
+
+    def test_svg_of_level_without_sublevels(self):
+        empty = DiagramLevel(N=1, baseline=F(5, 2), sublevels=())
+        levels = (*diagram_data(level_table(0, 3, F(1, 10))).levels, empty)
+        model = DiagramModel(d=3, lam=F(1, 10), exaggeration=F(1), levels=levels)
+        with pytest.raises(ValueError, match="N=1 has no sub-levels"):
+            render_svg(model)
+
+    @given(
+        d=st.integers(1, 200),
+        N_max=st.integers(0, 40),
+        lam=RATIONALS,
+        exaggeration=st.none() | RATIONALS,
+    )
+    def test_renderers_match_field_by_field_references(self, d, N_max, lam, exaggeration):
+        table = level_table(N_max, d, lam)
+        model = diagram_data(table, exaggeration)
+        assert render_csv(table) == reference_render_csv(table)
+        assert render_json(table) == reference_render_json(table)
+        assert render_svg(model) == reference_render_svg(model)
 
     def test_svg_labels(self):
         svg = render_svg(diagram_data(level_table(2, 3, F(1, 1000))))
