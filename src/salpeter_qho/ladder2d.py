@@ -13,6 +13,14 @@ per shift (dn_a, dn_b), generated from its generator words with like terms
 merged, so its image coefficient at that shift is sum c n_a^i n_b^j.  One
 evaluator, _apply, serves every operator, and the corrections build one
 Fraction per result.
+
+The compiled form is also the one canonical form of an operator: two
+LadderExprs act alike on every Fock state exactly when their compiled
+tuples are equal.  The images at distinct shifts are distinct states, and a
+polynomial that vanishes at every occupation pair is the zero polynomial,
+so equal actions give equal merged polynomials; like monomials are merged
+and zero ones dropped, so those give equal tuples.  Operator identities,
+such as (p^2)^2 = p^4 or [a, ad] = 1, are decided by comparing these tuples.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ __all__ = [
     "p4_operators",
     "p4_expr",
     "p6_zero_expr",
-    "normal_order",
     "first_order_2d",
     "second_order_2d",
     "map_Nm_to_nl",
@@ -125,6 +132,12 @@ class LadderExpr:
         one shift are expanded and summed, like monomials merged and zero
         ones dropped.  Annihilating past the vacuum gives a factor 0, so every
         polynomial vanishes where its shift leaves the Fock space.
+
+        So the tuple is canonical: two LadderExprs act alike on every Fock
+        state exactly when their tuples are equal.  Each polynomial gives the
+        image coefficient at every (n_a, n_b) >= 0, past the vacuum included,
+        and has degree at most the word length in each occupation, so it is
+        zero as soon as it vanishes on {0..k}^2, k the longest word's length.
         """
         shifts: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
         for term in self.terms:
@@ -255,35 +268,6 @@ _P4 = p4_operators()
 _K0 = _P4["K0"]
 _HOPPING = _P4["R2"] + _P4["L2"] + _P4["R4"] + _P4["L4"]
 _P6_ZERO = p6_zero_expr()
-
-
-def _normal_order_species(seq: tuple[str, ...]) -> dict[tuple[int, int], Fraction]:
-    """Normal order a single-species word ('+' = creation, '-' = annihilation)."""
-    for i in range(len(seq) - 1):
-        if seq[i] == "-" and seq[i + 1] == "+":
-            swapped = _normal_order_species(seq[:i] + ("+", "-") + seq[i + 2 :])
-            contracted = _normal_order_species(seq[:i] + seq[i + 2 :])
-            for key, val in contracted.items():
-                swapped[key] = swapped.get(key, Fraction(0)) + val
-            return {k: v for k, v in swapped.items() if v != 0}
-    return {(seq.count("+"), seq.count("-")): Fraction(1)}
-
-
-def normal_order(expr: LadderExpr) -> dict[tuple[int, int, int, int], Fraction]:
-    """Normal-ordered coefficients keyed by (ad, a, bd, b) exponents.
-
-    The a- and b-species commute, so each is ordered independently with
-    [a, ad] = [b, bd] = 1.
-    """
-    result: dict[tuple[int, int, int, int], Fraction] = {}
-    for term in expr.terms:
-        a_word = tuple("+" if g == "ad" else "-" for g in term.gens if g in ("a", "ad"))
-        b_word = tuple("+" if g == "bd" else "-" for g in term.gens if g in ("b", "bd"))
-        for (i, j), ca in _normal_order_species(a_word).items():
-            for (k, l), cb in _normal_order_species(b_word).items():
-                key = (i, j, k, l)
-                result[key] = result.get(key, Fraction(0)) + term.coeff * ca * cb
-    return {k: v for k, v in result.items() if v != 0}
 
 
 def _part2(s: FockState2D) -> tuple[int, int]:

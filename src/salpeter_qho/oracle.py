@@ -314,6 +314,8 @@ def quad_matrix_element(n1: int, n2: int, l: int, d: int, s: int) -> mpf:
     """<u_{n1,l}|eta^s|u_{n2,l}> by quadrature, cross-checked on two buckets of nodes."""
     if d < 2:
         raise UnsupportedDimension("quadrature oracle requires d >= 2")
+    if not isinstance(s, int):
+        raise ValueError(f"s must be an int, got {s!r}")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     if type(n1) is type(n2) is type(l) is type(d) is int and min(n1, n2, l) >= 0:
@@ -326,7 +328,9 @@ def quad_matrix_element(n1: int, n2: int, l: int, d: int, s: int) -> mpf:
 
 
 def orthonormality_check(l: int, d: int, n_max: int) -> mpf:
-    """max |<u_n1|u_n2> - delta| over n1, n2 <= n_max."""
+    """max |<u_n1|u_n2> - delta| over n1, n2 <= n_max, which must be >= 0."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     with mp.workdps(working_precision()):
         worst = mpf(0)
         for n1 in range(n_max + 1):

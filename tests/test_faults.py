@@ -1,7 +1,7 @@
 """Faults injected into one derivation must trip the checks that cover it.
 
-Each row of FAULTS replaces one name in one module (or one entry of a
-module-level dict) and lists the exact checks that must then fail on the
+Each row of FAULTS replaces one name in one module or class (or one entry
+of a module-level dict) and lists the exact checks that must then fail on the
 small grid; every other check in CHECKS must still pass.  The faults live
 here only: nothing in the package has a hook for them.
 """
@@ -38,6 +38,7 @@ CHECKS = {
     "ladder": lambda: checks.ladder_failure(SMALL["ladder_N"]),
     "oracle": oracle_failure,
     "degeneracy": lambda: None if checks.degeneracy_sum_rule_holds() else "sum rule fails",
+    "operator_self_test": lambda: None if checks.operator_self_test_holds() else "self-test fails",
 }
 
 
@@ -83,6 +84,46 @@ def kramers_angular_off_by_one(q, s):
 
 
 _factorial_ratio = ladder2d._factorial_ratio
+_p4_operators = ladder2d.p4_operators
+
+
+def p4_blocks_without_l2_ab():
+    """ladder2d.p4_operators with the -4 a.b term of L2 dropped."""
+    blocks = _p4_operators()
+    blocks["L2"] = ladder2d.LadderExpr(blocks["L2"].terms[:-1])
+    return blocks
+
+
+def compiled_cross_species(self):
+    """LadderExpr._compiled with each b lowering's factor n_b + 1 too large
+    once the a occupation has been raised, so b no longer commutes with ad."""
+    shifts = {}
+    for term in self.terms:
+        da = db = 0
+        oa, ob = [], []
+        for g in reversed(term.gens):
+            if g == "a":
+                oa.append(da)
+                da -= 1
+            elif g == "ad":
+                da += 1
+            elif g == "b":
+                ob.append(db + (da > 0))
+                db -= 1
+            else:
+                db += 1
+        poly = shifts.setdefault((da, db), {})
+        for i, ca in enumerate(ladder2d._expand(oa)):
+            for j, cb in enumerate(ladder2d._expand(ob)):
+                poly[i, j] = poly.get((i, j), 0) + term.coeff * ca * cb
+    compiled = []
+    for (da, db), poly in sorted(shifts.items()):
+        monomials = tuple((c, i, j) for (i, j), c in sorted(poly.items()) if c)
+        if monomials:
+            compiled.append((da, db, monomials))
+    return tuple(compiled)
+
+
 _degeneracy_level = spectrum.degeneracy_level
 _rule_entry = oracle._rule_entry
 
@@ -126,7 +167,7 @@ def scales_alpha_plus_one(alpha, n, bits):
     return scales
 
 
-# name -> (module or dict, name or key, replacement, checks that must fail)
+# name -> (module, class or dict, name or key, replacement, checks that must fail)
 FAULTS = {
     "laguerre-d2-off-by-one": (
         laguerre_me,
@@ -186,6 +227,22 @@ FAULTS = {
         "_HOPPING",
         ladder2d._HOPPING + ladder2d.LadderExpr.mono("ad", "bd"),
         {"ladder"},
+    ),
+    # p^4 as printed, built afresh by the self-test; the tables the corrections
+    # apply were built at import, so the ladder check does not see it
+    "ladder-p4-block-missing-term": (
+        ladder2d,
+        "p4_operators",
+        p4_blocks_without_l2_ab,
+        {"operator_self_test"},
+    ),
+    # a plain property, so that no faulty compiled form is cached on an operator;
+    # it also shadows the forms that the import-time tables have cached
+    "ladder-compiler-cross-species": (
+        ladder2d.LadderExpr,
+        "_compiled",
+        property(compiled_cross_species),
+        {"ladder", "operator_self_test"},
     ),
     "degeneracy-off-by-one": (
         spectrum,

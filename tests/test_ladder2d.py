@@ -4,13 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salpeter_qho import ladder2d, laguerre_me
 from salpeter_qho.checks import ladder_grid
 from salpeter_qho.corrections import epsilon1_general, epsilon2_general
 from salpeter_qho.ladder2d import (
+    GENERATORS,
     FockState2D,
     LadderExpr,
     Monomial,
@@ -18,7 +19,6 @@ from salpeter_qho.ladder2d import (
     first_order_2d,
     map_Nm_to_nl,
     matrix_element_squared,
-    normal_order,
     p2_expr,
     p4_expr,
     p4_operators,
@@ -195,7 +195,7 @@ class TestOperatorStructure:
                 assert delta_m == 0
 
     def test_p4_expansion_matches_printed_form(self):
-        assert normal_order(p2_expr() * p2_expr()) == normal_order(p4_expr())
+        assert (p2_expr() * p2_expr())._compiled == p4_expr()._compiled
 
     def test_p6_zero_conserves_N(self):
         raising = {"ad", "bd"}
@@ -304,6 +304,46 @@ class TestCompiledTables:
         assert ladder2d._apply(expr, 2, 1) == {(2, 1): 2, (2, 0): 3}
 
 
+words = st.lists(st.sampled_from(GENERATORS), max_size=4).map(tuple)
+exprs = st.lists(st.builds(Monomial, st.integers(-3, 3), words), max_size=4).map(
+    lambda terms: LadderExpr(tuple(terms))
+)
+# adjacent pairs that a commutation relation reorders: [a, ad] = [b, bd] = 1,
+# and every a-species generator commutes with every b-species one
+UNIT_PAIRS = [("a", "ad"), ("b", "bd")]
+CROSS_PAIRS = [(g, h) for g in ("a", "ad") for h in ("b", "bd")]
+
+
+@st.composite
+def commuted_pairs(draw):
+    """(x, y) with y = x but one word's adjacent pair reordered: u.a.ad.v
+    becomes u.ad.a.v + u.v, and u.g.h.v of two species becomes u.h.g.v.  With
+    the contraction u.v dropped, y differs from x by it."""
+    rest = draw(exprs)
+    u = draw(st.lists(st.sampled_from(GENERATORS), max_size=2))
+    v = draw(st.lists(st.sampled_from(GENERATORS), max_size=2 - len(u)))
+    pair = draw(st.sampled_from(UNIT_PAIRS + CROSS_PAIRS + [p[::-1] for p in CROSS_PAIRS]))
+    c = draw(st.integers(-3, 3).filter(bool))
+    x = rest + mono(*u, *pair, *v, coeff=c)
+    y = rest + mono(*u, *pair[::-1], *v, coeff=c)
+    if pair in UNIT_PAIRS and draw(st.booleans()):
+        y = y + mono(*u, *v, coeff=c)
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(exprs, exprs) | commuted_pairs())
+def test_compiled_form_is_canonical(pair):
+    """Equal compiled forms exactly when x - y acts as zero on every Fock state.
+
+    Each shift's polynomial has degree at most 4 in each occupation here, so
+    x - y is zero once its image vanishes at every (n_a, n_b) in {0..4}^2."""
+    x, y = pair
+    acts_as_zero = all(not reference_image(x - y, n_a, n_b) for n_a in range(5) for n_b in range(5))
+    assert ((x - y)._compiled == ()) == acts_as_zero
+    assert (x._compiled == y._compiled) == acts_as_zero
+
+
 class TestCorrections2D:
     def test_first_order_examples(self):
         assert first_order_2d(FockState2D(0, 0)) == F(-1, 4)
@@ -395,6 +435,5 @@ def test_public_functions_return_fractions():
         expectation(mono("ad", "bd"), s),  # zero: off-diagonal
         first_order_2d(s),
         second_order_2d(s),
-        *normal_order(p4_expr()).values(),
     ]
     assert all(type(r) is Fraction for r in results)

@@ -598,17 +598,32 @@ class TestMatrixElement:
             ((0, -1, 0, 3, 2), InvalidQuantumNumbers),
             ((1, 0, -1, 3, 1), InvalidQuantumNumbers),
             ((1, 0, 0, 1, 2), UnsupportedDimension),
+            # a non-int power, refused before any rule is built
+            ((0, 0, 0, 3, 1.5), ValueError),
+            ((0, 0, 0, 3, 2.0), ValueError),
+            ((0, 0, 0, 3, Fraction(3, 2)), ValueError),
         ],
     )
     def test_bad_arguments_rejected(self, args, error):
+        misses = rule_cache_stats()["misses"]
         with pytest.raises(error):
             quad_matrix_element(*args)
+        assert rule_cache_stats()["misses"] == misses
+
+    def test_negative_power_message(self):
+        with pytest.raises(ValueError, match=r"^s must be >= 0, got -1$"):
+            quad_matrix_element(2, 0, 0, 3, -1)
 
 
 class TestOrthonormality:
     @pytest.mark.parametrize("l,d", [(0, 2), (0, 3), (2, 3), (1, 5)])
     def test_within_tolerance(self, l, d):
         assert orthonormality_check(l, d, 6) <= mpf("1e-12")
+
+    def test_negative_n_max_rejected(self):
+        # n_max = -1 would check no pair and report 0
+        with pytest.raises(ValueError):
+            orthonormality_check(0, 3, -1)
 
 
 class TestSumOverStates:
