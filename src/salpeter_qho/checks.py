@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from . import kramers, ladder2d, laguerre_me, oracle, spectrum
 from .corrections import epsilon1_general, epsilon1_rewritten, epsilon2_general
 from .ladder2d import FockState2D, LadderExpr, map_Nm_to_nl, p2_expr, p4_expr
-from .states import QuantumNumbers, _to_mpf
+from .oracle import _to_mpf
+from .states import QuantumNumbers
 
 # "large" is the acceptance grid.
 GRIDS = {
@@ -59,7 +60,8 @@ def ladder_grid(N_max: int) -> list[FockState2D]:
 
 def rel_error(approx, exact: Fraction):
     """|approx - exact| / |approx| at the working precision."""
-    return abs(approx - _to_mpf(exact)) / abs(approx)
+    with mp.workdps(oracle.working_precision()):
+        return abs(approx - _to_mpf(exact)) / abs(approx)
 
 
 def first_order_failure(grid, target=epsilon1_general):

@@ -15,7 +15,8 @@ from mpmath import mp, mpf, nstr
 from . import checks, kramers, ladder2d, laguerre_me, oracle, spectrum
 from .corrections import epsilon1_general, epsilon2_general
 from .ladder2d import FockState2D, map_Nm_to_nl
-from .states import InvalidQuantumNumbers, QuantumNumbers, _to_mpf, energy_unperturbed
+from .oracle import _to_mpf
+from .states import InvalidQuantumNumbers, QuantumNumbers, energy_unperturbed
 
 USAGE_ERROR, VERIFY_ERROR, IO_ERROR = 2, 1, 3
 

@@ -109,17 +109,15 @@ class LadderExpr:
         return LadderExpr(tuple(Monomial(-t.coeff, t.gens) for t in self.terms))
 
     def __mul__(self, other):
-        if isinstance(other, LadderExpr):
-            return LadderExpr(
-                tuple(
-                    Monomial(s.coeff * t.coeff, s.gens + t.gens)
-                    for s in self.terms
-                    for t in other.terms
-                )
+        if not isinstance(other, LadderExpr):
+            return NotImplemented
+        return LadderExpr(
+            tuple(
+                Monomial(s.coeff * t.coeff, s.gens + t.gens)
+                for s in self.terms
+                for t in other.terms
             )
-        return LadderExpr(tuple(Monomial(t.coeff * other, t.gens) for t in self.terms))
-
-    __rmul__ = __mul__
+        )
 
     @cached_property
     def _compiled(self) -> tuple[tuple, ...]:

@@ -3,8 +3,8 @@ quadrature.
 
 Nodes are the zeros of L_n^(alpha), found by Newton steps on the three-term
 recurrence, O(n^2) per rule (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29
-(2007) 1420), all on one recurrence: states.laguerre_fixed, in Python-int
-fixed point with alpha = a/b kept as two ints.  The seeds, by Newton with
+(2007) 1420), all on one recurrence: laguerre_fixed, in Python-int fixed
+point with alpha = a/b kept as two ints.  The seeds, by Newton with
 deflation at 64 bits from Sturm-bounded starts, hold about 12 digits and
 cannot overflow: only L_n / (x L_n') becomes a float.  The polish takes each node as an int
 X = x 2^P, with P = ceil((dps + 10) log2 10) + 32 guard bits for dps working
@@ -49,9 +49,13 @@ have no such bound but measure below 0.64 2^B (alpha from -1/2 to 40, up to
 128 nodes).  With every |Q_ik| <= 2^B and each entry rounded to nearest, an
 int sum differs from the same sum in exact arithmetic on the unrounded
 entries by at most npoints (s + 1) max(1, x_max)^s 2^-B.  The entries' own
-error adds its share: that of the recurrence, bounded in
-states.laguerre_fixed in units of 2^-P and carried into Q_ik times
-c_k sqrt(w_i) 2^(B - P), and under 2^-30 from the isqrt floors at B + 32 bits.
+error adds its share: that of the recurrence, bounded in laguerre_fixed in
+units of 2^-P and carried into Q_ik times c_k sqrt(w_i) 2^(B - P), and
+under 2^-30 from the isqrt floors at B + 32 bits.
+
+The radial residual reads the normalized eigenfunction and its first two
+derivatives from u_derivatives, in mpf on laguerre_values, one call per
+state for all its radii.
 """
 
 from __future__ import annotations
@@ -66,14 +70,7 @@ from operator import mul
 
 from mpmath import mp, mpf
 
-from .states import (
-    QuantumNumbers,
-    UnsupportedDimension,
-    _to_mpf,
-    energy_unperturbed,
-    laguerre_fixed,
-    u_derivatives,
-)
+from .states import QuantumNumbers, UnsupportedDimension, energy_unperturbed
 
 __all__ = [
     "working_precision",
@@ -83,6 +80,9 @@ __all__ = [
     "orthonormality_check",
     "sum_over_states_check",
     "radial_residual",
+    "laguerre_values",
+    "laguerre_fixed",
+    "u_derivatives",
 ]
 
 DEFAULT_DPS = 50
@@ -110,6 +110,54 @@ def rule_cache_stats() -> dict:
     """Rule-cache hits, misses and seconds spent building rules, in this process."""
     with _rule_lock:
         return dict(_rule_stats)
+
+
+def _to_mpf(x) -> mpf:
+    """Convert a number (including Fraction) to mpf at working precision."""
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / x.denominator
+    return mpf(x)
+
+
+def laguerre_values(n: int, alpha, x) -> list:
+    """[L_0^(alpha)(x), ..., L_n^(alpha)(x)] by the three-term recurrence in n.
+
+    Generic in the number type: pass alpha in x's type.  L_0 is the int 1,
+    and n < 0 gives [].  In the package only u_derivatives calls it, in mpf;
+    the tests also run it on float and Fraction, as references.
+    """
+    if n < 0:
+        return []
+    values = [1, 1 + alpha - x][: n + 1]
+    for k in range(1, n):
+        values.append(((2 * k + 1 + alpha - x) * values[k] - (k + alpha) * values[k - 1]) / (k + 1))
+    return values
+
+
+def laguerre_fixed(n: int, alpha: Fraction, X: int, bits: int) -> list[int]:
+    """[Y_0, ..., Y_n] with Y_k = L_k^(alpha)(x) 2^bits in int fixed point, at x = X / 2^bits.
+
+    The recurrence of laguerre_values with alpha = a/b kept as its two ints,
+    (k + 1) b L_(k+1) = ((2k + 1) b + a - b x) L_k - (k b + a) L_(k-1).  Each
+    step is a few int multiplies, one shift and one floor division by
+    b (k + 1), and gives exactly the floor of the right-hand side divided by
+    b (k + 1), evaluated on Y_k and Y_(k-1) without rounding.  Y_0 = 2^bits is
+    exact, and n < 0 gives [].
+
+    Error bound: each step adds an error in (-1, 0], which the recurrence
+    then carries forward as it carries any of its solutions, so
+    |Y_k - L_k^(alpha)(x) 2^bits| < sum_(j=1..k) |G_j(k)|, where G_j solves
+    the recurrence from G_j(j - 1) = 0, G_j(j) = 1.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    one = 1 << bits
+    values = [one][: n + 1]
+    prev, curr, bx = 0, one, b * X
+    for k in range(n):
+        factor = ((2 * k + 1) * b + a) * one - bx  # ((2k + 1) b + a - b x) 2^bits
+        prev, curr = curr, ((factor * curr >> bits) - (k * b + a) * prev) // (b * (k + 1))
+        values.append(curr)
+    return values
 
 
 def _seed_zeros(alpha: Fraction, n: int) -> list[float]:
@@ -212,8 +260,8 @@ def _table_row(values: list[int], node_scale, scales: list, shift: int, bits: in
     ]
 
 
-def _rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
-    """The cache entry (bits, xs, columns) of a rule, built on a miss.
+def _rule_entry(alpha, npoints: int, dps: int) -> tuple[int, tuple, tuple]:
+    """The cache entry (bits, xs, columns) of a rule at dps digits, built on a miss.
 
     xs[i] = round(x_i 2^bits) and columns[k][i] = round(sqrt(w_i) p_k(x_i) 2^bits)
     for k <= 2 npoints - 1, all Python ints.  Raises ArithmeticError if a build
@@ -221,7 +269,6 @@ def _rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
     """
     if type(alpha) is not Fraction:
         alpha = Fraction(alpha)
-    dps = working_precision()
     key = (alpha, npoints, dps)
     with _rule_lock:
         entry = _rule_cache.get(key)
@@ -279,9 +326,11 @@ def _bucket(degree: int) -> int:
     return npoints
 
 
-def _rule_sum(alpha: Fraction, npoints: int, n1: int, n2: int, s: int) -> tuple[int, int]:
+def _rule_sum(
+    alpha: Fraction, npoints: int, n1: int, n2: int, s: int, dps: int
+) -> tuple[int, int]:
     """(total, exp) with sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = total 2^exp on one rule."""
-    bits, xs, columns = _rule_entry(alpha, npoints)
+    bits, xs, columns = _rule_entry(alpha, npoints, dps)
     powers = map(pow, xs, repeat(s))
     return sum(map(mul, powers, map(mul, columns[n1], columns[n2]))), -bits * (s + 2)
 
@@ -296,7 +345,7 @@ def _bracket(alpha: Fraction, n1: int, n2: int, s: int, dps: int) -> mpf:
     npoints = _bucket(n1 + n2 + s)
     # the larger rule first: past MAX_NODES, fail before building the smaller
     sizes = (_bucket(2 * npoints), npoints)
-    (fine, exp), (coarse, _) = (_rule_sum(alpha, size, n1, n2, s) for size in sizes)
+    (fine, exp), (coarse, _) = (_rule_sum(alpha, size, n1, n2, s, dps) for size in sizes)
     # |coarse - fine| / max(1, |fine|) > 1e-14
     if abs(coarse - fine) * 10**14 > max(1 << -exp, abs(fine)):
         with mp.workdps(dps):
@@ -357,6 +406,54 @@ def sum_over_states_check(q: QuantumNumbers, n_cutoff: int) -> mpf:
             element = quad_matrix_element(n_prime, n, q.l, q.d, 2)
             total += element * element / (n - n_prime)
         return total / 128
+
+
+def normalization(q: QuantumNumbers) -> mpf:
+    """Normalization constant A_nl = sqrt(2 n! / Gamma(n + l + d/2)) as a high-precision real."""
+    n = int(q.n)
+    return mp.sqrt(2 * mp.factorial(n) / mp.gamma(n + q.l + mpf(q.d) / 2))
+
+
+def u_derivatives(q: QuantumNumbers, radii) -> list[tuple[mpf, mpf, mpf]]:
+    """[(u, u', u'') at each radius r > 0], derivatives taken analytically.
+
+    Uses dL_n^(a)/dx = -L_{n-1}^(a+1) so the result is exact up to rounding.
+    Every radius is checked before any work; the normalization and the three
+    Laguerre orders are computed once for all of them.
+    """
+    if q.d < 2:
+        raise UnsupportedDimension("u_derivatives is defined for d >= 2 only")
+    radii = [_to_mpf(r) for r in radii]
+    if any(r <= 0 for r in radii):
+        raise ValueError("r must be > 0")
+    n, l = int(q.n), q.l
+    alphas = [_to_mpf(q.alpha + k) for k in range(3)]
+    a = normalization(q)
+
+    def p(k):  # L_{n-k}^(alpha+k)(eta) at the current eta, 0 for a negative index
+        return (laguerre_values(n - k, alphas[k], eta) or [0])[-1]
+
+    result = []
+    for r in radii:
+        eta = r * r
+        p0, p1, p2 = p(0), -p(1), p(2)
+        e = mp.exp(-eta / 2)
+        r1, r2, r3 = r ** (l + 1), r ** (l + 2), r ** (l + 3)
+        ae = a * e
+        # u = A r^(l+1) e^(-r^2/2) P(r^2)
+        u = a * r1 * e * p0
+        # h := e^(eta/2) u' / A
+        h = (l + 1) * r**l * p0 - r2 * p0 + 2 * r2 * p1
+        hp = (
+            l * (l + 1) * (r ** (l - 1) if l > 0 else 0) * p0
+            + 2 * (l + 1) * r1 * p1
+            - (l + 2) * r1 * p0
+            - 2 * r3 * p1
+            + 2 * (l + 2) * r1 * p1
+            + 4 * r3 * p2
+        )
+        result.append((u, ae * h, ae * (hp - r * h)))
+    return result
 
 
 def radial_residual(q: QuantumNumbers, sample_etas, energy=None) -> mpf:

@@ -134,8 +134,8 @@ def scaled_rules(only=None):
     times too large; the cached entries stay as they are."""
     factor = math.isqrt(2**128 + 2**128 // 10**9)  # sqrt(1 + 1e-9) 2^64
 
-    def entry(alpha, npoints):
-        bits, xs, columns = _rule_entry(alpha, npoints)
+    def entry(alpha, npoints, dps):
+        bits, xs, columns = _rule_entry(alpha, npoints, dps)
         if only in (None, npoints):
             columns = tuple(tuple(q * factor >> 64 for q in column) for column in columns)
         return bits, xs, columns
@@ -144,7 +144,7 @@ def scaled_rules(only=None):
 
 
 def laguerre_fixed_coefficient_plus_one(n, alpha, X, bits):
-    """states.laguerre_fixed with k + alpha + 1 in place of k + alpha."""
+    """oracle.laguerre_fixed with k + alpha + 1 in place of k + alpha."""
     a, b = alpha.numerator, alpha.denominator
     one = 1 << bits
     values = [one][: n + 1]

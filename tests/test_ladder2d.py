@@ -294,6 +294,11 @@ class TestCompiledTables:
             LadderExpr.one(F(2))
         with pytest.raises(TypeError):
             mono("ad", "a") * F(5, 6)
+        # an operator multiplies only an operator, so an int scalar is refused too
+        with pytest.raises(TypeError):
+            mono("ad", "a") * 2
+        with pytest.raises(TypeError):
+            2 * mono("ad", "a")
         with pytest.raises(TypeError):
             LadderExpr((Monomial(0.5, ("b", "bd")),))
 

@@ -2,15 +2,20 @@
 
 Agreement between the exact methods is only evidence when no method uses
 another's code, so corrections, kramers, laguerre_me and ladder2d may import
-nothing from the package except the exact names of states, and the oracle,
-which checks them, imports none of them.  Every name in a module's __all__
-is loaded by package or benchmark code, or is kept in UNUSED_EXPORTS with
-its reason, and every package name the benchmark loads exists.
+nothing from the package but states, and the oracle, which checks them,
+imports none of them.  The exact layer, states and the methods, imports only
+exact standard-library modules, so no float or mpf routine is within its
+reach, and importing the package loads no mpmath.  Every name in a module's
+__all__ is loaded by package or benchmark code, or is kept in UNUSED_EXPORTS
+with its reason, and every package name the benchmark loads exists.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,46 +25,49 @@ import salpeter_qho
 PACKAGE_DIR = Path(salpeter_qho.__path__[0])
 MODULES = sorted(m.name for m in pkgutil.iter_modules(salpeter_qho.__path__))
 METHODS = ["corrections", "kramers", "laguerre_me", "ladder2d"]
-# what a method may take from states: quantum numbers and energies, no oracle routine
-EXACT_STATES_NAMES = {
-    "QuantumNumbers",
-    "InvalidQuantumNumbers",
-    "UnsupportedDimension",
-    "energy_unperturbed",
-}
+# all the exact layer may import: Fractions, ints and plain data
+EXACT_STDLIB = {"__future__", "dataclasses", "fractions", "functools", "math"}
+
+
+def imported_modules(module: str) -> set[str]:
+    """Top-level names of the modules `module` imports.  A package module counts
+    by its own name ('states'), the package itself or a name imported from it
+    as 'salpeter_qho'."""
+
+    def in_package(name: str) -> str:
+        return name if name in MODULES else "salpeter_qho"
+
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE_DIR / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            names = [alias.name for alias in node.names]
+            if node.level:  # from .module import x, or from . import module
+                found.update([in_package(parts[0])] if parts else map(in_package, names))
+            elif parts[0] == "salpeter_qho":
+                found.update([in_package(parts[1])] if parts[1:] else map(in_package, names))
+            else:
+                found.add(parts[0])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                found.add(in_package(parts[1]) if parts[:1] == ["salpeter_qho"] else parts[0])
+    return found
 
 
 def package_imports(module: str) -> set[str]:
     """Names of the package's modules that `module` imports (the package itself as 'salpeter_qho')."""
-    found = set()
-    for node in ast.walk(ast.parse((PACKAGE_DIR / f"{module}.py").read_text())):
-        if isinstance(node, ast.ImportFrom):
-            names = [alias.name for alias in node.names]
-            if node.level:  # from .module import x, or from . import module
-                found.update([node.module.split(".")[0]] if node.module else names)
-            elif node.module.split(".")[0] == "salpeter_qho":
-                found.update(node.module.split(".")[1:2] or names)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                parts = alias.name.split(".")
-                if parts[0] == "salpeter_qho":
-                    found.add(parts[1] if len(parts) > 1 else "salpeter_qho")
-    return found
+    return imported_modules(module) & {"salpeter_qho", *MODULES}
 
 
-def names_from_states(module: str) -> set[str]:
-    """Names `module` imports from states; importing the module itself counts as 'states'."""
-    found = set()
-    for node in ast.walk(ast.parse((PACKAGE_DIR / f"{module}.py").read_text())):
-        if isinstance(node, ast.ImportFrom):
-            names = {alias.name for alias in node.names}
-            if node.module in ("states", "salpeter_qho.states"):
-                found |= names
-            elif node.module in (None, "salpeter_qho"):  # from . import states
-                found |= names & {"states"}
-        elif isinstance(node, ast.Import):
-            found |= {"states" for alias in node.names if alias.name == "salpeter_qho.states"}
-    return found
+def loaded_names(module: str, function: str) -> set[str]:
+    """Every name and attribute that a top-level function of `module` loads."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    (node,) = [node for node in tree.body if getattr(node, "name", None) == function]
+    nodes = list(ast.walk(node))
+    return {n.id for n in nodes if isinstance(n, ast.Name)} | {
+        n.attr for n in nodes if isinstance(n, ast.Attribute)
+    }
 
 
 @pytest.mark.parametrize("module", ["__init__"] + MODULES)
@@ -69,10 +77,28 @@ def test_all_names_exist(module):
     assert [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)] == []
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_method_imports_only_states(method):
-    assert package_imports(method) <= {"states"}
-    assert names_from_states(method) <= EXACT_STATES_NAMES
+@pytest.mark.parametrize("module", ["states", *METHODS])
+def test_exact_layer_imports_only_exact_modules(module):
+    allowed = EXACT_STDLIB | ({"states"} if module in METHODS else set())
+    assert imported_modules(module) <= allowed
+
+
+def test_exact_api_loads_no_mpmath():
+    # in a fresh interpreter: the exact methods and the level table run without mpmath
+    code = """
+import sys
+from fractions import Fraction
+import salpeter_qho as s
+q = s.QuantumNumbers(3, 2, 1)
+s.epsilon1_general(q), s.epsilon2_general(q), s.level_table(4, 3, Fraction(1, 10))
+s.first_order_method1(q), s.second_order_method2(q), s.second_order_2d(s.FockState2D(4, 2))
+assert "mpmath" not in sys.modules, "mpmath loaded"
+"""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_oracle_imports_no_method():
@@ -80,27 +106,24 @@ def test_oracle_imports_no_method():
 
 
 def test_oracle_builds_rules_on_the_int_recurrence_only():
-    # one recurrence per rule build: no float seed path beside laguerre_fixed
-    imported = names_from_states("oracle")
-    assert "laguerre_fixed" in imported and "laguerre_values" not in imported
+    # one recurrence per rule build: the seeds, the polish and the table rows
+    # all run laguerre_fixed, and none the generic laguerre_values
+    for name in ("_seed_zeros", "_polish", "_rule_entry"):
+        names = loaded_names("oracle", name)
+        assert "laguerre_fixed" in names and "laguerre_values" not in names, name
 
 
 def test_oracle_table_is_int_from_end_to_end():
     # the build, its scales and its table rows load no mpmath name or mpf
     # mantissa, so every entry is an int product rounded once
-    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in ("_rule_entry", "_root", "_scales", "_table_row"):
-        nodes = list(ast.walk(functions[name]))
-        names = {node.id for node in nodes if isinstance(node, ast.Name)}
-        attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-        assert names.isdisjoint({"mp", "mpf", "mpmath"}) and "_mpf_" not in attrs, name
+        assert loaded_names("oracle", name).isdisjoint({"mp", "mpf", "mpmath", "_mpf_"}), name
 
 
 def test_scan_sees_package_imports():
     assert set(METHODS) | {"oracle", "spectrum", "states"} <= package_imports("checks")
     assert package_imports("spectrum") == {"corrections"}
-    assert {"QuantumNumbers", "laguerre_fixed", "u_derivatives"} <= names_from_states("oracle")
+    assert {"mpmath", "math", "states"} <= imported_modules("oracle")
 
 
 BENCHMARK_DIR = Path(__file__).parents[1] / "benchmarks"

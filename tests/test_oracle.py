@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from salpeter_qho import checks, oracle, states
+from salpeter_qho import checks, oracle
 from salpeter_qho.kramers import moment_eta
 from salpeter_qho.laguerre_me import second_order_part2
 from salpeter_qho.oracle import (
+    laguerre_fixed,
+    laguerre_values,
     orthonormality_check,
     quad_expectation,
     quad_matrix_element,
@@ -23,13 +25,16 @@ from salpeter_qho.states import (
     QuantumNumbers,
     UnsupportedDimension,
     energy_unperturbed,
-    laguerre_fixed,
-    laguerre_values,
 )
 
 F = Fraction
 
 SAMPLE_ETAS = [F(1, 10), F(1, 2), 1, 2, F(7, 2), 5, 8]
+
+
+def rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
+    """oracle._rule_entry at the working precision."""
+    return oracle._rule_entry(alpha, npoints, working_precision())
 
 
 def to_float(x: Fraction) -> mpf:
@@ -96,33 +101,33 @@ class TestRule:
     def test_degree_of_exactness(self):
         # integral of x^3 * x^2 e^-x dx = Gamma(6) = 120 = 60 Gamma(3), exact with 2 nodes
         with mp.workdps(working_precision()):
-            assert abs(table_sum(oracle._rule_entry(2, 2), 3) - 60) < mpf("1e-45")
+            assert abs(table_sum(rule_entry(2, 2), 3) - 60) < mpf("1e-45")
 
     def test_total_weight_is_gamma(self):
         # sum_i w_i = Gamma(alpha + 1) is sum_i Q_i0^2 = 2^(2B)
         with mp.workdps(working_precision()):
-            assert abs(table_sum(oracle._rule_entry(F(3, 2), 6), 0) - 1) < mpf("1e-45")
+            assert abs(table_sum(rule_entry(F(3, 2), 6), 0) - 1) < mpf("1e-45")
 
     def test_nodes_positive_increasing(self):
-        _, xs, _ = oracle._rule_entry(F(1, 2), 10)
+        _, xs, _ = rule_entry(F(1, 2), 10)
         assert_nodes_increase(xs)
 
     def test_memoized(self):
-        assert oracle._rule_entry(1, 5) is oracle._rule_entry(1, 5)
+        assert rule_entry(1, 5) is rule_entry(1, 5)
 
     @pytest.mark.parametrize("alpha", [F(k, 2) for k in range(20)])
     def test_matches_golub_welsch(self, alpha):
         with mp.workdps(working_precision() + 10):
             for npoints in range(1, 17):
                 nodes, weights = golub_welsch_rule(alpha, npoints)
-                assert_table_matches(oracle._rule_entry(alpha, npoints), alpha, nodes, weights, 0)
+                assert_table_matches(rule_entry(alpha, npoints), alpha, nodes, weights, 0)
 
     def test_guard_digits(self, monkeypatch):
         # each entry of the table, rounded to nearest at B bits, is within one
         # unit of the same rule's table built with 30 more digits
-        bits, xs, columns = oracle._rule_entry(F(9, 2), 60)
+        bits, xs, columns = rule_entry(F(9, 2), 60)
         monkeypatch.setenv("SALPETER_PRECISION", str(working_precision() + 30))
-        ref_bits, ref_xs, ref_columns = oracle._rule_entry(F(9, 2), 60)
+        ref_bits, ref_xs, ref_columns = rule_entry(F(9, 2), 60)
         extra = ref_bits - bits
         assert extra > 90
         for column, ref_column in zip((xs, *columns), (ref_xs, *ref_columns), strict=True):
@@ -131,14 +136,14 @@ class TestRule:
 
     def test_large_alpha(self):
         # a large order, where asymptotic starting guesses for the zeros break down
-        entry = oracle._rule_entry(30, 60)
+        entry = rule_entry(30, 60)
         assert_nodes_increase(entry[1])
         with mp.workdps(working_precision()):
             assert abs(table_sum(entry, 0) - 1) < mpf("1e-45")
 
     def test_one_point(self):
         # L_1^(alpha) = 1 + alpha - x: one node at alpha + 1 carrying Gamma(alpha + 1)
-        bits, (x,), columns = oracle._rule_entry(F(5, 2), 1)
+        bits, (x,), columns = rule_entry(F(5, 2), 1)
         assert abs(x - (7 << bits) // 2) <= 1
         assert abs(columns[0][0] - (1 << bits)) <= 1
 
@@ -146,10 +151,10 @@ class TestRule:
         alpha, npoints = F(11, 3), 4
         monkeypatch.setattr(oracle, "_seed_zeros", lambda a, n: [float(a) + 1] * n)
         with pytest.raises(ArithmeticError):
-            oracle._rule_entry(alpha, npoints)
+            rule_entry(alpha, npoints)
         assert (alpha, npoints, working_precision()) not in oracle._rule_cache
         monkeypatch.undo()
-        assert_nodes_increase(oracle._rule_entry(alpha, npoints)[1])
+        assert_nodes_increase(rule_entry(alpha, npoints)[1])
 
     @pytest.mark.parametrize(
         "scale",
@@ -168,11 +173,11 @@ class TestRule:
             lambda a, n: [scale(i) * z for i, z in enumerate(seed_zeros(a, n))],
         )
         with pytest.raises(ArithmeticError, match="Newton polish did not converge"):
-            oracle._rule_entry(alpha, npoints)
+            rule_entry(alpha, npoints)
         key = (alpha, npoints, working_precision())
         assert key not in oracle._rule_cache
         monkeypatch.setattr(oracle, "_seed_zeros", seed_zeros)
-        entry = oracle._rule_entry(alpha, npoints)
+        entry = rule_entry(alpha, npoints)
         assert key in oracle._rule_cache
         with mp.workdps(working_precision() + 10):
             nodes, weights = golub_welsch_rule(alpha, npoints)
@@ -194,14 +199,14 @@ class TestRule:
         monkeypatch.setattr(oracle, "_rule_cache", {})
         monkeypatch.setattr(oracle, "_polish", off)
         with pytest.raises(ArithmeticError, match="rule alpha=1/2 npoints=24"):
-            oracle._rule_entry(alpha, npoints)
+            rule_entry(alpha, npoints)
         assert len(nodes) == npoints
         assert (alpha, npoints, working_precision()) not in oracle._rule_cache
 
     def test_cache_stats(self):
         before = rule_cache_stats()
-        first = oracle._rule_entry(F(7, 3), 3)  # a rule no other test builds
-        assert oracle._rule_entry(F(7, 3), 3) is first
+        first = rule_entry(F(7, 3), 3)  # a rule no other test builds
+        assert rule_entry(F(7, 3), 3) is first
         after = rule_cache_stats()
         assert after["misses"] - before["misses"] == 1
         assert after["hits"] - before["hits"] == 1
@@ -209,9 +214,9 @@ class TestRule:
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            oracle._rule_entry(-1, 5)
+            rule_entry(-1, 5)
         with pytest.raises(ValueError):
-            oracle._rule_entry(0, 0)
+            rule_entry(0, 0)
 
     def test_rule_past_the_cap_fails_before_any_work(self, monkeypatch):
         # a 512-node rule is past MAX_NODES: the build must stop before the
@@ -225,17 +230,17 @@ class TestRule:
 
         monkeypatch.setattr(oracle, "laguerre_fixed", spy)
         with pytest.raises(ValueError, match="MAX_NODES = 384, got 512"):
-            oracle._rule_entry(F(1, 2), 512)
+            rule_entry(F(1, 2), 512)
         assert calls == []
         # a rule within reach is seeded and polished through the spied name
         monkeypatch.setattr(oracle, "_rule_cache", {})
-        oracle._rule_entry(F(1, 2), 2)
+        rule_entry(F(1, 2), 2)
         assert calls
 
 
 def float_seeds(alpha: float, n: int) -> list[float]:
     """The oracle's seeds as they were built before its int recurrence: the
-    same deflated Newton on states.laguerre_values in double precision.  It
+    same deflated Newton on oracle.laguerre_values in double precision.  It
     keeps the old start, a hundredth of the last gap past the previous zero,
     on purpose, so that it stays an independent reference for the oracle's
     seeds from their Sturm-bounded starts."""
@@ -281,7 +286,7 @@ class TestSeeds:
         # alpha = 49999), and from (alpha + 1) / n more than 100 + 3 n (486 at
         # alpha = 4999999)
         alpha = F(alpha)
-        entry = bits, xs, _ = oracle._rule_entry(alpha, npoints)
+        entry = bits, xs, _ = rule_entry(alpha, npoints)
         seeds = oracle._seed_zeros(alpha, npoints)
         assert max(abs(s * (1 << bits) / x - 1) for s, x in zip(seeds, xs, strict=True)) <= 1e-12
         with mp.workdps(working_precision()):
@@ -299,7 +304,7 @@ class TestSeeds:
         # lies between x_(i-1) and x_i, with x* where Q peaks
         a = float(alpha)
         for n in (8, 24, 96):
-            bits, xs, _ = oracle._rule_entry(alpha, n)
+            bits, xs, _ = rule_entry(alpha, n)
             nodes = [x / (1 << bits) for x in xs]
             peak = (a * a - 1) / (2 * n + a + 1)
             for lo, hi in zip(nodes, nodes[1:]):
@@ -319,7 +324,7 @@ class TestSeeds:
 
         monkeypatch.setattr(oracle, "laguerre_fixed", spy)
         monkeypatch.setattr(oracle, "_rule_cache", {})
-        oracle._rule_entry(F(1, 2), 192)
+        rule_entry(F(1, 2), 192)
         assert 192 <= bits.count(oracle.SEED_SHIFT) <= 6 * 192
 
 
@@ -365,7 +370,7 @@ class TestNodeTable:
     def assert_fixed_point_table(alpha, npoints):
         """Every entry is an int within one unit of its value from the Golub-Welsch
         rule at dps + 10: x_i 2^B and sqrt(w_i) p_k(x_i) 2^B, k <= 2 npoints - 1."""
-        entry = bits, xs, columns = oracle._rule_entry(alpha, npoints)
+        entry = bits, xs, columns = rule_entry(alpha, npoints)
         assert len(xs) == npoints and len(columns) == 2 * npoints
         assert all(type(v) is int for v in xs)
         assert all(type(q) is int for column in columns for q in column)
@@ -395,7 +400,7 @@ class TestNodeTable:
         # k >= npoints carry no such bound, so hold them to what is measured
         for alpha in (F(-1, 2), 0, F(9, 2), 40):
             for npoints in (1, 2, 3, 8, 24):
-                bits, _, columns = oracle._rule_entry(alpha, npoints)
+                bits, _, columns = rule_entry(alpha, npoints)
                 low = max(abs(q) for column in columns[:npoints] for q in column)
                 high = max(abs(q) for column in columns[npoints:] for q in column)
                 assert low <= 1 << bits
@@ -406,7 +411,7 @@ class TestNodeTable:
         with mp.workdps(dps):
             rounding = mpf(2) ** -mp.prec  # the int sum's one rounding to working precision
         for alpha, npoints in [(F(5, 2), 12), (F(17, 2), 8)]:
-            bits = oracle._rule_entry(alpha, npoints)[0]
+            bits = rule_entry(alpha, npoints)[0]
             with mp.workdps(dps + 10):
                 nodes, weights = golub_welsch_rule(alpha, npoints)
                 rows = orthonormal_rows(alpha, nodes, 2 * npoints - 1)
@@ -416,7 +421,7 @@ class TestNodeTable:
                 for n1 in range(2 * npoints - s):
                     for n2 in range(n1, 2 * npoints - s - n1):
                         with mp.workdps(dps):
-                            value = mpf(oracle._rule_sum(alpha, npoints, n1, n2, s))
+                            value = mpf(oracle._rule_sum(alpha, npoints, n1, n2, s, dps))
                         with mp.workdps(dps + 10):
                             reference = fdot_rule_sum(nodes, weights, rows, n1, n2, s)
                             assert abs(value - reference) <= bound + abs(reference) * rounding
@@ -424,7 +429,7 @@ class TestNodeTable:
     def test_cached_entry_holds_ints_only(self):
         # no mpf is kept: the entry is (bits, xs, columns), all ints
         npoints = 8
-        entry = oracle._rule_entry(F(3, 2), npoints)
+        entry = rule_entry(F(3, 2), npoints)
         found = []
 
         def walk(value):
@@ -446,14 +451,14 @@ class TestNodeTable:
             oracle, "_table_row", lambda *args: [q + q // 10**9 for q in table_row(*args)]
         )
         with pytest.raises(ArithmeticError, match=r"sum_i Q_i0\^2 != 2\^\(2B\)"):
-            oracle._rule_entry(alpha, npoints)
+            rule_entry(alpha, npoints)
         assert (alpha, npoints, working_precision()) not in oracle._rule_cache
         monkeypatch.undo()
         self.assert_fixed_point_table(alpha, npoints)
 
 
 def recurrence_error_bound(alpha: Fraction, x: float, order: int) -> list[float]:
-    """The bound of states.laguerre_fixed, in units: [sum_(j=1..k) |G_j(k)| for
+    """The bound of oracle.laguerre_fixed, in units: [sum_(j=1..k) |G_j(k)| for
     k <= order], each G_j run in floats from G_j(j - 1) = 0, G_j(j) = 1."""
     a = float(alpha)
     bound = [0.0] * (order + 1)
@@ -469,7 +474,7 @@ def recurrence_error_bound(alpha: Fraction, x: float, order: int) -> list[float]
 def reference_rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
     """(bits, xs, columns) of a rule as the oracle built it before its int
     recurrence: the same seeds, then the Newton polish and every table row on
-    states.laguerre_values in mpf at dps + 10 digits."""
+    oracle.laguerre_values in mpf at dps + 10 digits."""
     alpha = Fraction(alpha)
     dps = working_precision()
     seeds = oracle._seed_zeros(alpha, npoints)
@@ -516,7 +521,7 @@ class TestIntBuild:
         shift = math.ceil((working_precision() + 10) * math.log2(10)) + 32
         for alpha in self.ALPHAS:
             for npoints in (8, 24, 96):
-                bits, xs, _ = oracle._rule_entry(alpha, npoints)
+                bits, xs, _ = rule_entry(alpha, npoints)
                 order = 2 * npoints - 1
                 for X in xs if npoints < 96 else (xs[0], xs[-1]):
                     X <<= shift - bits
@@ -531,7 +536,7 @@ class TestIntBuild:
         monkeypatch.setattr(oracle, "_rule_cache", {})
         for alpha in self.ALPHAS:
             for npoints in (1, 8, 12, 24, 48):
-                bits, xs, columns = oracle._rule_entry(alpha, npoints)
+                bits, xs, columns = rule_entry(alpha, npoints)
                 ref_bits, ref_xs, ref_columns = reference_rule_entry(alpha, npoints)
                 assert bits == ref_bits and xs == ref_xs
                 for column, ref_column in zip(columns, ref_columns, strict=True):
@@ -563,6 +568,13 @@ class TestExpectation:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             quad_expectation(QuantumNumbers(3, 0, 0), -1)
+
+    def test_error_measured_at_working_precision(self):
+        # the exact <eta^8> at (3, 40, 10) has a 66-bit numerator: rounded at
+        # an ambient 15 digits, it alone would read as an error near 1e-17
+        with mp.workdps(15):
+            error = checks.expectation_error([(QuantumNumbers(3, 40, 10), 8)])
+        assert error < mpf("1e-45")
 
 
 class TestMatrixElement:
@@ -710,13 +722,13 @@ class TestRadialResidual:
 
     def test_one_normalization_per_call(self, monkeypatch):
         calls = []
-        normalization = states.normalization
+        normalization = oracle.normalization
 
         def counted(q):
             calls.append(q)
             return normalization(q)
 
-        monkeypatch.setattr(states, "normalization", counted)
+        monkeypatch.setattr(oracle, "normalization", counted)
         for q in (QuantumNumbers(2, 0, 0), QuantumNumbers(5, 2, 1)):
             radial_residual(q, SAMPLE_ETAS)
         assert calls == [QuantumNumbers(2, 0, 0), QuantumNumbers(5, 2, 1)]
@@ -734,6 +746,20 @@ class TestPrecisionControl:
     def test_override(self, monkeypatch):
         monkeypatch.setenv("SALPETER_PRECISION", "30")
         assert working_precision() == 30
+
+    def test_read_once_per_matrix_element(self, monkeypatch):
+        # both rules of a call are looked up at the precision the call read
+        calls = []
+        read = oracle.working_precision
+
+        def counted():
+            calls.append(None)
+            return read()
+
+        monkeypatch.setattr(oracle, "working_precision", counted)
+        for n in (0, 3, 7):
+            quad_matrix_element(n, n + 1, 1, 3, 2)
+        assert len(calls) == 3
 
     def test_too_low_rejected(self, monkeypatch):
         monkeypatch.setenv("SALPETER_PRECISION", "10")
