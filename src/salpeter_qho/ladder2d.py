@@ -10,9 +10,9 @@ sqrt(n_a'! n_b'! / (n_a! n_b!)), which squared is a short rational product.
 Coefficients are ints; any other raises TypeError.  Each LadderExpr
 compiles itself once, on first use, into one int polynomial in (n_a, n_b)
 per shift (dn_a, dn_b), generated from its generator words with like terms
-merged, so its image coefficient at that shift is sum c n_a^i n_b^j.  One
-evaluator, _apply, serves every operator, and the corrections build one
-Fraction per result.
+merged, so its image coefficient at that shift is sum c n_a^i n_b^j.  The
+corrections apply (p^2)^2 and (p^2)^3, which the compiler splits by shift,
+and build one Fraction per result; one evaluator, _poly, reads every shift.
 
 The compiled form is also the one canonical form of an operator: two
 LadderExprs act alike on every Fock state exactly when their compiled
@@ -42,7 +42,6 @@ __all__ = [
     "p2_expr",
     "p4_operators",
     "p4_expr",
-    "p6_zero_expr",
     "first_order_2d",
     "second_order_2d",
     "map_Nm_to_nl",
@@ -172,22 +171,30 @@ def _expand(offsets: list[int]) -> list[int]:
     return poly
 
 
+def _poly(monomials: tuple, n_a: int, n_b: int) -> int:
+    """sum c n_a^i n_b^j over the compiled monomials (c, i, j) of one shift."""
+    c = 0
+    for k, i, j in monomials:
+        c += k * n_a**i * n_b**j
+    return c
+
+
 def _apply(expr: LadderExpr, n_a: int, n_b: int) -> dict[tuple[int, int], int]:
     """expr on the unnormalized |n_a n_b): the nonzero int coefficient per image (n_a', n_b')."""
     image: dict[tuple[int, int], int] = {}
     for da, db, monomials in expr._compiled:
-        c = 0
-        for k, i, j in monomials:
-            c += k * n_a**i * n_b**j
+        c = _poly(monomials, n_a, n_b)
         if c:
             image[n_a + da, n_b + db] = c
     return image
 
 
 def _diagonal(expr: LadderExpr, s: FockState2D) -> int:
-    """(n_a n_b|expr|n_a n_b), the int diagonal coefficient."""
-    n_a, n_b = s.n_a, s.n_b
-    return _apply(expr, n_a, n_b).get((n_a, n_b), 0)
+    """(n_a n_b|expr|n_a n_b), the int diagonal coefficient: the shift-(0, 0) polynomial."""
+    for da, db, monomials in expr._compiled:
+        if da == db == 0:
+            return _poly(monomials, s.n_a, s.n_b)
+    return 0
 
 
 def _factorial_ratio(top: int, bottom: int) -> tuple[int, int]:
@@ -252,49 +259,41 @@ def p4_expr() -> LadderExpr:
     return ops["K0"] + ops["R4"] + ops["L4"] + ops["R2"] + ops["L2"]
 
 
-def p6_zero_expr() -> LadderExpr:
-    """N-conserving part of p^6: (ad.a + bd.b + 1) K0 - ad.bd L2 - a.b R2."""
-    m = LadderExpr.mono
-    ops = p4_operators()
-    number_plus_one = m("ad", "a") + m("bd", "b") + LadderExpr.one()
-    return number_plus_one * ops["K0"] - m("ad", "bd") * ops["L2"] - m("a", "b") * ops["R2"]
-
-
-# LadderExpr is immutable, so the operators the corrections apply are built once,
-# at import, and each compiles itself on first use
-_P4 = p4_operators()
-_K0 = _P4["K0"]
-_HOPPING = _P4["R2"] + _P4["L2"] + _P4["R4"] + _P4["L4"]
-_P6_ZERO = p6_zero_expr()
+# LadderExpr is immutable, so the powers of p^2 that the corrections apply are
+# built once, at import, and each compiles itself on first use
+_P4 = p2_expr() * p2_expr()
+_P6 = _P4 * p2_expr()
 
 
 def _part2(s: FockState2D) -> tuple[int, int]:
-    """Part II as (numerator, denominator): sum |<N',m|hop|N,m>|^2 / (64 (N - N')).
+    """Part II as (numerator, denominator): sum |<N',m|p^4|N,m>|^2 / (64 (N - N')), N' != N.
 
-    The bra N' = N + 2h has both occupations shifted by h, so its squared
-    element is c^2 (n_a+h)!/n_a! (n_b+h)!/n_b!.  _apply drops zero
-    coefficients, so the loop visits only the bras the hopping reaches.
+    p^4 keeps m, so each shift moves both occupations by h; those with h != 0,
+    the R2, L2, R4 and L4 blocks, reach N' = N + 2h with the squared element
+    c^2 (n_a+h)!/n_a! (n_b+h)!/n_b!.  A zero c, past the vacuum, is skipped.
     """
     n_a, n_b = s.n_a, s.n_b
     num, total = 0, 1
-    for (bra_a, bra_b), c in _apply(_HOPPING, n_a, n_b).items():
-        ra, sa = _factorial_ratio(bra_a, n_a)
-        rb, sb = _factorial_ratio(bra_b, n_b)
-        step = 2 * (n_a - bra_a) * sa * sb  # N - N' = -2h, h = n_a' - n_a
-        num, total = num * step + c * c * ra * rb * total, total * step
+    for h, _, monomials in _P4._compiled:
+        c = h and _poly(monomials, n_a, n_b)
+        if c:
+            ra, sa = _factorial_ratio(n_a + h, n_a)
+            rb, sb = _factorial_ratio(n_b + h, n_b)
+            step = -2 * h * sa * sb  # N - N'
+            num, total = num * step + c * c * ra * rb * total, total * step
     return num, 64 * total
 
 
 def first_order_2d(s: FockState2D) -> Fraction:
-    """epsilon1 = -<K0>/8, computed by applying the operator."""
-    return Fraction(-_diagonal(_K0, s), 8)
+    """epsilon1 = -<p^4>/8, the diagonal of (p^2)^2."""
+    return Fraction(-_diagonal(_P4, s), 8)
 
 
 def second_order_2d(s: FockState2D) -> Fraction:
-    """Full 2D second-order correction as one Fraction: part I, <p6_0>/16 by
-    operator application, plus part II from the squared R2/L2/R4/L4 transitions."""
+    """Full 2D second-order correction as one Fraction: part I, the diagonal
+    of (p^2)^3 over 16, plus part II from the squared N-changing elements of (p^2)^2."""
     num, total = _part2(s)
-    return Fraction(_diagonal(_P6_ZERO, s) * total + 16 * num, 16 * total)
+    return Fraction(_diagonal(_P6, s) * total + 16 * num, 16 * total)
 
 
 def map_Nm_to_nl(s: FockState2D) -> QuantumNumbers:

@@ -1,9 +1,9 @@
 """Faults injected into one derivation must trip the checks that cover it.
 
-Each row of FAULTS replaces one name in one module or class (or one entry
-of a module-level dict) and lists the exact checks that must then fail on the
-small grid; every other check in CHECKS must still pass.  The faults live
-here only: nothing in the package has a hook for them.
+Each row of FAULTS replaces one name in one module or class and lists the
+exact checks that must then fail on the small grid; every other check in
+CHECKS must still pass.  The faults live here only: nothing in the package
+has a hook for them.
 """
 
 import math
@@ -167,7 +167,7 @@ def scales_alpha_plus_one(alpha, n, bits):
     return scales
 
 
-# name -> (module, class or dict, name or key, replacement, checks that must fail)
+# name -> (module or class, name, replacement, checks that must fail)
 FAULTS = {
     "laguerre-d2-off-by-one": (
         laguerre_me,
@@ -207,29 +207,31 @@ FAULTS = {
         lambda top, bottom: _factorial_ratio(bottom, top),
         {"ladder"},
     ),
-    # the K0 operator that first_order_2d applies, with one extra ad.a term
+    # the (p^2)^2 whose diagonal first_order_2d applies, with one extra ad.a
+    # term in its K0 block, at shift (0, 0)
     "ladder-k0-extra-term": (
         ladder2d,
-        "_K0",
-        ladder2d.p4_operators()["K0"] + ladder2d.LadderExpr.mono("ad", "a"),
+        "_P4",
+        ladder2d._P4 + ladder2d.LadderExpr.mono("ad", "a"),
         {"ladder"},
     ),
-    # the N-conserving p^6 that second_order_2d applies, with one extra ad.a term
+    # the (p^2)^3 whose diagonal second_order_2d applies, with one extra ad.a term
     "ladder-p6-extra-term": (
         ladder2d,
-        "_P6_ZERO",
-        ladder2d.p6_zero_expr() + ladder2d.LadderExpr.mono("ad", "a"),
+        "_P6",
+        ladder2d._P6 + ladder2d.LadderExpr.mono("ad", "a"),
         {"ladder"},
     ),
-    # the R2 + L2 + R4 + L4 hopping of part II, with one extra ad.bd term at R2's shift
+    # the (p^2)^2 whose N-changing shifts part II sums, with one extra ad.bd
+    # term at R2's shift
     "ladder-hopping-extra-term": (
         ladder2d,
-        "_HOPPING",
-        ladder2d._HOPPING + ladder2d.LadderExpr.mono("ad", "bd"),
+        "_P4",
+        ladder2d._P4 + ladder2d.LadderExpr.mono("ad", "bd"),
         {"ladder"},
     ),
-    # p^4 as printed, built afresh by the self-test; the tables the corrections
-    # apply were built at import, so the ladder check does not see it
+    # p^4 as printed, built afresh by the self-test; the corrections apply
+    # powers of p^2 and never read the blocks, so the ladder check does not see it
     "ladder-p4-block-missing-term": (
         ladder2d,
         "p4_operators",
@@ -275,11 +277,10 @@ def test_unpatched_run_fails_no_check():
 def test_fault_fails_exactly_its_checks(fault, monkeypatch):
     target, name, replacement, must_fail = FAULTS[fault]
     assert must_fail and must_fail <= set(CHECKS)
-    patch = monkeypatch.setitem if isinstance(target, dict) else monkeypatch.setattr
     # the oracle builds its rules under the fault, into a cache that outlives the patch
     cache = {}
     monkeypatch.setattr(oracle, "_rule_cache", cache)
-    patch(target, name, replacement)
+    monkeypatch.setattr(target, name, replacement)
     assert failing_checks() == must_fail
     # nothing outlives the patch, such as a faulty rule in the cache
     monkeypatch.undo()

@@ -22,7 +22,6 @@ from salpeter_qho.ladder2d import (
     p2_expr,
     p4_expr,
     p4_operators,
-    p6_zero_expr,
     second_order_2d,
 )
 from salpeter_qho.states import InvalidQuantumNumbers, QuantumNumbers, energy_unperturbed
@@ -32,8 +31,8 @@ mono = LadderExpr.mono
 
 
 def part1(s):
-    """Part I of the 2D second-order correction, <p6_0>/16 by operator application."""
-    return expectation(p6_zero_expr(), s) / 16
+    """Part I of the 2D second-order correction, the diagonal of (p^2)^3 over 16."""
+    return expectation(ladder2d._P6, s) / 16
 
 
 def part2(s):
@@ -197,11 +196,6 @@ class TestOperatorStructure:
     def test_p4_expansion_matches_printed_form(self):
         assert (p2_expr() * p2_expr())._compiled == p4_expr()._compiled
 
-    def test_p6_zero_conserves_N(self):
-        raising = {"ad", "bd"}
-        for t in p6_zero_expr().terms:
-            assert sum(1 if g in raising else -1 for g in t.gens) == 0
-
     def test_commutators(self):
         comm_a = mono("a", "ad") - mono("ad", "a")
         comm_b = mono("b", "bd") - mono("bd", "b")
@@ -230,17 +224,18 @@ class TestOperatorStructure:
             assert expectation(p2, s) == energy_unperturbed(q)
 
 
-TABLES = ["_K0", "_HOPPING", "_P6_ZERO"]
+TABLES = ["_P4", "_P6"]
 
 
 def table_expr(table):
-    """The LadderExpr that the table named `table` is built as, built afresh."""
-    ops = p4_operators()
-    return {
-        "_K0": ops["K0"],
-        "_HOPPING": ops["R2"] + ops["L2"] + ops["R4"] + ops["L4"],
-        "_P6_ZERO": p6_zero_expr(),
-    }[table]
+    """The power of p^2 that the table named `table` is built as, built afresh."""
+    return {"_P4": p2_expr() * p2_expr(), "_P6": p2_expr() * p2_expr() * p2_expr()}[table]
+
+
+def split_at_diagonal(compiled):
+    """A compiled form as (its shift-(0, 0) entries, the others)."""
+    diagonal = tuple(entry for entry in compiled if entry[:2] == (0, 0))
+    return diagonal, tuple(entry for entry in compiled if entry[:2] != (0, 0))
 
 
 # occupations up to 10^6, and the vacuum edges where lowering factors vanish
@@ -280,11 +275,25 @@ class TestCompiledTables:
                 for da, db, monomials in getattr(ladder2d, table)._compiled
             }
 
-        # 23 words of p^6 on one shift, 6 of K0, 7 of hopping on four shifts
-        assert len(ladder2d._P6_ZERO.terms) == 23 and shape("_P6_ZERO") == {(0, 0): (10, 3)}
-        assert len(ladder2d._K0.terms) == 6 and shape("_K0") == {(0, 0): (6, 2)}
-        assert len(ladder2d._HOPPING.terms) == 7
-        assert set(shape("_HOPPING")) == {(1, 1), (-1, -1), (2, 2), (-2, -2)}
+        # p^2 keeps m, so (p^2)^k shifts both occupations alike, by up to k,
+        # and its diagonal has total degree k
+        p4, p6 = shape("_P4"), shape("_P6")
+        assert set(p4) == {(h, h) for h in range(-2, 3)} and p4[0, 0] == (6, 2)
+        assert set(p6) == {(h, h) for h in range(-3, 4)} and p6[0, 0] == (10, 3)
+
+    def test_tables_are_the_printed_blocks(self):
+        # the paper's blocks, which the corrections do not read, are how
+        # (p^2)^2 and (p^2)^3 split by shift
+        ops = p4_operators()
+        diagonal, hopping = split_at_diagonal(ladder2d._P4._compiled)
+        assert diagonal == ops["K0"]._compiled
+        assert hopping == (ops["R2"] + ops["L2"] + ops["R4"] + ops["L4"])._compiled
+        # the N-conserving part of p^6, as the paper builds it from the blocks
+        number_plus_one = mono("ad", "a") + mono("bd", "b") + LadderExpr.one()
+        p6_zero = (
+            number_plus_one * ops["K0"] - mono("ad", "bd") * ops["L2"] - mono("a", "b") * ops["R2"]
+        )
+        assert split_at_diagonal(ladder2d._P6._compiled)[0] == p6_zero._compiled
 
     def test_rational_coefficients_raise(self):
         # every operator of the method has int coefficients; the algebra takes no other
@@ -349,6 +358,12 @@ def test_compiled_form_is_canonical(pair):
     assert (x._compiled == y._compiled) == acts_as_zero
 
 
+# any valid |N m> with N up to 10^6: m = N - 2k for k in 0..N
+fock_states = st.integers(0, 10**6).flatmap(
+    lambda N: st.integers(0, N).map(lambda k: FockState2D(N, N - 2 * k))
+)
+
+
 class TestCorrections2D:
     def test_first_order_examples(self):
         assert first_order_2d(FockState2D(0, 0)) == F(-1, 4)
@@ -403,6 +418,12 @@ class TestCorrections2D:
             laguerre_part2 = laguerre_me.second_order_part2(q)
             assert part2(s) == laguerre_part2
             assert part1(s) == laguerre_me.second_order_method2(q) - laguerre_part2
+
+    @given(s=fock_states)
+    def test_agreement_far_beyond_the_grid(self, s):
+        q = map_Nm_to_nl(s)
+        assert first_order_2d(s) == epsilon1_general(q)
+        assert second_order_2d(s) == epsilon2_general(q)
 
 
 class TestMapAndBuild:

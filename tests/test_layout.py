@@ -120,6 +120,13 @@ def test_oracle_table_is_int_from_end_to_end():
         assert loaded_names("oracle", name).isdisjoint({"mp", "mpf", "mpmath", "_mpf_"}), name
 
 
+def test_ladder_corrections_do_not_read_the_printed_blocks():
+    # the corrections apply powers of p^2, so the paper's p^4 blocks, which the
+    # self-test compares with (p^2)^2, stay an independent check
+    for name in ("first_order_2d", "second_order_2d", "_part2"):
+        assert loaded_names("ladder2d", name).isdisjoint({"p4_operators", "p4_expr"}), name
+
+
 def test_scan_sees_package_imports():
     assert set(METHODS) | {"oracle", "spectrum", "states"} <= package_imports("checks")
     assert package_imports("spectrum") == {"corrections"}
