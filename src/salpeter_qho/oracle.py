@@ -53,9 +53,12 @@ error adds its share: that of the recurrence, bounded in laguerre_fixed in
 units of 2^-P and carried into Q_ik times c_k sqrt(w_i) 2^(B - P), and
 under 2^-30 from the isqrt floors at B + 32 bits.
 
-The radial residual reads the normalized eigenfunction and its first two
-derivatives from u_derivatives, in mpf on laguerre_values, one call per
-state for all its radii.
+The radial residual is a ratio in which the normalization, e^(-eta/2) and
+the powers of r cancel, so it is computed exactly: the three Laguerre values
+it needs come from _laguerre_int, an int recurrence at each rational eta,
+and only the worst ratio is rounded, once, to working precision.
+u_derivatives, the normalized eigenfunction and its first two derivatives
+in mpf on laguerre_values, is kept as the tests' reference.
 """
 
 from __future__ import annotations
@@ -419,7 +422,8 @@ def u_derivatives(q: QuantumNumbers, radii) -> list[tuple[mpf, mpf, mpf]]:
 
     Uses dL_n^(a)/dx = -L_{n-1}^(a+1) so the result is exact up to rounding.
     Every radius is checked before any work; the normalization and the three
-    Laguerre orders are computed once for all of them.
+    Laguerre orders are computed once for all of them.  The package does not
+    call it: it is the tests' reference for the exact radial_residual.
     """
     if q.d < 2:
         raise UnsupportedDimension("u_derivatives is defined for d >= 2 only")
@@ -456,40 +460,74 @@ def u_derivatives(q: QuantumNumbers, radii) -> list[tuple[mpf, mpf, mpf]]:
     return result
 
 
+def _laguerre_int(n: int, p: int, q: int, a: int, b: int) -> int:
+    """L_n^(alpha)(eta) n! (q b)^n as an exact int, with alpha = p/q and eta = a/b.
+
+    The recurrence of laguerre_values times k! (q b)^(k+1), from Z_0 = 1:
+    Z_(k+1) = ((2k + 1) q b + p b - q a) Z_k - k (k q + p) q b^2 Z_(k-1).
+    n < 0 gives 0.
+    """
+    if n < 0:
+        return 0
+    prev, curr = 0, 1
+    qb, shift, qbb = q * b, p * b - q * a, q * b * b
+    for k in range(n):
+        prev, curr = curr, ((2 * k + 1) * qb + shift) * curr - k * (k * q + p) * qbb * prev
+    return curr
+
+
 def radial_residual(q: QuantumNumbers, sample_etas, energy=None) -> mpf:
     """Max relative residual of the radial equation at the sample points.
 
     At each r = sqrt(eta) the residual |u'' - (eta - 2E + ang/eta) u +
     (d - 3) u'/r|, with ang = d - 3 + l(l + d - 2), is divided by the sum of
     the pieces' sizes, |u''| + |u| (eta + 2|E| + |ang|/eta) + |(d - 3) u'/r|,
-    so it stays at rounding level at a classical turning point, where u''
-    and the potential term both vanish.
+    so it stays small at a classical turning point, where u'' and the
+    potential term both vanish.
 
-    The sample must be non-empty with every eta > 0, else ValueError.
-    `energy` overrides the eigenvalue (used to confirm the test has power:
-    a wrong energy must produce a large residual); it is read at working
-    precision.
+    The ratio is computed exactly.  Divided by A e^(-eta/2) r^(l - 1) > 0,
+    u = A r^(l + 1) e^(-eta/2) P(eta) with P = L_n^(alpha) leaves the pieces
+    u'' -> l(l + 1) P + eta (eta - 2l - 3) P + 2 eta (2l + 3 - 2 eta) P'
+    + 4 eta^2 P'', u (eta - 2E + ang/eta) -> (eta^2 - 2 E eta + ang) P and
+    u'/r -> g = (l + 1 - eta) P + 2 eta P', with P' = -L_(n-1)^(alpha+1) and
+    P'' = L_(n-2)^(alpha+2) from _laguerre_int.  These are brought to one int
+    denominator, so each sample point gives one Fraction, and the worst is
+    rounded once to working precision.  It is exactly 0 at the eigenvalue.
+
+    The sample must be non-empty with every eta > 0, else ValueError.  Each
+    eta and `energy`, which overrides the eigenvalue (used to confirm the test
+    has power: a wrong energy must produce a large residual), is read exactly
+    by Fraction(), so an mpf raises TypeError before any work.
     """
     if q.d < 2:
         raise UnsupportedDimension("radial residual requires d >= 2")
-    etas = list(sample_etas)
+    etas = [Fraction(eta) for eta in sample_etas]
     if not etas or any(eta <= 0 for eta in etas):
         raise ValueError(f"sample points must be a non-empty list of eta > 0, got {etas}")
-    ang = q.d - 3 + q.l * (q.l + q.d - 2)
+    e = Fraction(energy_unperturbed(q) if energy is None else energy)
+    e_num, e_den = e.numerator, e.denominator
+    n, l, d = int(q.n), q.l, q.d
+    ang = d - 3 + l * (l + d - 2)
+    ap, aq = q.alpha.numerator, q.alpha.denominator
+    worst = Fraction(0)
+    for eta in etas:
+        a, b = eta.numerator, eta.denominator
+        c = aq * b
+        # P, P' and P'' times D = n! (aq b)^n
+        p0 = _laguerre_int(n, ap, aq, a, b)
+        p1 = -n * c * _laguerre_int(n - 1, ap + aq, aq, a, b)
+        p2 = n * (n - 1) * c * c * _laguerre_int(n - 2, ap + 2 * aq, aq, a, b)
+        # each piece times b^2 e_den D > 0
+        d2u = e_den * (
+            (l * (l + 1) * b * b + a * (a - (2 * l + 3) * b)) * p0
+            + 2 * a * ((2 * l + 3) * b - 2 * a) * p1
+            + 4 * a * a * p2
+        )
+        potential = (e_den * (a * a + ang * b * b) - 2 * e_num * a * b) * p0
+        drift = (d - 3) * e_den * b * (((l + 1) * b - a) * p0 + 2 * a * p1)
+        size = e_den * (a * a + abs(ang) * b * b) + 2 * abs(e_num) * a * b
+        scale = abs(d2u) + abs(p0) * size + abs(drift)
+        if scale:  # else every piece vanishes identically at this point (residual too)
+            worst = max(worst, Fraction(abs(d2u - potential + drift), scale))
     with mp.workdps(working_precision()):
-        e = _to_mpf(energy_unperturbed(q) if energy is None else energy)
-        radii = [mp.sqrt(_to_mpf(eta)) for eta in etas]
-        e2 = 2 * e
-        e2_size = abs(e2)
-        worst = mpf(0)
-        for r, (u, du, d2u) in zip(radii, u_derivatives(q, radii)):
-            rr = r * r
-            centrifugal = ang / rr
-            drift = ((q.d - 3) / r) * du
-            residual = abs(d2u - (rr - e2 + centrifugal) * u + drift)
-            scale = abs(d2u) + abs(u) * (rr + e2_size + abs(centrifugal)) + abs(drift)
-            if scale == 0:
-                # every piece vanishes identically at this point (residual too)
-                continue
-            worst = max(worst, residual / scale)
-        return worst
+        return mp.fdiv(worst.numerator, worst.denominator)

@@ -32,11 +32,23 @@ def oracle_failure():
     return worst if worst > checks.TOL_EXPECT else None
 
 
+# criterion 5's sample points, on a few of its states
+RESIDUAL_ETAS = [Fraction(1, 10), Fraction(1, 2), 1, 2, Fraction(7, 2), 5]
+RESIDUAL_STATES = [QuantumNumbers(3, 3, 2), QuantumNumbers(2, 8, 0), QuantumNumbers(5, 8, 8)]
+
+
+def residual_failure():
+    """The worst radial residual on RESIDUAL_STATES above TOL_RESIDUAL."""
+    worst = max(oracle.radial_residual(q, RESIDUAL_ETAS) for q in RESIDUAL_STATES)
+    return worst if worst > checks.TOL_RESIDUAL else None
+
+
 CHECKS = {
     "first_order": lambda: checks.first_order_failure(SMALL_RADIAL),
     "second_order": lambda: checks.second_order_failure(SMALL_RADIAL),
     "ladder": lambda: checks.ladder_failure(SMALL["ladder_N"]),
     "oracle": oracle_failure,
+    "residual": residual_failure,
     "degeneracy": lambda: None if checks.degeneracy_sum_rule_holds() else "sum rule fails",
     "operator_self_test": lambda: None if checks.operator_self_test_holds() else "self-test fails",
 }
@@ -167,6 +179,17 @@ def scales_alpha_plus_one(alpha, n, bits):
     return scales
 
 
+def laguerre_int_coefficient_plus_one(n, p, q, a, b):
+    """oracle._laguerre_int with k (k q + p + q) in place of k (k q + p): k + alpha + 1."""
+    if n < 0:
+        return 0
+    prev, curr = 0, 1
+    for k in range(n):
+        factor = (2 * k + 1) * q * b + p * b - q * a
+        prev, curr = curr, factor * curr - k * (k * q + p + q) * q * b * b * prev
+    return curr
+
+
 # name -> (module or class, name, replacement, checks that must fail)
 FAULTS = {
     "laguerre-d2-off-by-one": (
@@ -262,6 +285,20 @@ FAULTS = {
     ),
     # the table's orthonormal scales; the table check refuses every rule built under it
     "oracle-scales-alpha-plus-one": (oracle, "_scales", scales_alpha_plus_one, {"oracle"}),
+    # the residual's eigenvalue, 1/1000 too large
+    "oracle-residual-energy": (
+        oracle,
+        "energy_unperturbed",
+        lambda q: energy_unperturbed(q) + Fraction(1, 1000),
+        {"residual"},
+    ),
+    # the exact recurrence of the residual's Laguerre values
+    "oracle-residual-laguerre": (
+        oracle,
+        "_laguerre_int",
+        laguerre_int_coefficient_plus_one,
+        {"residual"},
+    ),
 }
 
 

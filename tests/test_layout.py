@@ -120,6 +120,15 @@ def test_oracle_table_is_int_from_end_to_end():
         assert loaded_names("oracle", name).isdisjoint({"mp", "mpf", "mpmath", "_mpf_"}), name
 
 
+def test_radial_residual_is_exact():
+    # the residual's ratio is computed in ints: it loads no mpf eigenfunction,
+    # normalization, generic recurrence or irrational function
+    forbidden = {"u_derivatives", "normalization", "laguerre_values", "sqrt", "exp"}
+    for name in ("radial_residual", "_laguerre_int"):
+        assert loaded_names("oracle", name).isdisjoint(forbidden), name
+    assert "_laguerre_int" in loaded_names("oracle", "radial_residual")
+
+
 def test_ladder_corrections_do_not_read_the_printed_blocks():
     # the corrections apply powers of p^2, so the paper's p^4 blocks, which the
     # self-test compares with (p^2)^2, stay an independent check
@@ -140,6 +149,7 @@ UNUSED_EXPORTS = {
     "ladder2d.expectation": "the tests' reference for diagonal elements",
     "spectrum.landau_analogue": "the paper's two-dimensional physical example",
     "oracle.rule_cache_stats": "rule-cache hits, misses and build time for a run's report",
+    "oracle.u_derivatives": "the tests' reference eigenfunction, which the exact residual replaces",
 }
 
 

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from salpeter_qho import checks, oracle
@@ -18,6 +20,7 @@ from salpeter_qho.oracle import (
     radial_residual,
     rule_cache_stats,
     sum_over_states_check,
+    u_derivatives,
     working_precision,
 )
 from salpeter_qho.states import (
@@ -30,6 +33,11 @@ from salpeter_qho.states import (
 F = Fraction
 
 SAMPLE_ETAS = [F(1, 10), F(1, 2), 1, 2, F(7, 2), 5, 8]
+# criterion 5's radial-residual states and sample points
+CRITERION_5_STATES = [
+    QuantumNumbers(d, n, l) for d in (2, 3, 5) for n in (0, 3, 8) for l in (0, 2, 8)
+]
+CRITERION_5_ETAS = [F(1, 10), F(1, 2), 1, 2, F(7, 2), 5]
 
 
 def rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
@@ -720,18 +728,72 @@ class TestRadialResidual:
         )
         assert worst <= checks.TOL_RESIDUAL
 
-    def test_one_normalization_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("etas,energy", [([mpf(1) / 3], None), ([1, 2], mpf(7) / 2)])
+    def test_mpf_input_refused_before_any_work(self, etas, energy, monkeypatch):
+        # eta and the energy are read exactly by Fraction(), which takes no mpf
         calls = []
-        normalization = oracle.normalization
+        monkeypatch.setattr(oracle, "_laguerre_int", lambda *args: calls.append(args))
+        with pytest.raises(TypeError):
+            radial_residual(QuantumNumbers(3, 1, 0), etas, energy=energy)
+        assert calls == []
 
-        def counted(q):
-            calls.append(q)
-            return normalization(q)
+    @pytest.mark.parametrize("q", CRITERION_5_STATES, ids=str)
+    def test_exactly_zero_at_the_eigenvalue(self, q):
+        assert all(radial_residual(q, [eta]) == 0 for eta in CRITERION_5_ETAS)
 
-        monkeypatch.setattr(oracle, "normalization", counted)
-        for q in (QuantumNumbers(2, 0, 0), QuantumNumbers(5, 2, 1)):
-            radial_residual(q, SAMPLE_ETAS)
-        assert calls == [QuantumNumbers(2, 0, 0), QuantumNumbers(5, 2, 1)]
+    @pytest.mark.parametrize(
+        "q,etas",
+        [(q, CRITERION_5_ETAS) for q in CRITERION_5_STATES]
+        + [(q, [eta]) for q, eta in TURNING_POINTS],
+        ids=str,
+    )
+    def test_matches_the_eigenfunction_reference(self, q, etas):
+        # the ratio from u_derivatives in mpf at 50 digits, one point at a time,
+        # off the eigenvalue, where it is well above rounding
+        ang = q.d - 3 + q.l * (q.l + q.d - 2)
+        for energy in (energy_unperturbed(q) + F(1, 1000), energy_unperturbed(q) - F(1, 1000)):
+            for eta in etas:
+                exact = radial_residual(q, [eta], energy=energy)
+                with mp.workdps(50):
+                    e, r = to_float(energy), mp.sqrt(to_float(F(eta)))
+                    ((u, du, d2u),) = u_derivatives(q, [r])
+                    centrifugal = ang / (r * r)
+                    drift = ((q.d - 3) / r) * du
+                    residual = abs(d2u - (r * r - 2 * e + centrifugal) * u + drift)
+                    scale = abs(d2u) + abs(u) * (r * r + 2 * abs(e) + abs(centrifugal)) + abs(drift)
+                    assert abs(residual / scale - exact) <= mpf("1e-40") * exact, (eta, energy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 100),
+        n=st.integers(0, 200),
+        l=st.integers(0, 200),
+        eta=st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6)),
+        delta=st.builds(F, st.integers(-1000, 1000).filter(bool), st.integers(1, 10**6)),
+    )
+    def test_exact_far_beyond_the_grid(self, d, n, l, eta, delta):
+        # 0 at the eigenvalue; off it by delta only the potential term moves,
+        # by -2 delta eta P, so the ratio is 2 |delta| eta |P| / scale exactly,
+        # with P, P' and P'' from laguerre_values on Fractions
+        q = QuantumNumbers(d, n, l)
+        assert radial_residual(q, [eta]) == 0
+        alpha, e = q.alpha, energy_unperturbed(q) + delta
+        p0 = laguerre_values(n, alpha, eta)[-1]
+        p1 = -(laguerre_values(n - 1, alpha + 1, eta) or [0])[-1]
+        p2 = (laguerre_values(n - 2, alpha + 2, eta) or [0])[-1]
+        ang = d - 3 + l * (l + d - 2)
+        d2u = (
+            (l * (l + 1) + eta * (eta - 2 * l - 3)) * p0
+            + 2 * eta * (2 * l + 3 - 2 * eta) * p1
+            + 4 * eta**2 * p2
+        )
+        drift = (d - 3) * ((l + 1 - eta) * p0 + 2 * eta * p1)
+        scale = abs(d2u) + abs(p0) * (eta**2 + 2 * abs(e) * eta + abs(ang)) + abs(drift)
+        expected = 2 * abs(delta) * eta * abs(p0) / scale if scale else F(0)
+        with mp.workdps(working_precision()):
+            man, exp = radial_residual(q, [eta], energy=e).man_exp
+            # the exact ratio, rounded once to the nearest mpf
+            assert abs(man * F(2) ** exp - expected) <= expected / 2 ** (mp.prec - 1)
 
     def test_d1_unsupported(self):
         with pytest.raises(UnsupportedDimension):
