@@ -470,9 +470,9 @@ def _laguerre_int(n: int, p: int, q: int, a: int, b: int) -> int:
     if n < 0:
         return 0
     prev, curr = 0, 1
-    qb, shift, qbb = q * b, p * b - q * a, q * b * b
+    qb, offset, qbb = q * b, p * b - q * a, q * b * b
     for k in range(n):
-        prev, curr = curr, ((2 * k + 1) * qb + shift) * curr - k * (k * q + p) * qbb * prev
+        prev, curr = curr, ((2 * k + 1) * qb + offset) * curr - k * (k * q + p) * qbb * prev
     return curr
 
 

@@ -45,6 +45,13 @@ def rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
     return oracle._rule_entry(alpha, npoints, working_precision())
 
 
+def case_id(value) -> str:
+    """Test id of a state, "d3-n2-l1", or of a list of sample points, "eta=2"."""
+    if isinstance(value, QuantumNumbers):
+        return f"d{value.d}-n{value.n}-l{value.l}"
+    return "eta=" + ",".join(map(str, value))
+
+
 def to_float(x: Fraction) -> mpf:
     return mpf(x.numerator) / x.denominator
 
@@ -737,7 +744,16 @@ class TestRadialResidual:
             radial_residual(QuantumNumbers(3, 1, 0), etas, energy=energy)
         assert calls == []
 
-    @pytest.mark.parametrize("q", CRITERION_5_STATES, ids=str)
+    @pytest.mark.parametrize(
+        "q,eta", [(QuantumNumbers(3, 1, 0), F(3, 2)), (QuantumNumbers(3, 1, 2), F(7, 2))]
+    )
+    def test_radial_node_in_three_dimensions(self, q, eta):
+        # L_1^(alpha) vanishes at eta = alpha + 1, and for d = 3 so do u'' and
+        # the drift: every piece is 0, at any energy, and the point is skipped
+        assert laguerre_values(1, q.alpha, eta)[-1] == 0
+        assert radial_residual(q, [eta]) == radial_residual(q, [eta], energy=9) == 0
+
+    @pytest.mark.parametrize("q", CRITERION_5_STATES, ids=case_id)
     def test_exactly_zero_at_the_eigenvalue(self, q):
         assert all(radial_residual(q, [eta]) == 0 for eta in CRITERION_5_ETAS)
 
@@ -745,7 +761,7 @@ class TestRadialResidual:
         "q,etas",
         [(q, CRITERION_5_ETAS) for q in CRITERION_5_STATES]
         + [(q, [eta]) for q, eta in TURNING_POINTS],
-        ids=str,
+        ids=case_id,
     )
     def test_matches_the_eigenfunction_reference(self, q, etas):
         # the ratio from u_derivatives in mpf at 50 digits, one point at a time,
