@@ -25,19 +25,23 @@ exact and still differ, and one rule serves many (n, s).  A rule has at most
 MAX_NODES = 384 nodes, the fine rule of <eta^2> at n = 250; a larger one
 raises ValueError before any work.
 
-Each rule is built once with its node table and never changed after.  The
-table is Python-int fixed point at the scale 2^B, with B = ceil(dps log2 10)
-+ 20 guard bits (187 at the default 50): X_i = round(x_i 2^B) and
-Q_ik = round(sqrt(w_i) p_k(x_i) 2^B) for k <= 2 * npoints - 1, the highest
-order any sum on the rule can need, where p_k = c_k L_k^(alpha) is
-orthonormal, c_k^2 = k! / Gamma(k + alpha + 1).  Each node's row is rounded
+Each rule is built once with its node table, and the table is never
+changed after.  It is Python-int fixed point at the scale 2^B, with
+B = ceil(dps log2 10) + 20 guard bits (187 at the default 50):
+X_i = round(x_i 2^B) and Q_ik = round(sqrt(w_i) p_k(x_i) 2^B) for
+k <= 2 * npoints - 1, the highest order any sum on the rule can need, where
+p_k = c_k L_k^(alpha) is orthonormal, c_k^2 = k! / Gamma(k + alpha + 1).
+Each node's row is rounded
 straight from the int L_k(x_i) 2^P, times c_k sqrt(w_i) = sqrt(rho_k) /
 (sqrt(x_i) |L_n'(x_i)|) as two math.isqrt floors at B + 32 bits, of the exact
 int ratio rho_k = k! Gamma(n + alpha + 1) / (n! Gamma(k + alpha + 1)) and of
 1 / (x_i L_n'(x_i)^2) from the node's ints, so the table is int from end to
-end.  A sum on one rule is then one int sum, sum_i X_i^s Q_(i,n1) Q_(i,n2) = <u_n1|eta^s|u_n2>
-2^(B (s + 2)), rounded once to working precision; no per-call result is
-cached.  Each build checks its polish (a last Newton step small enough for
+end.  A sum on one rule is then one int sum, sum_i X_i^s Q_(i,n1) Q_(i,n2) =
+<u_n1|eta^s|u_n2> 2^(B (s + 2)).  The only other thing kept is derived from a
+rule: its power table, (X_i^s for each node), made on the first sum of power
+s on the rule from the xs its cache entry holds, and kept beside the rule in
+the same cache, so a cache that is dropped takes its power tables with it.
+Each build checks its polish (a last Newton step small enough for
 X to hold dps + 10 digits), its nodes (positive, strictly increasing) and
 sum_i Q_i0^2 = <p_0|p_0> 2^(2B) against 2^(2B) to 10^(5 - dps), which is
 sum_i w_i = Gamma(alpha + 1) on the numbers the sums read, so a table with
@@ -53,12 +57,21 @@ error adds its share: that of the recurrence, bounded in laguerre_fixed in
 units of 2^-P and carried into Q_ik times c_k sqrt(w_i) 2^(B - P), and
 under 2^-30 from the isqrt floors at B + 32 bits.
 
+Each oracle call is one int pass over the rules it needs, rounded once to
+working precision by _rounded at the end.  A matrix element is checked on its
+two rules.  The sum over states and the orthonormality check sum all their
+elements on one rule pair, that of their largest element, compare each
+element on the two rules, and form their result from the int sums exactly:
+sum_n' E_n'^2 L / (n - n') with L = lcm(n - n'), and the worst
+|G - delta 2^(2B)| of the Gram matrix.
+
 The radial residual is a ratio in which the normalization, e^(-eta/2) and
 the powers of r cancel, so it is computed exactly: the three Laguerre values
 it needs come from _laguerre_int, an int recurrence at each rational eta,
-and only the worst ratio is rounded, once, to working precision.
-u_derivatives, the normalized eigenfunction and its first two derivatives
-in mpf on laguerre_values, is kept as the tests' reference.
+the worst ratio is kept as two ints, and only it is rounded, once, to
+working precision.  u_derivatives, the normalized eigenfunction and its
+first two derivatives in mpf on laguerre_values, is kept as the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -72,6 +85,7 @@ from itertools import repeat
 from operator import mul
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from .states import QuantumNumbers, UnsupportedDimension, energy_unperturbed
 
@@ -93,7 +107,8 @@ MAX_NODES = 384  # the fine rule of <eta^2> at n = 250
 SEED_SHIFT = 64  # fixed-point bits of the seeds: a double's mantissa at the smallest zero
 GUARD_BITS = 32  # of the polish, beyond the dps + 10 digits each node holds
 
-# (alpha, npoints, dps) -> (bits, xs, columns); see _rule_entry
+# (alpha, npoints, dps) -> (bits, xs, columns), see _rule_entry, and
+# (alpha, npoints, dps, s) -> that rule's power table, see _power_table
 _rule_cache: dict = {}
 _rule_lock = threading.Lock()
 _rule_stats = {"hits": 0, "misses": 0, "build_s": 0.0}
@@ -329,32 +344,82 @@ def _bucket(degree: int) -> int:
     return npoints
 
 
-def _rule_sum(
-    alpha: Fraction, npoints: int, n1: int, n2: int, s: int, dps: int
-) -> tuple[int, int]:
-    """(total, exp) with sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = total 2^exp on one rule."""
+def _power_table(alpha, npoints: int, dps: int, xs: tuple, s: int) -> tuple:
+    """(X_i^s for each node) of the rule keyed (alpha, npoints, dps), whose xs
+    _rule_entry returned, kept in _rule_cache under (alpha, npoints, dps, s)."""
+    key = (alpha, npoints, dps, s)
+    with _rule_lock:
+        table = _rule_cache.get(key)
+    if table is None:
+        table = tuple(map(pow, xs, repeat(s)))
+        with _rule_lock:
+            table = _rule_cache.setdefault(key, table)
+    return table
+
+
+def _rule_sums(alpha, npoints: int, pairs: list, s: int, dps: int) -> tuple[list[int], int]:
+    """([total for each (n1, n2) in pairs], exp) with
+    sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = total 2^exp on one rule.
+
+    Each distinct n2 has its column times the power table formed once, so a
+    sum is one int product per node."""
     bits, xs, columns = _rule_entry(alpha, npoints, dps)
-    powers = map(pow, xs, repeat(s))
-    return sum(map(mul, powers, map(mul, columns[n1], columns[n2]))), -bits * (s + 2)
+    powers = _power_table(alpha, npoints, dps, xs, s) if s else None
+    weighted: dict = {}  # n2 -> (X_i^s Q_(i,n2) for each node)
+    totals = []
+    for n1, n2 in pairs:
+        row = weighted.get(n2)
+        if row is None:
+            row = weighted[n2] = tuple(map(mul, powers, columns[n2])) if s else columns[n2]
+        totals.append(sum(map(mul, row, columns[n1])))
+    return totals, -bits * (s + 2)
 
 
-def _bracket(alpha: Fraction, n1: int, n2: int, s: int, dps: int) -> mpf:
-    """sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = <u_n1|eta^s|u_n2>, checked on two rules.
+def _bracket(alpha, pairs: list, s: int, dps: int) -> tuple[list[int], int]:
+    """([total for each (n1, n2) in pairs], exp) with <u_n1|eta^s|u_n2> =
+    total 2^exp, every entry checked on two rules.
 
-    Summed on the smallest bucket exact for the degree n1 + n2 + s and on the
-    next bucket up; returns the latter, rounded once to dps digits, once the
-    two agree.  Both int sums share one scale, so they are compared as ints.
+    All pairs are summed on one rule pair: the smallest bucket exact for the
+    highest degree n1 + n2 + s among them and the next bucket up.  Every entry
+    is exact on both and the two rules still differ, so each is compared on
+    the two as ints, sharing one scale, and the latter's sums are returned.
     """
-    npoints = _bucket(n1 + n2 + s)
+    npoints = _bucket(max(n1 + n2 for n1, n2 in pairs) + s)
     # the larger rule first: past MAX_NODES, fail before building the smaller
     sizes = (_bucket(2 * npoints), npoints)
-    (fine, exp), (coarse, _) = (_rule_sum(alpha, size, n1, n2, s, dps) for size in sizes)
-    # |coarse - fine| / max(1, |fine|) > 1e-14
-    if abs(coarse - fine) * 10**14 > max(1 << -exp, abs(fine)):
-        with mp.workdps(dps):
-            diff = mpf((abs(coarse - fine), exp)) / max(1, abs(mpf((fine, exp))))
-            raise ArithmeticError(f"quadrature failed to converge: rel diff {diff}")
-    return mpf((fine, exp), dps=dps)
+    (fine, exp), (coarse, _) = (_rule_sums(alpha, size, pairs, s, dps) for size in sizes)
+    unit = 1 << -exp
+    for f, c in zip(fine, coarse):
+        # |c - f| / max(1, |f|) > 1e-14
+        if abs(c - f) * 10**14 > max(unit, abs(f)):
+            diff = abs(c - f) / max(unit, abs(f))
+            raise ArithmeticError(f"quadrature failed to converge: rel diff {diff:.3e}")
+    return fine, exp
+
+
+def _rounded(num: int, den: int, exp: int, dps: int) -> mpf:
+    """num / den 2^exp, with den > 0, correctly rounded to an mpf of dps digits.
+
+    The quotient is taken to prec + 3 bits or more, prec the precision of dps
+    digits, and a nonzero remainder is folded into its last bit (a sticky
+    bit).  Rounded from there to prec bits, to nearest with ties to even, it
+    is the rounding of the exact ratio, the same as mp.fdiv's at dps digits.
+    Its trailing zero bits are dropped, so mpf((man, exp)) stores man as is.
+    """
+    if not num:
+        return mpf(0)
+    prec, size = dps_to_prec(dps), abs(num)
+    shift = prec + 3 - size.bit_length() + den.bit_length()
+    man, rest = divmod(size << shift, den) if shift >= 0 else divmod(size, den << -shift)
+    drop = man.bit_length() - prec  # 3 or 4
+    half = 1 << (drop - 1)
+    low = man & (2 * half - 1) | (rest != 0)
+    man >>= drop
+    if low > half or (low == half and man & 1):
+        man += 1
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return mpf((-man if num < 0 else man, exp - shift + drop + zeros), dps=dps)
 
 
 def quad_expectation(q: QuantumNumbers, s: int) -> mpf:
@@ -376,39 +441,50 @@ def quad_matrix_element(n1: int, n2: int, l: int, d: int, s: int) -> mpf:
         # InvalidQuantumNumbers for a negative or non-integer n1, n2 or l
         alpha = QuantumNumbers(d, n1, l).alpha
         QuantumNumbers(d, n2, l)
-    return _bracket(alpha, n1, n2, s, working_precision())
+    dps = working_precision()
+    (total,), exp = _bracket(alpha, [(n1, n2)], s, dps)
+    return _rounded(total, 1, exp, dps)
 
 
 def orthonormality_check(l: int, d: int, n_max: int) -> mpf:
-    """max |<u_n1|u_n2> - delta| over n1, n2 <= n_max, which must be >= 0."""
+    """max |<u_n1|u_n2> - delta| over n1 <= n2 <= n_max, which must be >= 0.
+
+    The Gram matrix's upper triangle is summed on one rule pair, the worst
+    entry found in ints and rounded once to working precision.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    with mp.workdps(working_precision()):
-        worst = mpf(0)
-        for n1 in range(n_max + 1):
-            for n2 in range(n1, n_max + 1):
-                value = quad_matrix_element(n1, n2, l, d, 0)
-                worst = max(worst, abs(value - (1 if n1 == n2 else 0)))
-        return worst
+    if d < 2:
+        raise UnsupportedDimension("quadrature oracle requires d >= 2")
+    alpha = QuantumNumbers(d, 0, l).alpha
+    pairs = [(n1, n2) for n1 in range(n_max + 1) for n2 in range(n1, n_max + 1)]
+    dps = working_precision()
+    gram, exp = _bracket(alpha, pairs, 0, dps)
+    one = 1 << -exp
+    worst = max(abs(g - one if n1 == n2 else g) for g, (n1, n2) in zip(gram, pairs))
+    return _rounded(worst, 1, exp, dps)
 
 
 def sum_over_states_check(q: QuantumNumbers, n_cutoff: int) -> mpf:
     """Second-order part II by brute-force sum over states.
 
     (1/128) sum_{n' != n, n' <= cutoff} <u_n'|eta^2|u_n>^2 / (n - n');
-    cutoff-independent beyond n + 2 by sparsity.
+    cutoff-independent beyond n + 2 by sparsity.  Every <u_n'|eta^2|u_n> is
+    summed on one rule pair, and with L = lcm(n - n') the sum is formed
+    exactly, as sum E_n'^2 L / (n - n') over the elements' int sums E_n',
+    and rounded once to working precision.
     """
     n = int(q.n)
     if n_cutoff < n + 2:
         raise ValueError(f"cutoff must be >= n+2 = {n + 2}, got {n_cutoff}")
-    with mp.workdps(working_precision()):
-        total = mpf(0)
-        for n_prime in range(n_cutoff + 1):
-            if n_prime == n:
-                continue
-            element = quad_matrix_element(n_prime, n, q.l, q.d, 2)
-            total += element * element / (n - n_prime)
-        return total / 128
+    if q.d < 2:
+        raise UnsupportedDimension("quadrature oracle requires d >= 2")
+    others = [m for m in range(n_cutoff + 1) if m != n]
+    dps = working_precision()
+    elements, exp = _bracket(q.alpha, [(m, n) for m in others], 2, dps)
+    lcm = math.lcm(*(n - m for m in others))
+    total = sum(e * e * (lcm // (n - m)) for e, m in zip(elements, others))
+    return _rounded(total, lcm, 2 * exp - 7, dps)
 
 
 def normalization(q: QuantumNumbers) -> mpf:
@@ -491,8 +567,9 @@ def radial_residual(q: QuantumNumbers, sample_etas, energy=None) -> mpf:
     + 4 eta^2 P'', u (eta - 2E + ang/eta) -> (eta^2 - 2 E eta + ang) P and
     u'/r -> g = (l + 1 - eta) P + 2 eta P', with P' = -L_(n-1)^(alpha+1) and
     P'' = L_(n-2)^(alpha+2) from _laguerre_int.  These are brought to one int
-    denominator, so each sample point gives one Fraction, and the worst is
-    rounded once to working precision.  It is exactly 0 at the eigenvalue.
+    denominator, so each sample point gives a ratio of two ints; the worst is
+    kept as such a pair, compared by cross-multiplication, and rounded once to
+    working precision.  It is exactly 0 at the eigenvalue.
 
     The sample must be non-empty with every eta > 0, else ValueError.  Each
     eta and `energy`, which overrides the eigenvalue (used to confirm the test
@@ -509,7 +586,7 @@ def radial_residual(q: QuantumNumbers, sample_etas, energy=None) -> mpf:
     n, l, d = int(q.n), q.l, q.d
     ang = d - 3 + l * (l + d - 2)
     ap, aq = q.alpha.numerator, q.alpha.denominator
-    worst = Fraction(0)
+    worst, worst_scale = 0, 1  # the worst ratio so far, as two ints
     for eta in etas:
         a, b = eta.numerator, eta.denominator
         c = aq * b
@@ -527,7 +604,8 @@ def radial_residual(q: QuantumNumbers, sample_etas, energy=None) -> mpf:
         drift = (d - 3) * e_den * b * (((l + 1) * b - a) * p0 + 2 * a * p1)
         size = e_den * (a * a + abs(ang) * b * b) + 2 * abs(e_num) * a * b
         scale = abs(d2u) + abs(p0) * size + abs(drift)
-        if scale:  # else every piece vanishes identically at this point (residual too)
-            worst = max(worst, Fraction(abs(d2u - potential + drift), scale))
-    with mp.workdps(working_precision()):
-        return mp.fdiv(worst.numerator, worst.denominator)
+        residual = abs(d2u - potential + drift)
+        # a zero scale: every piece vanishes identically at this point (residual too)
+        if scale and residual * worst_scale > worst * scale:
+            worst, worst_scale = residual, scale
+    return _rounded(worst, worst_scale, 0, working_precision())

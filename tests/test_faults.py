@@ -330,3 +330,53 @@ def test_one_scaled_rule_trips_the_convergence_check(monkeypatch):
     monkeypatch.setattr(oracle, "_rule_entry", scaled_rules(only=oracle._bucket(2 * 2 + s)))
     with pytest.raises(ArithmeticError, match="converge"):
         oracle.quad_expectation(q, s)
+
+
+# each check's elements all share the rule pair of its largest element
+SHARED_PAIR_CHECKS = {
+    # degree cutoff + n + 2 of <u_cutoff|eta^2|u_n>
+    "sum_over_states": (lambda: oracle.sum_over_states_check(QuantumNumbers(3, 2, 1), 6), 10),
+    # degree 2 n_max of <u_n_max|u_n_max>
+    "orthonormality": (lambda: oracle.orthonormality_check(1, 3, 8), 16),
+}
+
+
+def shared_pair_rule(check: str, rule: str) -> int:
+    """npoints of the coarse or the fine rule of a check's shared pair."""
+    coarse = oracle._bucket(SHARED_PAIR_CHECKS[check][1])
+    return coarse if rule == "coarse" else oracle._bucket(2 * coarse)
+
+
+@pytest.mark.parametrize("rule", ["coarse", "fine"])
+@pytest.mark.parametrize("check", sorted(SHARED_PAIR_CHECKS))
+def test_one_scaled_rule_of_a_shared_pair_trips_the_check(check, rule, monkeypatch):
+    only = shared_pair_rule(check, rule)
+    monkeypatch.setattr(oracle, "_rule_entry", scaled_rules(only=only))
+    with pytest.raises(ArithmeticError, match="converge"):
+        SHARED_PAIR_CHECKS[check][0]()
+
+
+def scaled_column(order: int, only: int):
+    """oracle._rule_entry with the column of p_order on the `only`-node rule
+    1 + 1e-9 times too large, so that only the sums that read it are off."""
+
+    def entry(alpha, npoints, dps):
+        bits, xs, columns = _rule_entry(alpha, npoints, dps)
+        if npoints == only:
+            column = tuple(q + q // 10**9 for q in columns[order])
+            columns = columns[:order] + (column,) + columns[order + 1 :]
+        return bits, xs, columns
+
+    return entry
+
+
+# one order whose column only some of a check's elements read: <u_4|eta^2|u_2>
+# of the sum over states, and the last diagonal entry, <u_8|u_8>, of the Gram
+# matrix, where its other entries are rounding noise
+@pytest.mark.parametrize("rule", ["coarse", "fine"])
+@pytest.mark.parametrize("check,order", [("sum_over_states", 4), ("orthonormality", 8)])
+def test_every_element_of_a_shared_pair_is_compared(check, order, rule, monkeypatch):
+    only = shared_pair_rule(check, rule)
+    monkeypatch.setattr(oracle, "_rule_entry", scaled_column(order, only))
+    with pytest.raises(ArithmeticError, match="converge"):
+        SHARED_PAIR_CHECKS[check][0]()

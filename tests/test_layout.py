@@ -60,11 +60,14 @@ def package_imports(module: str) -> set[str]:
     return imported_modules(module) & {"salpeter_qho", *MODULES}
 
 
-def loaded_names(module: str, function: str) -> set[str]:
-    """Every name and attribute that a top-level function of `module` loads."""
+def loaded_names(module: str, function: str, body_only: bool = False) -> set[str]:
+    """Every name and attribute that a top-level function of `module` loads,
+    or with body_only, that its body loads, leaving out its signature's
+    annotations and defaults."""
     tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
     (node,) = [node for node in tree.body if getattr(node, "name", None) == function]
-    nodes = list(ast.walk(node))
+    roots = node.body if body_only else [node]
+    nodes = [n for root in roots for n in ast.walk(root)]
     return {n.id for n in nodes if isinstance(n, ast.Name)} | {
         n.attr for n in nodes if isinstance(n, ast.Attribute)
     }
@@ -118,6 +121,23 @@ def test_oracle_table_is_int_from_end_to_end():
     # mantissa, so every entry is an int product rounded once
     for name in ("_rule_entry", "_root", "_scales", "_table_row"):
         assert loaded_names("oracle", name).isdisjoint({"mp", "mpf", "mpmath", "_mpf_"}), name
+    # the power tables and the shared-pair sums are ints too, with no Fraction
+    for name in ("_power_table", "_rule_sums", "_bracket"):
+        assert loaded_names("oracle", name).isdisjoint(
+            {"mp", "mpf", "mpmath", "_mpf_", "Fraction"}
+        ), name
+    # and each entry point's body rounds to mpf once, by _rounded, the only
+    # one to touch mpf; an entry point names mpf only as its return type
+    entry_points = (
+        "quad_matrix_element",
+        "orthonormality_check",
+        "sum_over_states_check",
+        "radial_residual",
+    )
+    for name in entry_points:
+        names = loaded_names("oracle", name, body_only=True)
+        assert "_rounded" in names and names.isdisjoint({"mp", "mpf", "fdiv", "_mpf_"}), name
+    assert "mpf" in loaded_names("oracle", "_rounded")
 
 
 def test_radial_residual_is_exact():

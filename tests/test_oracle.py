@@ -1,12 +1,16 @@
 """Gauss-Laguerre quadrature oracle: floating cross-checks of exact results."""
 
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from salpeter_qho import checks, oracle
 from salpeter_qho.kramers import moment_eta
@@ -368,6 +372,20 @@ class TestBuckets:
             sum_over_states_check(q, n + 4)
         assert rule_cache_stats()["misses"] - before <= 5
 
+    @pytest.mark.parametrize("cutoff", [4, 6, 10])
+    def test_sum_over_states_builds_only_its_rule_pair(self, monkeypatch, cutoff):
+        # every element shares the pair of the largest, degree cutoff + n + 2
+        cache = {}
+        monkeypatch.setattr(oracle, "_rule_cache", cache)
+        q = QuantumNumbers(3, 2, 1)
+        before = rule_cache_stats()["misses"]
+        sum_over_states_check(q, cutoff)
+        assert rule_cache_stats()["misses"] - before == 2
+        coarse = oracle._bucket(cutoff + 2 + 2)
+        rules = {key for key in cache if len(key) == 3}
+        dps = working_precision()
+        assert rules == {(q.alpha, coarse, dps), (q.alpha, oracle._bucket(2 * coarse), dps)}
+
 
 def fdot_rule_sum(nodes, weights, rows, n1: int, n2: int, s: int) -> mpf:
     """The mpf sum the oracle made before its int tables: one mp.fdot over
@@ -435,8 +453,9 @@ class TestNodeTable:
                 # every n1 <= n2 with n1 + n2 + s <= 2 npoints - 1
                 for n1 in range(2 * npoints - s):
                     for n2 in range(n1, 2 * npoints - s - n1):
+                        (total,), exp = oracle._rule_sums(alpha, npoints, [(n1, n2)], s, dps)
                         with mp.workdps(dps):
-                            value = mpf(oracle._rule_sum(alpha, npoints, n1, n2, s, dps))
+                            value = mpf((total, exp))
                         with mp.workdps(dps + 10):
                             reference = fdot_rule_sum(nodes, weights, rows, n1, n2, s)
                             assert abs(value - reference) <= bound + abs(reference) * rounding
@@ -457,6 +476,53 @@ class TestNodeTable:
         walk(entry)
         assert type(entry) is tuple and len(entry) == 3
         assert found == [int] * (1 + npoints + 2 * npoints * npoints)
+
+    def test_power_tables_are_kept_beside_their_rule(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(oracle, "_rule_cache", cache)
+        alpha, dps = F(5, 2), working_precision()
+        quad_matrix_element(1, 2, 2, 3, 3)  # on the rules of 8 and 12 nodes
+        for npoints in (8, 12):
+            _, xs, _ = cache[alpha, npoints, dps]
+            assert cache[alpha, npoints, dps, 3] == tuple(x**3 for x in xs)
+        # s = 0 needs no table
+        quad_matrix_element(1, 2, 2, 3, 0)
+        assert sorted(len(key) for key in cache) == [3, 3, 4, 4]
+
+    def test_sixteen_threads_share_rules_and_power_tables(self, monkeypatch):
+        # threads that build and read the same rules and power tables at once
+        # get the values of a serial run, and one power table per (rule, s)
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        alpha, dps = F(7, 2), working_precision()
+        # (n1, n2, s) on l = 3, d = 3, each summed on the rules of 8 and 12 nodes
+        jobs = [(i % 4, i % 3, 1 + i % 5) for i in range(16)]
+        barrier = threading.Barrier(len(jobs))
+        results = {}
+
+        def ask(i, n1, n2, s):
+            barrier.wait(timeout=60)
+            _, xs, _ = oracle._rule_entry(alpha, 12, dps)
+            table = oracle._power_table(alpha, 12, dps, xs, s)
+            results[i] = (quad_matrix_element(n1, n2, 3, 3, s), table)
+
+        threads = [threading.Thread(target=ask, args=(i, *job)) for i, job in enumerate(jobs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(range(len(jobs)))
+        _, xs, _ = oracle._rule_entry(alpha, 12, dps)
+        for i, (n1, n2, s) in enumerate(jobs):
+            value, table = results[i]
+            assert table is oracle._power_table(alpha, 12, dps, xs, s)
+            assert table == tuple(x**s for x in xs)
+            assert value == quad_matrix_element(n1, n2, 3, 3, s)
 
     def test_table_disagreeing_with_its_weights_is_not_cached(self, monkeypatch):
         alpha, npoints = F(13, 3), 6
@@ -671,6 +737,87 @@ class TestSumOverStates:
             sum_over_states_check(QuantumNumbers(3, 2, 0), 3)
 
 
+def sum_over_states_reference(q: QuantumNumbers, cutoff: int) -> mpf:
+    """(1/128) sum_(n' != n) <u_n'|eta^2|u_n>^2 / (n - n'), each element its
+    own quad_matrix_element, summed in mpf at dps + 20."""
+    n = int(q.n)
+    elements = {m: quad_matrix_element(m, n, q.l, q.d, 2) for m in range(cutoff + 1) if m != n}
+    with mp.workdps(working_precision() + 20):
+        return mp.fsum(e * e / (n - m) for m, e in elements.items()) / 128
+
+
+def orthonormality_reference(l: int, d: int, n_max: int) -> mpf:
+    """max |<u_n1|u_n2> - delta| over n1 <= n2 <= n_max, each element its own
+    quad_matrix_element, in mpf at dps + 20."""
+    pairs = [(n1, n2) for n1 in range(n_max + 1) for n2 in range(n1, n_max + 1)]
+    elements = {pair: quad_matrix_element(*pair, l, d, 0) for pair in pairs}
+    with mp.workdps(working_precision() + 20):
+        return max(abs(value - (n1 == n2)) for (n1, n2), value in elements.items())
+
+
+class TestSharedRulePair:
+    # every element of a check is summed on the rule pair of its largest one,
+    # and the check is formed in ints: it must agree with the same check
+    # assembled from one quad_matrix_element per element
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_sum_over_states_matches_per_element_sums(self, d):
+        for n in range(9):
+            for l in (0, 3):
+                q = QuantumNumbers(d, n, l)
+                for cutoff in (n + 2, n + 4, n + 8):
+                    value = sum_over_states_check(q, cutoff)
+                    reference = sum_over_states_reference(q, cutoff)
+                    with mp.workdps(working_precision() + 20):
+                        assert abs(value - reference) <= mpf("1e-45") * abs(reference), (q, cutoff)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_orthonormality_matches_per_element_sums(self, d):
+        # the Gram matrix's entries are of size 1, and so is their scale here
+        for l in (0, 3, 8):
+            for n_max in range(9):
+                value = orthonormality_check(l, d, n_max)
+                with mp.workdps(working_precision() + 20):
+                    assert abs(value - orthonormality_reference(l, d, n_max)) <= mpf("1e-45")
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_shared_pair_entries_match_quad_matrix_element(self, d):
+        # the entries themselves, on the Gram matrix's triangle and the
+        # sum-over-states column, each to within 1e-45 of its own element
+        alpha, dps = QuantumNumbers(d, 0, 2).alpha, working_precision()
+        triangle = [(n1, n2) for n1 in range(9) for n2 in range(n1, 9)]
+        column = [(m, 5) for m in range(14) if m != 5]
+        for pairs, s in ((triangle, 0), (column, 2)):
+            totals, exp = oracle._bracket(alpha, pairs, s, dps)
+            assert len(totals) == len(pairs)
+            for total, (n1, n2) in zip(totals, pairs):
+                element = quad_matrix_element(n1, n2, 2, d, s)
+                with mp.workdps(dps + 20):
+                    assert abs(mpf((total, exp)) - element) <= mpf("1e-45") * max(1, abs(element))
+
+
+def off_eigenvalue_ratio(q: QuantumNumbers, eta: Fraction, delta: Fraction) -> Fraction:
+    """The radial residual's exact ratio at eta with the energy eps0 + delta.
+
+    At the eigenvalue the residual is 0; off it by delta only the potential
+    term moves, by -2 delta eta P, so the ratio is 2 |delta| eta |P| / scale,
+    with P, P' and P'' from laguerre_values on Fractions."""
+    n, l, d = int(q.n), q.l, q.d
+    alpha, e, eta = q.alpha, energy_unperturbed(q) + delta, F(eta)
+    p0 = laguerre_values(n, alpha, eta)[-1]
+    p1 = -(laguerre_values(n - 1, alpha + 1, eta) or [0])[-1]
+    p2 = (laguerre_values(n - 2, alpha + 2, eta) or [0])[-1]
+    ang = d - 3 + l * (l + d - 2)
+    d2u = (
+        (l * (l + 1) + eta * (eta - 2 * l - 3)) * p0
+        + 2 * eta * (2 * l + 3 - 2 * eta) * p1
+        + 4 * eta**2 * p2
+    )
+    drift = (d - 3) * ((l + 1 - eta) * p0 + 2 * eta * p1)
+    scale = abs(d2u) + abs(p0) * (eta**2 + 2 * abs(e) * eta + abs(ang)) + abs(drift)
+    return 2 * abs(delta) * eta * abs(p0) / scale if scale else F(0)
+
+
 class TestRadialResidual:
     @pytest.mark.parametrize(
         "q",
@@ -788,32 +935,68 @@ class TestRadialResidual:
         delta=st.builds(F, st.integers(-1000, 1000).filter(bool), st.integers(1, 10**6)),
     )
     def test_exact_far_beyond_the_grid(self, d, n, l, eta, delta):
-        # 0 at the eigenvalue; off it by delta only the potential term moves,
-        # by -2 delta eta P, so the ratio is 2 |delta| eta |P| / scale exactly,
-        # with P, P' and P'' from laguerre_values on Fractions
+        # 0 at the eigenvalue, and off it the exact ratio rounded once
         q = QuantumNumbers(d, n, l)
         assert radial_residual(q, [eta]) == 0
-        alpha, e = q.alpha, energy_unperturbed(q) + delta
-        p0 = laguerre_values(n, alpha, eta)[-1]
-        p1 = -(laguerre_values(n - 1, alpha + 1, eta) or [0])[-1]
-        p2 = (laguerre_values(n - 2, alpha + 2, eta) or [0])[-1]
-        ang = d - 3 + l * (l + d - 2)
-        d2u = (
-            (l * (l + 1) + eta * (eta - 2 * l - 3)) * p0
-            + 2 * eta * (2 * l + 3 - 2 * eta) * p1
-            + 4 * eta**2 * p2
-        )
-        drift = (d - 3) * ((l + 1 - eta) * p0 + 2 * eta * p1)
-        scale = abs(d2u) + abs(p0) * (eta**2 + 2 * abs(e) * eta + abs(ang)) + abs(drift)
-        expected = 2 * abs(delta) * eta * abs(p0) / scale if scale else F(0)
+        expected = off_eigenvalue_ratio(q, eta, delta)
         with mp.workdps(working_precision()):
-            man, exp = radial_residual(q, [eta], energy=e).man_exp
+            man, exp = radial_residual(q, [eta], energy=energy_unperturbed(q) + delta).man_exp
             # the exact ratio, rounded once to the nearest mpf
             assert abs(man * F(2) ** exp - expected) <= expected / 2 ** (mp.prec - 1)
 
     def test_d1_unsupported(self):
         with pytest.raises(UnsupportedDimension):
             radial_residual(QuantumNumbers.one_dim(2), SAMPLE_ETAS)
+
+
+class TestRounding:
+    @staticmethod
+    def cases(rng: random.Random) -> list[tuple[int, int]]:
+        """(num, den) pairs: signed ints of 1 to 4000 bits over powers of two
+        and over other ints, and exact ties at the working precision."""
+        prec = dps_to_prec(working_precision())
+        cases = []
+        for _ in range(600):
+            bits = rng.randint(1, 4000)
+            num = rng.choice((1, -1)) * ((1 << (bits - 1)) | rng.getrandbits(bits - 1))
+            power = 1 << rng.randrange(4000)
+            other = rng.getrandbits(rng.randint(2, 4000)) | 3  # two bits set: no power of two
+            # a tie: prec + 1 significant bits ending in 1, over a power of two or
+            # times and over an odd int
+            tie = rng.choice((1, -1)) * ((1 << prec) | rng.getrandbits(prec) | 1)
+            odd = rng.getrandbits(rng.randint(1, 2000)) | 1
+            cases += [(num, power), (num, other), (tie << rng.randrange(100), power), (tie * odd, odd)]
+        return cases
+
+    def test_matches_mpmath_division(self):
+        # each num / den 2^exp is the division at 8000 more bits rounded to dps
+        # digits, and mp.fdiv's one rounding at dps digits, bit for bit
+        rng, dps = random.Random(28), working_precision()
+        for num, den in self.cases(rng):
+            exp = rng.randint(-3000, 3000)
+            got = oracle._rounded(num, den, exp, dps)
+            with mp.workdps(dps):
+                wide = mp.ldexp(mp.fdiv(num, den, prec=mp.prec + 8000), exp)
+                assert got._mpf_ == mpf(wide)._mpf_ == mp.ldexp(mp.fdiv(num, den), exp)._mpf_
+
+    def test_ties_round_to_even(self):
+        # prec + 1 bits ending in 1: ...0|1 rounds down, ...1|1 up, to an even last bit
+        dps = working_precision()
+        prec = dps_to_prec(dps)
+        for low, even in ((1, 1 << (prec - 1)), (3, (1 << (prec - 1)) + 2)):
+            man = (1 << prec) | low
+            assert oracle._rounded(man, 1, 0, dps) == 2 * even
+            assert oracle._rounded(-man * 7, 14, 0, dps) == -even
+
+    @pytest.mark.parametrize("q", CRITERION_5_STATES, ids=case_id)
+    def test_radial_residual_rounds_like_fdiv(self, q):
+        # off the eigenvalue, the worst exact ratio over criterion 5's sample
+        # points, rounded by mp.fdiv at working precision, bit for bit
+        delta = F(1, 1000)
+        worst = max(off_eigenvalue_ratio(q, eta, delta) for eta in CRITERION_5_ETAS)
+        value = radial_residual(q, CRITERION_5_ETAS, energy=energy_unperturbed(q) + delta)
+        with mp.workdps(working_precision()):
+            assert value._mpf_ == mp.fdiv(worst.numerator, worst.denominator)._mpf_
 
 
 class TestPrecisionControl:
