@@ -7,20 +7,24 @@ where a|n) = n|n - 1) and ad|n) = |n + 1), so every coefficient is an int.
 Since |n) = sqrt(n!)|n>, each path from ket to bra carries the same factor
 sqrt(n_a'! n_b'! / (n_a! n_b!)), which squared is a short rational product.
 
-Coefficients are ints; any other raises TypeError.  Each LadderExpr
-compiles itself once, on first use, into one int polynomial in (n_a, n_b)
-per shift (dn_a, dn_b), generated from its generator words with like terms
-merged, so its image coefficient at that shift is sum c n_a^i n_b^j.  The
-corrections apply (p^2)^2 and (p^2)^3, which the compiler splits by shift,
-and build one Fraction per result; one evaluator, _poly, reads every shift.
+A LadderExpr is one int polynomial in (n_a, n_b) per shift (dn_a, dn_b):
+its image of |n_a n_b) at that shift has coefficient sum c n_a^i n_b^j.
+The four generators are such forms, mono composes them, sums merge the
+polynomials shift by shift and a product composes them pairwise, so a
+product costs shifts times shifts.  Coefficients are ints; any other raises
+TypeError.  The corrections apply (p^2)^2 and (p^2)^3, built once at
+import, and build one Fraction per result; one evaluator, _poly, reads
+every shift.
 
-The compiled form is also the one canonical form of an operator: two
-LadderExprs act alike on every Fock state exactly when their compiled
-tuples are equal.  The images at distinct shifts are distinct states, and a
-polynomial that vanishes at every occupation pair is the zero polynomial,
-so equal actions give equal merged polynomials; like monomials are merged
-and zero ones dropped, so those give equal tuples.  Operator identities,
-such as (p^2)^2 = p^4 or [a, ad] = 1, are decided by comparing these tuples.
+The form is canonical: two LadderExprs act alike on every Fock state
+exactly when they are equal.  Each polynomial gives the image coefficient at
+every occupation pair, and vanishes where its shift leaves the Fock space,
+since a and b carry the factors n_a and n_b.  The images at distinct shifts
+are distinct states, and a polynomial that vanishes at every occupation
+pair is the zero polynomial, so equal actions give equal polynomials; the
+shifts and monomials are sorted, like monomials merged and zero ones
+dropped, so those give equal forms.  Operator identities, such as
+(p^2)^2 = p^4 or [a, ad] = 1, are decided by ==.
 """
 
 from __future__ import annotations
@@ -28,13 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .states import InvalidQuantumNumbers, QuantumNumbers
 
 __all__ = [
     "FockState2D",
-    "Monomial",
     "LadderExpr",
     "GENERATORS",
     "matrix_element_squared",
@@ -47,7 +49,13 @@ __all__ = [
     "map_Nm_to_nl",
 ]
 
-GENERATORS = ("a", "ad", "b", "bd")
+# each generator's form: a|n_a) = n_a|n_a - 1) and ad|n_a) = |n_a + 1), b and bd alike
+GENERATORS = {
+    "a": ((-1, 0, ((1, 1, 0),)),),
+    "ad": ((1, 0, ((1, 0, 0),)),),
+    "b": ((0, -1, ((1, 0, 1),)),),
+    "bd": ((0, 1, ((1, 0, 0),)),),
+}
 
 
 @dataclass(frozen=True)
@@ -71,108 +79,85 @@ class FockState2D:
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """coeff times an ordered product of generators, applied right-to-left."""
-
-    coeff: int
-    gens: tuple[str, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.coeff, int):
-            raise TypeError(f"ladder coefficients are ints, got {self.coeff!r}")
-        if not set(self.gens) <= set(GENERATORS):
-            raise ValueError(f"unknown generator in {self.gens!r}")
-
-
-@dataclass(frozen=True)
 class LadderExpr:
-    """Formal int-coefficient sum of generator monomials."""
+    """An int-coefficient operator in its canonical form.
 
-    terms: tuple[Monomial, ...]
+    An entry (da, db, ((c, i, j), ...)) of `form` takes |n_a n_b) to
+    sum(c n_a^i n_b^j) |n_a + da, n_b + db).
+    """
+
+    form: tuple[tuple, ...]
 
     @classmethod
     def mono(cls, *gens: str, coeff=1) -> "LadderExpr":
-        return cls((Monomial(coeff, tuple(gens)),))
+        """coeff times the ordered product of generators, applied right to left."""
+        if not set(gens) <= GENERATORS.keys():
+            raise ValueError(f"unknown generator in {gens!r}")
+        expr = cls.one(coeff)
+        for g in gens:
+            expr = expr * cls(GENERATORS[g])
+        return expr
 
     @classmethod
     def one(cls, coeff=1) -> "LadderExpr":
-        return cls((Monomial(coeff, ()),))
+        if not isinstance(coeff, int):
+            raise TypeError(f"ladder coefficients are ints, got {coeff!r}")
+        return cls(_canonical([(0, 0, coeff, 0, 0)]))
 
     def __add__(self, other: "LadderExpr") -> "LadderExpr":
-        return LadderExpr(self.terms + other.terms)
+        terms = [(da, db, *m) for da, db, monomials in self.form + other.form for m in monomials]
+        return LadderExpr(_canonical(terms))
 
     def __sub__(self, other: "LadderExpr") -> "LadderExpr":
         return self + (-other)
 
     def __neg__(self) -> "LadderExpr":
-        return LadderExpr(tuple(Monomial(-t.coeff, t.gens) for t in self.terms))
+        return self * LadderExpr.one(-1)
 
     def __mul__(self, other):
+        """self after other: other takes |n) to q(n)|n + e), and self's entry
+        at shift d then gives p(n + e) q(n)|n + e + d)."""
         if not isinstance(other, LadderExpr):
             return NotImplemented
         return LadderExpr(
-            tuple(
-                Monomial(s.coeff * t.coeff, s.gens + t.gens)
-                for s in self.terms
-                for t in other.terms
+            _canonical(
+                (da + ea, db + eb, c * k, i + i2, j + j2)
+                for da, db, outer in self.form
+                for ea, eb, inner in other.form
+                for (i, j), c in _shifted(outer, ea, eb).items()
+                for k, i2, j2 in inner
             )
         )
 
-    @cached_property
-    def _compiled(self) -> tuple[tuple, ...]:
-        """The terms as one int polynomial per shift, compiled on first use.
 
-        An entry (da, db, ((c, i, j), ...)) takes |n_a n_b) to
-        sum(c n_a^i n_b^j) |n_a + da, n_b + db).  Walking a word's generators
-        right to left, a takes a factor n_a + (its shift so far) and lowers
-        the shift, ad raises it; b and bd do the same for n_b.  The words of
-        one shift are expanded and summed, like monomials merged and zero
-        ones dropped.  Annihilating past the vacuum gives a factor 0, so every
-        polynomial vanishes where its shift leaves the Fock space.
-
-        So the tuple is canonical: two LadderExprs act alike on every Fock
-        state exactly when their tuples are equal.  Each polynomial gives the
-        image coefficient at every (n_a, n_b) >= 0, past the vacuum included,
-        and has degree at most the word length in each occupation, so it is
-        zero as soon as it vanishes on {0..k}^2, k the longest word's length.
-        """
-        shifts: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-        for term in self.terms:
-            da = db = 0
-            oa, ob = [], []
-            for g in reversed(term.gens):
-                if g == "a":
-                    oa.append(da)
-                    da -= 1
-                elif g == "ad":
-                    da += 1
-                elif g == "b":
-                    ob.append(db)
-                    db -= 1
-                else:  # bd, as Monomial admits only GENERATORS
-                    db += 1
-            poly = shifts.setdefault((da, db), {})
-            for i, ca in enumerate(_expand(oa)):
-                for j, cb in enumerate(_expand(ob)):
-                    poly[i, j] = poly.get((i, j), 0) + term.coeff * ca * cb
-        compiled = []
-        for (da, db), poly in sorted(shifts.items()):
-            monomials = tuple((c, i, j) for (i, j), c in sorted(poly.items()) if c)
-            if monomials:
-                compiled.append((da, db, monomials))
-        return tuple(compiled)
+def _canonical(terms) -> tuple[tuple, ...]:
+    """The form of a sum of terms (da, db, c, i, j), each c n_a^i n_b^j at shift
+    (da, db): shifts and powers sorted, like terms merged and zero ones dropped."""
+    shifts: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for da, db, c, i, j in terms:
+        poly = shifts.setdefault((da, db), {})
+        poly[i, j] = poly.get((i, j), 0) + c
+    form = []
+    for (da, db), poly in sorted(shifts.items()):
+        monomials = tuple((c, i, j) for (i, j), c in sorted(poly.items()) if c)
+        if monomials:
+            form.append((da, db, monomials))
+    return tuple(form)
 
 
-def _expand(offsets: list[int]) -> list[int]:
-    """The int coefficients of prod(n + o for o in offsets), lowest degree first."""
-    poly = [1]
-    for o in offsets:
-        poly = [o * c + p for c, p in zip(poly + [0], [0] + poly)]
+def _shifted(monomials: tuple, da: int, db: int) -> dict[tuple[int, int], int]:
+    """The polynomial at (n_a + da, n_b + db), binomially expanded, as {(i, j): c}."""
+    poly: dict[tuple[int, int], int] = {}
+    for c, i, j in monomials:
+        for k in range(i + 1):
+            ck = c * math.comb(i, k) * da ** (i - k)
+            for l in range(j + 1):
+                poly[k, l] = poly.get((k, l), 0) + ck * math.comb(j, l) * db ** (j - l)
     return poly
 
 
 def _poly(monomials: tuple, n_a: int, n_b: int) -> int:
-    """sum c n_a^i n_b^j over the compiled monomials (c, i, j) of one shift."""
+    """sum c n_a^i n_b^j over the monomials (c, i, j) of one shift."""
     c = 0
     for k, i, j in monomials:
         c += k * n_a**i * n_b**j
@@ -182,7 +167,7 @@ def _poly(monomials: tuple, n_a: int, n_b: int) -> int:
 def _apply(expr: LadderExpr, n_a: int, n_b: int) -> dict[tuple[int, int], int]:
     """expr on the unnormalized |n_a n_b): the nonzero int coefficient per image (n_a', n_b')."""
     image: dict[tuple[int, int], int] = {}
-    for da, db, monomials in expr._compiled:
+    for da, db, monomials in expr.form:
         c = _poly(monomials, n_a, n_b)
         if c:
             image[n_a + da, n_b + db] = c
@@ -191,7 +176,7 @@ def _apply(expr: LadderExpr, n_a: int, n_b: int) -> dict[tuple[int, int], int]:
 
 def _diagonal(expr: LadderExpr, s: FockState2D) -> int:
     """(n_a n_b|expr|n_a n_b), the int diagonal coefficient: the shift-(0, 0) polynomial."""
-    for da, db, monomials in expr._compiled:
+    for da, db, monomials in expr.form:
         if da == db == 0:
             return _poly(monomials, s.n_a, s.n_b)
     return 0
@@ -260,7 +245,7 @@ def p4_expr() -> LadderExpr:
 
 
 # LadderExpr is immutable, so the powers of p^2 that the corrections apply are
-# built once, at import, and each compiles itself on first use
+# built once, at import
 _P4 = p2_expr() * p2_expr()
 _P6 = _P4 * p2_expr()
 
@@ -274,7 +259,7 @@ def _part2(s: FockState2D) -> tuple[int, int]:
     """
     n_a, n_b = s.n_a, s.n_b
     num, total = 0, 1
-    for h, _, monomials in _P4._compiled:
+    for h, _, monomials in _P4.form:
         c = h and _poly(monomials, n_a, n_b)
         if c:
             ra, sa = _factorial_ratio(n_a + h, n_a)

@@ -8,6 +8,7 @@ has a hook for them.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -97,43 +98,27 @@ def kramers_angular_off_by_one(q, s):
 
 _factorial_ratio = ladder2d._factorial_ratio
 _p4_operators = ladder2d.p4_operators
+_shifted = ladder2d._shifted
 
 
 def p4_blocks_without_l2_ab():
     """ladder2d.p4_operators with the -4 a.b term of L2 dropped."""
     blocks = _p4_operators()
-    blocks["L2"] = ladder2d.LadderExpr(blocks["L2"].terms[:-1])
+    blocks["L2"] = blocks["L2"] + ladder2d.LadderExpr.mono("a", "b", coeff=4)
     return blocks
 
 
-def compiled_cross_species(self):
-    """LadderExpr._compiled with each b lowering's factor n_b + 1 too large
-    once the a occupation has been raised, so b no longer commutes with ad."""
-    shifts = {}
-    for term in self.terms:
-        da = db = 0
-        oa, ob = [], []
-        for g in reversed(term.gens):
-            if g == "a":
-                oa.append(da)
-                da -= 1
-            elif g == "ad":
-                da += 1
-            elif g == "b":
-                ob.append(db + (da > 0))
-                db -= 1
-            else:
-                db += 1
-        poly = shifts.setdefault((da, db), {})
-        for i, ca in enumerate(ladder2d._expand(oa)):
-            for j, cb in enumerate(ladder2d._expand(ob)):
-                poly[i, j] = poly.get((i, j), 0) + term.coeff * ca * cb
-    compiled = []
-    for (da, db), poly in sorted(shifts.items()):
-        monomials = tuple((c, i, j) for (i, j), c in sorted(poly.items()) if c)
-        if monomials:
-            compiled.append((da, db, monomials))
-    return tuple(compiled)
+def shifted_cross_species(monomials, da, db):
+    """ladder2d._shifted with n_b one too large once the a occupation has been
+    raised, so that in a product the b lowering factor of the left operator
+    reads n_b + 1 after a right operator that raises a: b no longer commutes with ad."""
+    return _shifted(monomials, da, db + (da > 0))
+
+
+# (p^2)^2 composed under that fault, as the corrections would apply it had it
+# been built so at import
+with mock.patch.object(ladder2d, "_shifted", shifted_cross_species):
+    P4_CROSS_SPECIES = ladder2d.p2_expr() * ladder2d.p2_expr()
 
 
 _degeneracy_level = spectrum.degeneracy_level
@@ -261,13 +246,20 @@ FAULTS = {
         p4_blocks_without_l2_ab,
         {"operator_self_test"},
     ),
-    # a plain property, so that no faulty compiled form is cached on an operator;
-    # it also shadows the forms that the import-time tables have cached
-    "ladder-compiler-cross-species": (
-        ladder2d.LadderExpr,
-        "_compiled",
-        property(compiled_cross_species),
-        {"ladder", "operator_self_test"},
+    # the composition of products; the tables the corrections apply are built
+    # at import, so only the self-test, which builds its operators afresh, sees it
+    "ladder-composition-cross-species": (
+        ladder2d,
+        "_shifted",
+        shifted_cross_species,
+        {"operator_self_test"},
+    ),
+    # the (p^2)^2 of the corrections, composed under the same fault
+    "ladder-composition-cross-species-p4": (
+        ladder2d,
+        "_P4",
+        P4_CROSS_SPECIES,
+        {"ladder"},
     ),
     "degeneracy-off-by-one": (
         spectrum,

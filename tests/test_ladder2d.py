@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salpeter_qho import ladder2d, laguerre_me
+from salpeter_qho import kramers, ladder2d, laguerre_me
 from salpeter_qho.checks import ladder_grid
 from salpeter_qho.corrections import epsilon1_general, epsilon2_general
 from salpeter_qho.ladder2d import (
     GENERATORS,
     FockState2D,
     LadderExpr,
-    Monomial,
     expectation,
     first_order_2d,
     map_Nm_to_nl,
@@ -46,13 +45,21 @@ def images(expr, ket, N_max):
     return {bra: amp2 for bra, amp2 in amps.items() if amp2}
 
 
-def reference_image(expr, n_a, n_b):
-    """expr applied to |n_a n_b) by walking each monomial's generator names right
-    to left in Fraction arithmetic: {(n_a', n_b'): coefficient}, zeros dropped."""
+def build(terms):
+    """The LadderExpr sum of coeff * mono(*word) over the (coeff, word) pairs of terms."""
+    expr = LadderExpr.one(0)
+    for coeff, word in terms:
+        expr = expr + mono(*word, coeff=coeff)
+    return expr
+
+
+def reference_image(terms, n_a, n_b):
+    """The sum of (coeff, word) pairs applied to |n_a n_b) by walking each word's
+    generator names right to left: {(n_a', n_b'): coefficient}, zeros dropped."""
     image = {}
-    for term in expr.terms:
+    for coeff, word in terms:
         c, i, j = 1, n_a, n_b
-        for g in reversed(term.gens):
+        for g in reversed(word):
             if g == "a":
                 c, i = c * i, i - 1
             elif g == "ad":
@@ -61,7 +68,7 @@ def reference_image(expr, n_a, n_b):
                 c, j = c * j, j - 1
             elif g == "bd":
                 j += 1
-        image[i, j] = image.get((i, j), 0) + term.coeff * c
+        image[i, j] = image.get((i, j), 0) + coeff * c
     return {key: c for key, c in image.items() if c}
 
 
@@ -106,9 +113,9 @@ class TestGenerators:
         assert images(mono("bd"), s, 6) == {FockState2D(5, 3): 4}
 
     def test_unknown_generator(self):
-        # Monomial owns the generator set: a bad word fails where it is made
+        # mono owns the generator set: a bad word fails where it is made
         with pytest.raises(ValueError):
-            Monomial(1, ("ad", "c"))
+            mono("ad", "c")
         with pytest.raises(ValueError):
             mono("c")
 
@@ -173,28 +180,27 @@ class TestMatrixElements:
 
 class TestOperatorStructure:
     def test_k0_contents(self):
+        # one shift, (0, 0), with n_a^2 + n_b^2 + 4 n_a n_b + 3 n_a + 3 n_b + 2
         k0 = p4_operators()["K0"]
-        terms = {t.gens: t.coeff for t in k0.terms}
-        assert terms[("ad", "a")] == 3 and terms[("bd", "b")] == 3
-        assert terms[()] == 2
+        polynomial = ((2, 0, 0), (3, 0, 1), (1, 0, 2), (3, 1, 0), (4, 1, 1), (1, 2, 0))
+        assert k0.form == ((0, 0, polynomial),)
 
     def test_r4_is_adbd_squared(self):
         r4 = p4_operators()["R4"]
-        assert [t.gens for t in r4.terms] == [("ad", "bd", "ad", "bd")]
+        assert r4 == mono("ad", "bd") * mono("ad", "bd")
+        assert r4.form == ((2, 2, ((1, 0, 0),)),)
 
     def test_delta_N_bookkeeping(self):
-        raising = {"ad", "bd"}
         expected = {"K0": 0, "R4": 4, "L4": -4, "R2": 2, "L2": -2}
         for name, op in p4_operators().items():
-            for t in op.terms:
-                delta_n = sum(1 if g in raising else -1 for g in t.gens)
-                assert delta_n == expected[name]
-                # all five leave m unchanged
-                delta_m = sum({"a": 1, "ad": -1, "b": -1, "bd": 1}[g] for g in t.gens)
-                assert delta_m == 0
+            assert op.form
+            for da, db, _ in op.form:
+                assert da + db == expected[name]
+                # all five leave m = n_b - n_a unchanged
+                assert db - da == 0
 
     def test_p4_expansion_matches_printed_form(self):
-        assert (p2_expr() * p2_expr())._compiled == p4_expr()._compiled
+        assert p2_expr() * p2_expr() == p4_expr()
 
     def test_commutators(self):
         comm_a = mono("a", "ad") - mono("ad", "a")
@@ -223,19 +229,34 @@ class TestOperatorStructure:
             q = map_Nm_to_nl(s)
             assert expectation(p2, s) == energy_unperturbed(q)
 
+    def test_p2_powers_are_the_radial_moments(self):
+        # H0 is symmetric under p -> r, so <p^2k> = <r^2k> = <eta^k>, which
+        # the Kramers recursion gives as a separate derivation
+        power = p2_expr()
+        for k in range(1, 9):
+            for s in ladder_grid(20):
+                assert expectation(power, s) == kramers.moment_eta(map_Nm_to_nl(s), k)
+            power = power * p2_expr()
+
 
 TABLES = ["_P4", "_P6"]
+# p^2 as the (coeff, word) pairs of p2_expr
+P2_TERMS = [(1, ("ad", "a")), (1, ("bd", "b")), (-1, ("ad", "bd")), (-1, ("a", "b")), (1, ())]
 
 
-def table_expr(table):
-    """The power of p^2 that the table named `table` is built as, built afresh."""
-    return {"_P4": p2_expr() * p2_expr(), "_P6": p2_expr() * p2_expr() * p2_expr()}[table]
+def table_terms(table):
+    """The words of the power of p^2 that the table named `table` is built as:
+    the product of P2_TERMS with itself, 25 or 125 words."""
+    power = P2_TERMS
+    for _ in range({"_P4": 1, "_P6": 2}[table]):
+        power = [(c * k, w + v) for c, w in power for k, v in P2_TERMS]
+    return power
 
 
-def split_at_diagonal(compiled):
-    """A compiled form as (its shift-(0, 0) entries, the others)."""
-    diagonal = tuple(entry for entry in compiled if entry[:2] == (0, 0))
-    return diagonal, tuple(entry for entry in compiled if entry[:2] != (0, 0))
+def split_at_diagonal(form):
+    """A form as (its shift-(0, 0) entries, the others)."""
+    diagonal = tuple(entry for entry in form if entry[:2] == (0, 0))
+    return diagonal, tuple(entry for entry in form if entry[:2] != (0, 0))
 
 
 # occupations up to 10^6, and the vacuum edges where lowering factors vanish
@@ -243,36 +264,36 @@ occupations = st.integers(0, 10**6) | st.sampled_from((0, 1, 2))
 
 
 class TestCompiledTables:
-    """The operators the corrections apply, compiled, against the LadderExpr each is built as."""
+    """The operators the corrections apply against the words of the power of p^2 each is."""
 
     @pytest.mark.parametrize("table", TABLES)
     def test_same_image_as_expression(self, table):
-        expr, applied = table_expr(table), getattr(ladder2d, table)
+        terms, applied = table_terms(table), getattr(ladder2d, table)
         for s in ladder_grid(12):
-            assert ladder2d._apply(applied, s.n_a, s.n_b) == reference_image(expr, s.n_a, s.n_b)
+            assert ladder2d._apply(applied, s.n_a, s.n_b) == reference_image(terms, s.n_a, s.n_b)
 
     @pytest.mark.parametrize("table", TABLES)
     @given(n_a=occupations, n_b=occupations)
     def test_same_image_at_large_occupations(self, table, n_a, n_b):
-        expr, applied = table_expr(table), getattr(ladder2d, table)
-        assert ladder2d._apply(applied, n_a, n_b) == reference_image(expr, n_a, n_b)
+        terms, applied = table_terms(table), getattr(ladder2d, table)
+        assert ladder2d._apply(applied, n_a, n_b) == reference_image(terms, n_a, n_b)
 
     @pytest.mark.parametrize("table", TABLES)
     def test_one_entry_per_shift(self, table):
-        compiled = getattr(ladder2d, table)._compiled
-        shifts = [(da, db) for da, db, _ in compiled]
+        form = getattr(ladder2d, table).form
+        shifts = [(da, db) for da, db, _ in form]
         assert len(set(shifts)) == len(shifts)
-        for _, _, monomials in compiled:
+        for _, _, monomials in form:
             powers = [(i, j) for _, i, j in monomials]
             assert len(set(powers)) == len(powers)  # like monomials merged
             assert all(c for c, _, _ in monomials)  # and none of them zero
 
     def test_table_shapes(self):
         def shape(table):
-            """{shift: (monomial count, total degree)} of a compiled table."""
+            """{shift: (monomial count, total degree)} of a table's form."""
             return {
                 (da, db): (len(monomials), max(i + j for _, i, j in monomials))
-                for da, db, monomials in getattr(ladder2d, table)._compiled
+                for da, db, monomials in getattr(ladder2d, table).form
             }
 
         # p^2 keeps m, so (p^2)^k shifts both occupations alike, by up to k,
@@ -285,15 +306,15 @@ class TestCompiledTables:
         # the paper's blocks, which the corrections do not read, are how
         # (p^2)^2 and (p^2)^3 split by shift
         ops = p4_operators()
-        diagonal, hopping = split_at_diagonal(ladder2d._P4._compiled)
-        assert diagonal == ops["K0"]._compiled
-        assert hopping == (ops["R2"] + ops["L2"] + ops["R4"] + ops["L4"])._compiled
+        diagonal, hopping = split_at_diagonal(ladder2d._P4.form)
+        assert diagonal == ops["K0"].form
+        assert hopping == (ops["R2"] + ops["L2"] + ops["R4"] + ops["L4"]).form
         # the N-conserving part of p^6, as the paper builds it from the blocks
         number_plus_one = mono("ad", "a") + mono("bd", "b") + LadderExpr.one()
         p6_zero = (
             number_plus_one * ops["K0"] - mono("ad", "bd") * ops["L2"] - mono("a", "b") * ops["R2"]
         )
-        assert split_at_diagonal(ladder2d._P6._compiled)[0] == p6_zero._compiled
+        assert split_at_diagonal(ladder2d._P6.form)[0] == p6_zero.form
 
     def test_rational_coefficients_raise(self):
         # every operator of the method has int coefficients; the algebra takes no other
@@ -308,20 +329,18 @@ class TestCompiledTables:
             mono("ad", "a") * 2
         with pytest.raises(TypeError):
             2 * mono("ad", "a")
-        with pytest.raises(TypeError):
-            LadderExpr((Monomial(0.5, ("b", "bd")),))
 
-    def test_compiled_once(self):
+    def test_form_of_a_sum(self):
+        # built with the expression: n_b |n_a, n_b - 1) times 3, and n_a |n_a, n_b)
         expr = mono("ad", "a") + mono("b", coeff=3)
-        first = expr._compiled
-        assert expr._compiled is first
+        assert expr.form == ((0, -1, ((3, 0, 1),)), (0, 0, ((1, 1, 0),)))
         assert ladder2d._apply(expr, 2, 1) == {(2, 1): 2, (2, 0): 3}
 
 
-words = st.lists(st.sampled_from(GENERATORS), max_size=4).map(tuple)
-exprs = st.lists(st.builds(Monomial, st.integers(-3, 3), words), max_size=4).map(
-    lambda terms: LadderExpr(tuple(terms))
-)
+GENERATOR_NAMES = sorted(GENERATORS)
+words = st.lists(st.sampled_from(GENERATOR_NAMES), max_size=4).map(tuple)
+# a sum of words as its (coeff, word) pairs
+exprs = st.lists(st.tuples(st.integers(-3, 3), words), max_size=4)
 # adjacent pairs that a commutation relation reorders: [a, ad] = [b, bd] = 1,
 # and every a-species generator commutes with every b-species one
 UNIT_PAIRS = [("a", "ad"), ("b", "bd")]
@@ -334,28 +353,34 @@ def commuted_pairs(draw):
     becomes u.ad.a.v + u.v, and u.g.h.v of two species becomes u.h.g.v.  With
     the contraction u.v dropped, y differs from x by it."""
     rest = draw(exprs)
-    u = draw(st.lists(st.sampled_from(GENERATORS), max_size=2))
-    v = draw(st.lists(st.sampled_from(GENERATORS), max_size=2 - len(u)))
+    u = tuple(draw(st.lists(st.sampled_from(GENERATOR_NAMES), max_size=2)))
+    v = tuple(draw(st.lists(st.sampled_from(GENERATOR_NAMES), max_size=2 - len(u))))
     pair = draw(st.sampled_from(UNIT_PAIRS + CROSS_PAIRS + [p[::-1] for p in CROSS_PAIRS]))
     c = draw(st.integers(-3, 3).filter(bool))
-    x = rest + mono(*u, *pair, *v, coeff=c)
-    y = rest + mono(*u, *pair[::-1], *v, coeff=c)
+    x = rest + [(c, u + pair + v)]
+    y = rest + [(c, u + pair[::-1] + v)]
     if pair in UNIT_PAIRS and draw(st.booleans()):
-        y = y + mono(*u, *v, coeff=c)
+        y = y + [(c, u + v)]
     return x, y
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.tuples(exprs, exprs) | commuted_pairs())
 def test_compiled_form_is_canonical(pair):
-    """Equal compiled forms exactly when x - y acts as zero on every Fock state.
+    """Equal forms exactly when x - y acts as zero on every Fock state, and each
+    form acts as its words do.
 
     Each shift's polynomial has degree at most 4 in each occupation here, so
     x - y is zero once its image vanishes at every (n_a, n_b) in {0..4}^2."""
     x, y = pair
-    acts_as_zero = all(not reference_image(x - y, n_a, n_b) for n_a in range(5) for n_b in range(5))
-    assert ((x - y)._compiled == ()) == acts_as_zero
-    assert (x._compiled == y._compiled) == acts_as_zero
+    points = [(n_a, n_b) for n_a in range(5) for n_b in range(5)]
+    difference = x + [(-c, word) for c, word in y]
+    acts_as_zero = all(not reference_image(difference, n_a, n_b) for n_a, n_b in points)
+    assert (build(x) == build(y)) == acts_as_zero
+    assert (build(x) - build(y) == LadderExpr.one(0)) == acts_as_zero
+    for terms in (x, y):
+        expr = build(terms)
+        assert all(ladder2d._apply(expr, *n) == reference_image(terms, *n) for n in points)
 
 
 # any valid |N m> with N up to 10^6: m = N - 2k for k in 0..N
