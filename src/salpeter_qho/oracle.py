@@ -41,6 +41,11 @@ end.  A sum on one rule is then one int sum, sum_i X_i^s Q_(i,n1) Q_(i,n2) =
 rule: its power table, (X_i^s for each node), made on the first sum of power
 s on the rule from the xs its cache entry holds, and kept beside the rule in
 the same cache, so a cache that is dropped takes its power tables with it.
+The cache is keyed by ints only: a rule by (a, b, npoints, dps) with
+alpha = a/b in lowest terms, so 2 and Fraction(4, 2) share one entry, and its
+power tables by (a, b, npoints, dps, s).  A hit reads the cache without a
+lock, which only the hit count takes, so a warm oracle call hashes no
+Fraction; rules are built one at a time, so each is built once.
 Each build checks its polish (a last Newton step small enough for
 X to hold dps + 10 digits), its nodes (positive, strictly increasing) and
 sum_i Q_i0^2 = <p_0|p_0> 2^(2B) against 2^(2B) to 10^(5 - dps), which is
@@ -76,6 +81,7 @@ reference.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -85,7 +91,7 @@ from itertools import repeat
 from operator import mul
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import MPZ, dps_to_prec, fzero
 
 from .states import QuantumNumbers, UnsupportedDimension, energy_unperturbed
 
@@ -107,10 +113,12 @@ MAX_NODES = 384  # the fine rule of <eta^2> at n = 250
 SEED_SHIFT = 64  # fixed-point bits of the seeds: a double's mantissa at the smallest zero
 GUARD_BITS = 32  # of the polish, beyond the dps + 10 digits each node holds
 
-# (alpha, npoints, dps) -> (bits, xs, columns), see _rule_entry, and
-# (alpha, npoints, dps, s) -> that rule's power table, see _power_table
+# (a, b, npoints, dps) -> (bits, xs, columns) of the rule at alpha = a/b in
+# lowest terms, see _rule_entry, and (a, b, npoints, dps, s) -> that rule's
+# power table, see _power_table: keys of ints only, read without a lock
 _rule_cache: dict = {}
-_rule_lock = threading.Lock()
+_rule_lock = threading.Lock()  # guards _rule_stats and each store into _rule_cache
+_build_lock = threading.Lock()  # one rule build at a time
 _rule_stats = {"hits": 0, "misses": 0, "build_s": 0.0}
 
 
@@ -278,57 +286,75 @@ def _table_row(values: list[int], node_scale, scales: list, shift: int, bits: in
     ]
 
 
+def _cache_hit(key: tuple) -> tuple | None:
+    """The entry of _rule_cache at key, read without the lock and counted as a
+    hit, or None."""
+    entry = _rule_cache.get(key)
+    if entry is not None:
+        with _rule_lock:
+            _rule_stats["hits"] += 1
+    return entry
+
+
 def _rule_entry(alpha, npoints: int, dps: int) -> tuple[int, tuple, tuple]:
     """The cache entry (bits, xs, columns) of a rule at dps digits, built on a miss.
 
     xs[i] = round(x_i 2^bits) and columns[k][i] = round(sqrt(w_i) p_k(x_i) 2^bits)
-    for k <= 2 npoints - 1, all Python ints.  Raises ArithmeticError if a build
-    fails its checks, ValueError if alpha <= -1 or npoints is not 1 to MAX_NODES.
+    for k <= 2 npoints - 1, all Python ints.  alpha is an int, a Fraction or
+    anything Fraction() reads, and the entry is keyed (a, b, npoints, dps) with
+    alpha = a/b in lowest terms, so a hit hashes no Fraction.  Builds hold
+    _build_lock, so a thread that waited on another's build of the same rule
+    counts a hit, and each rule is built once.  Raises ArithmeticError if a
+    build fails its checks, ValueError if alpha <= -1 or npoints is not 1 to
+    MAX_NODES.
     """
-    if type(alpha) is not Fraction:
+    if type(alpha) is not int and type(alpha) is not Fraction:
         alpha = Fraction(alpha)
-    key = (alpha, npoints, dps)
-    with _rule_lock:
-        entry = _rule_cache.get(key)
-        if entry is not None:
-            _rule_stats["hits"] += 1
-            return entry
+    key = (alpha.numerator, alpha.denominator, npoints, dps)
+    entry = _cache_hit(key)
+    if entry is not None:
+        return entry
+    alpha = Fraction(alpha)
     if alpha <= -1:
         raise ValueError(f"alpha must be > -1, got {alpha}")
     if not 1 <= npoints <= MAX_NODES:
         raise ValueError(f"npoints must be 1 to MAX_NODES = {MAX_NODES}, got {npoints}")
-    with _rule_lock:
-        _rule_stats["misses"] += 1
-    start = time.perf_counter()
-    seeds = _seed_zeros(alpha, npoints)
-    # the recurrence at dps + 10 digits and GUARD_BITS
-    shift = math.ceil((dps + 10) * math.log2(10)) + GUARD_BITS
-    # the seeds hold about 12 digits and each Newton step doubles them
-    steps = math.ceil(math.log2((dps + 10) / 12))
-    fixed_nodes = [_polish(z, npoints, alpha, shift, steps) for z in seeds]
-    if fixed_nodes[0] <= 0 or any(lo >= hi for lo, hi in zip(fixed_nodes, fixed_nodes[1:])):
-        raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
-    a, b = alpha.numerator, alpha.denominator
-    bits = math.ceil(dps * math.log2(10)) + 20  # dps digits and 20 guard bits
-    scales = _scales(alpha, npoints, bits + 32)
-    rows = []
-    # one node's int values at a time, each row converted as soon as it is built
-    for X in fixed_nodes:
-        values = laguerre_fixed(2 * npoints - 1, alpha, X, shift)
-        # b x L_n' 2^shift, so 1 / (x L_n'^2) = b^2 X 2^shift / slope^2
-        slope = npoints * b * values[npoints] - (npoints * b + a) * values[npoints - 1]
-        node_scale = _root(b * b * X << shift, slope * slope, bits + 32)
-        rows.append(_table_row(values, node_scale, scales, shift, bits))
-    xs = tuple(_fixed(0, X, -shift, bits) for X in fixed_nodes)
-    columns = tuple(zip(*rows))
-    # sum_i w_i = Gamma(alpha + 1) as sum_i Q_i0^2 = <p_0|p_0> 2^(2B) = 2^(2B)
-    one = 1 << 2 * bits
-    if abs(sum(q * q for q in columns[0]) - one) * 10 ** (dps - 5) > one:
-        raise ArithmeticError(f"rule alpha={alpha} npoints={npoints}: sum_i Q_i0^2 != 2^(2B)")
-    entry = (bits, xs, columns)
-    with _rule_lock:
-        _rule_cache[key] = entry
-        _rule_stats["build_s"] += time.perf_counter() - start
+    with _build_lock:
+        entry = _cache_hit(key)
+        if entry is not None:
+            return entry
+        with _rule_lock:
+            _rule_stats["misses"] += 1
+        start = time.perf_counter()
+        seeds = _seed_zeros(alpha, npoints)
+        # the recurrence at dps + 10 digits and GUARD_BITS
+        shift = math.ceil((dps + 10) * math.log2(10)) + GUARD_BITS
+        # the seeds hold about 12 digits and each Newton step doubles them
+        steps = math.ceil(math.log2((dps + 10) / 12))
+        fixed_nodes = [_polish(z, npoints, alpha, shift, steps) for z in seeds]
+        if fixed_nodes[0] <= 0 or any(lo >= hi for lo, hi in zip(fixed_nodes, fixed_nodes[1:])):
+            raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
+        a, b = alpha.numerator, alpha.denominator
+        bits = math.ceil(dps * math.log2(10)) + 20  # dps digits and 20 guard bits
+        scales = _scales(alpha, npoints, bits + 32)
+        rows = []
+        # one node's int values at a time, each row converted as soon as it is built
+        for X in fixed_nodes:
+            values = laguerre_fixed(2 * npoints - 1, alpha, X, shift)
+            # b x L_n' 2^shift, so 1 / (x L_n'^2) = b^2 X 2^shift / slope^2
+            slope = npoints * b * values[npoints] - (npoints * b + a) * values[npoints - 1]
+            node_scale = _root(b * b * X << shift, slope * slope, bits + 32)
+            rows.append(_table_row(values, node_scale, scales, shift, bits))
+        xs = tuple(_fixed(0, X, -shift, bits) for X in fixed_nodes)
+        columns = tuple(zip(*rows))
+        # sum_i w_i = Gamma(alpha + 1) as sum_i Q_i0^2 = <p_0|p_0> 2^(2B) = 2^(2B)
+        one = 1 << 2 * bits
+        if abs(sum(q * q for q in columns[0]) - one) * 10 ** (dps - 5) > one:
+            raise ArithmeticError(f"rule alpha={alpha} npoints={npoints}: sum_i Q_i0^2 != 2^(2B)")
+        entry = (bits, xs, columns)
+        with _rule_lock:
+            _rule_cache[key] = entry
+            _rule_stats["build_s"] += time.perf_counter() - start
     return entry
 
 
@@ -345,11 +371,13 @@ def _bucket(degree: int) -> int:
 
 
 def _power_table(alpha, npoints: int, dps: int, xs: tuple, s: int) -> tuple:
-    """(X_i^s for each node) of the rule keyed (alpha, npoints, dps), whose xs
-    _rule_entry returned, kept in _rule_cache under (alpha, npoints, dps, s)."""
-    key = (alpha, npoints, dps, s)
-    with _rule_lock:
-        table = _rule_cache.get(key)
+    """(X_i^s for each node) of the rule at alpha, npoints and dps, whose xs
+    _rule_entry returned, kept in _rule_cache under (a, b, npoints, dps, s) with
+    alpha = a/b in lowest terms and read without the lock.  Only tables of the
+    xs are kept, none derived from a rule's columns, so every column a sum
+    reads comes from _rule_entry."""
+    key = (alpha.numerator, alpha.denominator, npoints, dps, s)
+    table = _rule_cache.get(key)
     if table is None:
         table = tuple(map(pow, xs, repeat(s)))
         with _rule_lock:
@@ -404,10 +432,12 @@ def _rounded(num: int, den: int, exp: int, dps: int) -> mpf:
     digits, and a nonzero remainder is folded into its last bit (a sticky
     bit).  Rounded from there to prec bits, to nearest with ties to even, it
     is the rounding of the exact ratio, the same as mp.fdiv's at dps digits.
-    Its trailing zero bits are dropped, so mpf((man, exp)) stores man as is.
+    Its trailing zero bits are dropped, and the mpf is made straight from the
+    normalized tuple, (sign, odd man, exp, man's bit length), the one
+    mpf((man, exp), dps=dps) would store.
     """
     if not num:
-        return mpf(0)
+        return mp.make_mpf(fzero)
     prec, size = dps_to_prec(dps), abs(num)
     shift = prec + 3 - size.bit_length() + den.bit_length()
     man, rest = divmod(size << shift, den) if shift >= 0 else divmod(size, den << -shift)
@@ -419,7 +449,14 @@ def _rounded(num: int, den: int, exp: int, dps: int) -> mpf:
         man += 1
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
-    return mpf((-man if num < 0 else man, exp - shift + drop + zeros), dps=dps)
+    return mp.make_mpf((int(num < 0), MPZ(man), exp - shift + drop + zeros, man.bit_length()))
+
+
+@functools.cache
+def _half(k: int) -> int | Fraction:
+    """k / 2 in lowest terms, an int or a Fraction, made once per k so that a
+    warm quad_matrix_element builds no Fraction."""
+    return k // 2 if k % 2 == 0 else Fraction(k, 2)
 
 
 def quad_expectation(q: QuantumNumbers, s: int) -> mpf:
@@ -436,7 +473,7 @@ def quad_matrix_element(n1: int, n2: int, l: int, d: int, s: int) -> mpf:
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     if type(n1) is type(n2) is type(l) is type(d) is int and min(n1, n2, l) >= 0:
-        alpha = Fraction(2 * l + d - 2, 2)
+        alpha = _half(2 * l + d - 2)
     else:
         # InvalidQuantumNumbers for a negative or non-integer n1, n2 or l
         alpha = QuantumNumbers(d, n1, l).alpha

@@ -49,6 +49,14 @@ def rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
     return oracle._rule_entry(alpha, npoints, working_precision())
 
 
+def rule_key(alpha, npoints: int, s: int | None = None) -> tuple:
+    """The _rule_cache key of a rule at the working precision, or with s, of
+    its power table of power s: ints only, alpha = a/b in lowest terms."""
+    alpha = Fraction(alpha)
+    key = (alpha.numerator, alpha.denominator, npoints, working_precision())
+    return key if s is None else (*key, s)
+
+
 def case_id(value) -> str:
     """Test id of a state, "d3-n2-l1", or of a list of sample points, "eta=2"."""
     if isinstance(value, QuantumNumbers):
@@ -171,9 +179,10 @@ class TestRule:
         monkeypatch.setattr(oracle, "_seed_zeros", lambda a, n: [float(a) + 1] * n)
         with pytest.raises(ArithmeticError):
             rule_entry(alpha, npoints)
-        assert (alpha, npoints, working_precision()) not in oracle._rule_cache
+        assert rule_key(alpha, npoints) not in oracle._rule_cache
         monkeypatch.undo()
         assert_nodes_increase(rule_entry(alpha, npoints)[1])
+        assert rule_key(alpha, npoints) in oracle._rule_cache
 
     @pytest.mark.parametrize(
         "scale",
@@ -193,7 +202,7 @@ class TestRule:
         )
         with pytest.raises(ArithmeticError, match="Newton polish did not converge"):
             rule_entry(alpha, npoints)
-        key = (alpha, npoints, working_precision())
+        key = rule_key(alpha, npoints)
         assert key not in oracle._rule_cache
         monkeypatch.setattr(oracle, "_seed_zeros", seed_zeros)
         entry = rule_entry(alpha, npoints)
@@ -220,7 +229,10 @@ class TestRule:
         with pytest.raises(ArithmeticError, match="rule alpha=1/2 npoints=24"):
             rule_entry(alpha, npoints)
         assert len(nodes) == npoints
-        assert (alpha, npoints, working_precision()) not in oracle._rule_cache
+        assert rule_key(alpha, npoints) not in oracle._rule_cache
+        monkeypatch.setattr(oracle, "_polish", polish)
+        assert_nodes_increase(rule_entry(alpha, npoints)[1])
+        assert rule_key(alpha, npoints) in oracle._rule_cache
 
     def test_cache_stats(self):
         before = rule_cache_stats()
@@ -382,9 +394,11 @@ class TestBuckets:
         sum_over_states_check(q, cutoff)
         assert rule_cache_stats()["misses"] - before == 2
         coarse = oracle._bucket(cutoff + 2 + 2)
-        rules = {key for key in cache if len(key) == 3}
-        dps = working_precision()
-        assert rules == {(q.alpha, coarse, dps), (q.alpha, oracle._bucket(2 * coarse), dps)}
+        # the pair's two rules and their power tables of eta^2, nothing else
+        rules = [(q.alpha, coarse), (q.alpha, oracle._bucket(2 * coarse))]
+        assert set(cache) == {rule_key(*rule) for rule in rules} | {
+            rule_key(*rule, 2) for rule in rules
+        }
 
 
 def fdot_rule_sum(nodes, weights, rows, n1: int, n2: int, s: int) -> mpf:
@@ -480,20 +494,30 @@ class TestNodeTable:
     def test_power_tables_are_kept_beside_their_rule(self, monkeypatch):
         cache = {}
         monkeypatch.setattr(oracle, "_rule_cache", cache)
-        alpha, dps = F(5, 2), working_precision()
+        alpha = F(5, 2)
         quad_matrix_element(1, 2, 2, 3, 3)  # on the rules of 8 and 12 nodes
         for npoints in (8, 12):
-            _, xs, _ = cache[alpha, npoints, dps]
-            assert cache[alpha, npoints, dps, 3] == tuple(x**3 for x in xs)
+            _, xs, _ = cache[rule_key(alpha, npoints)]
+            assert cache[rule_key(alpha, npoints, 3)] == tuple(x**3 for x in xs)
         # s = 0 needs no table
         quad_matrix_element(1, 2, 2, 3, 0)
-        assert sorted(len(key) for key in cache) == [3, 3, 4, 4]
+        assert set(cache) == {rule_key(alpha, n, s) for n in (8, 12) for s in (None, 3)}
 
     def test_sixteen_threads_share_rules_and_power_tables(self, monkeypatch):
         # threads that build and read the same rules and power tables at once
-        # get the values of a serial run, and one power table per (rule, s)
-        monkeypatch.setattr(oracle, "_rule_cache", {})
+        # get the values of a serial run, and one power table per (rule, s);
+        # each rule is built once, and every read counts one hit or one miss
+        cache = {}
+        monkeypatch.setattr(oracle, "_rule_cache", cache)
         alpha, dps = F(7, 2), working_precision()
+        entry, reads = oracle._rule_entry, []
+
+        def counted(*args):
+            reads.append(args)
+            return entry(*args)
+
+        monkeypatch.setattr(oracle, "_rule_entry", counted)
+        before = rule_cache_stats()
         # (n1, n2, s) on l = 3, d = 3, each summed on the rules of 8 and 12 nodes
         jobs = [(i % 4, i % 3, 1 + i % 5) for i in range(16)]
         barrier = threading.Barrier(len(jobs))
@@ -517,6 +541,12 @@ class TestNodeTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(results) == list(range(len(jobs)))
+        after = rule_cache_stats()
+        # one read by each thread itself and two by its quad_matrix_element
+        assert len(reads) == 3 * len(jobs)
+        hits, misses = (after[name] - before[name] for name in ("hits", "misses"))
+        assert hits + misses == len(reads)
+        assert misses == len({rule_key(alpha, 8), rule_key(alpha, 12)} & set(cache)) == 2
         _, xs, _ = oracle._rule_entry(alpha, 12, dps)
         for i, (n1, n2, s) in enumerate(jobs):
             value, table = results[i]
@@ -533,9 +563,10 @@ class TestNodeTable:
         )
         with pytest.raises(ArithmeticError, match=r"sum_i Q_i0\^2 != 2\^\(2B\)"):
             rule_entry(alpha, npoints)
-        assert (alpha, npoints, working_precision()) not in oracle._rule_cache
+        assert rule_key(alpha, npoints) not in oracle._rule_cache
         monkeypatch.undo()
         self.assert_fixed_point_table(alpha, npoints)
+        assert rule_key(alpha, npoints) in oracle._rule_cache
 
 
 def recurrence_error_bound(alpha: Fraction, x: float, order: int) -> list[float]:
@@ -590,6 +621,56 @@ def reference_rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
                 ]
             )
     return bits, tuple(xs), tuple(zip(*rows))
+
+
+class TestCacheKeys:
+    def test_equal_orders_share_one_entry(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        dps = working_precision()
+        assert oracle._rule_entry(3, 8, dps) is oracle._rule_entry(F(6, 2), 8, dps)
+        assert oracle._rule_entry(F(3), 12, dps) is oracle._rule_entry(3.0, 12, dps)
+        assert list(oracle._rule_cache) == [rule_key(3, 8), rule_key(3, 12)]
+        # alpha = l + d/2 - 1 = 3 at d = 4, l = 2: its rules of 8 and 12 nodes are built
+        misses = rule_cache_stats()["misses"]
+        quad_matrix_element(1, 2, 2, 4, 2)
+        assert rule_cache_stats()["misses"] == misses
+
+    def test_warm_calls_hash_no_fraction(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        q = QuantumNumbers(3, 2, 1)
+        calls = [
+            lambda: quad_matrix_element(2, 2, 1, 3, 4),
+            lambda: quad_matrix_element(1, 3, 2, 4, 1),  # an int alpha, 3
+            lambda: sum_over_states_check(q, 6),
+            lambda: orthonormality_check(1, 3, 4),
+        ]
+        cold = [call() for call in calls]
+        counted = []
+
+        def count(name, method):
+            def counting(*args, **kwargs):
+                counted.append(name)
+                return method(*args, **kwargs)
+
+            return staticmethod(counting) if name == "__new__" else counting
+
+        for name in ("__new__", "__hash__", "__eq__"):
+            monkeypatch.setattr(Fraction, name, count(name, getattr(Fraction, name)))
+        # the count sees every Fraction made, hashed or compared
+        assert F(1, 3) in {F(2, 6)}
+        assert counted == ["__new__", "__new__", "__hash__", "__hash__", "__eq__"]
+        warm, seen = [], []
+        for call in calls:
+            counted.clear()
+            warm.append(call())
+            seen.append(set(counted))
+        # quad_matrix_element makes no Fraction; the checks make their alpha
+        assert seen[:2] == [set(), set()]
+        assert all(names <= {"__new__"} for names in seen)
+        assert [v._mpf_ for v in warm] == [v._mpf_ for v in cold]
+        assert all(
+            type(key) is tuple and all(type(k) is int for k in key) for key in oracle._rule_cache
+        )
 
 
 class TestIntBuild:
@@ -987,6 +1068,34 @@ class TestRounding:
             man = (1 << prec) | low
             assert oracle._rounded(man, 1, 0, dps) == 2 * even
             assert oracle._rounded(-man * 7, 14, 0, dps) == -even
+
+    @pytest.mark.parametrize("dps", [15, 50, 300])
+    def test_direct_mpf_matches_fdiv(self, dps):
+        # the mpf made from the normalized tuple is mp.fdiv's at dps digits,
+        # bit for bit: signed random ratios, ties, exact results with many
+        # trailing zero bits and a zero numerator
+        rng, prec = random.Random(30), dps_to_prec(dps)
+        cases = []
+        for _ in range(200):
+            num = rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 3000)) or 1
+            den = rng.getrandbits(rng.randint(1, 3000)) | 1
+            tie = rng.choice((1, -1)) * ((1 << prec) | rng.getrandbits(prec) | 1)
+            odd = rng.getrandbits(rng.randint(1, 40)) | 1
+            cases += [(num, den), (num, 1 << rng.randrange(3000)), (tie, 1), (tie * den, den)]
+            # odd << zeros over den: an exact quotient of few significant bits
+            cases.append((rng.choice((1, -1)) * (odd * den << rng.randrange(2000)), den))
+        cases += [(0, 1), (0, 7), (-(1 << 900), 1), (1 << prec + 1, 3)]
+        with mp.workdps(dps):
+            for num, den in cases:
+                exp = rng.randint(-3000, 3000)
+                got = oracle._rounded(num, den, exp, dps)
+                assert type(got) is mpf
+                assert got._mpf_ == mp.ldexp(mp.fdiv(num, den), exp)._mpf_
+        assert oracle._rounded(0, 3, 5, dps)._mpf_ == mpf(0)._mpf_
+        # prec + 1 bits ending in ...1|1: a tie, to the even (1 << prec - 1) + 2,
+        # whose one trailing zero bit is dropped
+        man, even = (1 << prec) | 3, (1 << prec - 1) + 2
+        assert oracle._rounded(-man, 1, 0, dps)._mpf_ == (1, even >> 1, 2, prec - 1)
 
     @pytest.mark.parametrize("q", CRITERION_5_STATES, ids=case_id)
     def test_radial_residual_rounds_like_fdiv(self, q):
