@@ -39,13 +39,13 @@ int ratio rho_k = k! Gamma(n + alpha + 1) / (n! Gamma(k + alpha + 1)) and of
 end.  A sum on one rule is then one int sum, sum_i X_i^s Q_(i,n1) Q_(i,n2) =
 <u_n1|eta^s|u_n2> 2^(B (s + 2)).  The only other thing kept is derived from a
 rule: its power table, (X_i^s for each node), made on the first sum of power
-s on the rule from the xs its cache entry holds, and kept beside the rule in
-the same cache, so a cache that is dropped takes its power tables with it.
-The cache is keyed by ints only: a rule by (a, b, npoints, dps) with
-alpha = a/b in lowest terms, so 2 and Fraction(4, 2) share one entry, and its
-power tables by (a, b, npoints, dps, s).  A hit reads the cache without a
-lock, which only the hit count takes, so a warm oracle call hashes no
-Fraction; rules are built one at a time, so each is built once.
+s on the rule and kept in the rule's own cache entry, so a cache that is
+dropped takes its power tables with it.  Every order asked for is a
+half-integer, carried as one int k = 2 alpha = 2 l + d - 2, and the cache is
+keyed by ints only, (k, npoints, dps), so (d, l) = (2, 3), (4, 2) and (6, 1)
+share their rules.  A hit reads the cache without a lock, which only the hit
+count takes, so a warm oracle call makes no Fraction; rules are built one at
+a time, so each is built once.
 Each build checks its polish (a last Newton step small enough for
 X to hold dps + 10 digits), its nodes (positive, strictly increasing) and
 sum_i Q_i0^2 = <p_0|p_0> 2^(2B) against 2^(2B) to 10^(5 - dps), which is
@@ -74,14 +74,11 @@ The radial residual is a ratio in which the normalization, e^(-eta/2) and
 the powers of r cancel, so it is computed exactly: the three Laguerre values
 it needs come from _laguerre_int, an int recurrence at each rational eta,
 the worst ratio is kept as two ints, and only it is rounded, once, to
-working precision.  u_derivatives, the normalized eigenfunction and its
-first two derivatives in mpf on laguerre_values, is kept as the tests'
-reference.
+working precision.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -103,9 +100,7 @@ __all__ = [
     "orthonormality_check",
     "sum_over_states_check",
     "radial_residual",
-    "laguerre_values",
     "laguerre_fixed",
-    "u_derivatives",
 ]
 
 DEFAULT_DPS = 50
@@ -113,9 +108,8 @@ MAX_NODES = 384  # the fine rule of <eta^2> at n = 250
 SEED_SHIFT = 64  # fixed-point bits of the seeds: a double's mantissa at the smallest zero
 GUARD_BITS = 32  # of the polish, beyond the dps + 10 digits each node holds
 
-# (a, b, npoints, dps) -> (bits, xs, columns) of the rule at alpha = a/b in
-# lowest terms, see _rule_entry, and (a, b, npoints, dps, s) -> that rule's
-# power table, see _power_table: keys of ints only, read without a lock
+# (k, npoints, dps) -> (bits, xs, columns, tables) of the rule at alpha = k/2,
+# see _rule_entry: keys of ints only, read without a lock
 _rule_cache: dict = {}
 _rule_lock = threading.Lock()  # guards _rule_stats and each store into _rule_cache
 _build_lock = threading.Lock()  # one rule build at a time
@@ -145,25 +139,11 @@ def _to_mpf(x) -> mpf:
     return mpf(x)
 
 
-def laguerre_values(n: int, alpha, x) -> list:
-    """[L_0^(alpha)(x), ..., L_n^(alpha)(x)] by the three-term recurrence in n.
-
-    Generic in the number type: pass alpha in x's type.  L_0 is the int 1,
-    and n < 0 gives [].  In the package only u_derivatives calls it, in mpf;
-    the tests also run it on float and Fraction, as references.
-    """
-    if n < 0:
-        return []
-    values = [1, 1 + alpha - x][: n + 1]
-    for k in range(1, n):
-        values.append(((2 * k + 1 + alpha - x) * values[k] - (k + alpha) * values[k - 1]) / (k + 1))
-    return values
-
-
 def laguerre_fixed(n: int, alpha: Fraction, X: int, bits: int) -> list[int]:
     """[Y_0, ..., Y_n] with Y_k = L_k^(alpha)(x) 2^bits in int fixed point, at x = X / 2^bits.
 
-    The recurrence of laguerre_values with alpha = a/b kept as its two ints,
+    The three-term recurrence in k, (k + 1) L_(k+1) = (2k + 1 + alpha - x) L_k -
+    (k + alpha) L_(k-1) from L_0 = 1, with alpha = a/b kept as its two ints,
     (k + 1) b L_(k+1) = ((2k + 1) b + a - b x) L_k - (k b + a) L_(k-1).  Each
     step is a few int multiplies, one shift and one floor division by
     b (k + 1), and gives exactly the floor of the right-hand side divided by
@@ -296,25 +276,22 @@ def _cache_hit(key: tuple) -> tuple | None:
     return entry
 
 
-def _rule_entry(alpha, npoints: int, dps: int) -> tuple[int, tuple, tuple]:
-    """The cache entry (bits, xs, columns) of a rule at dps digits, built on a miss.
+def _rule_entry(k: int, npoints: int, dps: int) -> tuple[int, tuple, tuple, dict]:
+    """The cache entry (bits, xs, columns, tables) of the rule at alpha = k/2
+    and dps digits, keyed (k, npoints, dps) and built on a miss.
 
-    xs[i] = round(x_i 2^bits) and columns[k][i] = round(sqrt(w_i) p_k(x_i) 2^bits)
-    for k <= 2 npoints - 1, all Python ints.  alpha is an int, a Fraction or
-    anything Fraction() reads, and the entry is keyed (a, b, npoints, dps) with
-    alpha = a/b in lowest terms, so a hit hashes no Fraction.  Builds hold
-    _build_lock, so a thread that waited on another's build of the same rule
-    counts a hit, and each rule is built once.  Raises ArithmeticError if a
-    build fails its checks, ValueError if alpha <= -1 or npoints is not 1 to
-    MAX_NODES.
+    xs[i] = round(x_i 2^bits) and columns[j][i] = round(sqrt(w_i) p_j(x_i) 2^bits)
+    for j <= 2 npoints - 1, all Python ints; tables, filled by _rule_sums, maps
+    s to the power table (X_i^s for each node).  Builds hold _build_lock, so a
+    thread that waited on another's build of the same rule counts a hit, and
+    each rule is built once.  Raises ArithmeticError if a build fails its
+    checks, ValueError if alpha <= -1 or npoints is not 1 to MAX_NODES.
     """
-    if type(alpha) is not int and type(alpha) is not Fraction:
-        alpha = Fraction(alpha)
-    key = (alpha.numerator, alpha.denominator, npoints, dps)
+    key = (k, npoints, dps)
     entry = _cache_hit(key)
     if entry is not None:
         return entry
-    alpha = Fraction(alpha)
+    alpha = Fraction(k, 2)
     if alpha <= -1:
         raise ValueError(f"alpha must be > -1, got {alpha}")
     if not 1 <= npoints <= MAX_NODES:
@@ -351,7 +328,7 @@ def _rule_entry(alpha, npoints: int, dps: int) -> tuple[int, tuple, tuple]:
         one = 1 << 2 * bits
         if abs(sum(q * q for q in columns[0]) - one) * 10 ** (dps - 5) > one:
             raise ArithmeticError(f"rule alpha={alpha} npoints={npoints}: sum_i Q_i0^2 != 2^(2B)")
-        entry = (bits, xs, columns)
+        entry = (bits, xs, columns, {})
         with _rule_lock:
             _rule_cache[key] = entry
             _rule_stats["build_s"] += time.perf_counter() - start
@@ -370,29 +347,17 @@ def _bucket(degree: int) -> int:
     return npoints
 
 
-def _power_table(alpha, npoints: int, dps: int, xs: tuple, s: int) -> tuple:
-    """(X_i^s for each node) of the rule at alpha, npoints and dps, whose xs
-    _rule_entry returned, kept in _rule_cache under (a, b, npoints, dps, s) with
-    alpha = a/b in lowest terms and read without the lock.  Only tables of the
-    xs are kept, none derived from a rule's columns, so every column a sum
-    reads comes from _rule_entry."""
-    key = (alpha.numerator, alpha.denominator, npoints, dps, s)
-    table = _rule_cache.get(key)
-    if table is None:
-        table = tuple(map(pow, xs, repeat(s)))
-        with _rule_lock:
-            table = _rule_cache.setdefault(key, table)
-    return table
-
-
-def _rule_sums(alpha, npoints: int, pairs: list, s: int, dps: int) -> tuple[list[int], int]:
+def _rule_sums(k: int, npoints: int, pairs: list, s: int, dps: int) -> tuple[list[int], int]:
     """([total for each (n1, n2) in pairs], exp) with
     sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = total 2^exp on one rule.
 
     Each distinct n2 has its column times the power table formed once, so a
-    sum is one int product per node."""
-    bits, xs, columns = _rule_entry(alpha, npoints, dps)
-    powers = _power_table(alpha, npoints, dps, xs, s) if s else None
+    sum is one int product per node.  The table of s is kept in the rule's
+    tables, set once per s by dict.setdefault, which is atomic for an int key."""
+    bits, xs, columns, tables = _rule_entry(k, npoints, dps)
+    powers = tables.get(s)
+    if powers is None and s:
+        powers = tables.setdefault(s, tuple(map(pow, xs, repeat(s))))
     weighted: dict = {}  # n2 -> (X_i^s Q_(i,n2) for each node)
     totals = []
     for n1, n2 in pairs:
@@ -403,7 +368,7 @@ def _rule_sums(alpha, npoints: int, pairs: list, s: int, dps: int) -> tuple[list
     return totals, -bits * (s + 2)
 
 
-def _bracket(alpha, pairs: list, s: int, dps: int) -> tuple[list[int], int]:
+def _bracket(k: int, pairs: list, s: int, dps: int) -> tuple[list[int], int]:
     """([total for each (n1, n2) in pairs], exp) with <u_n1|eta^s|u_n2> =
     total 2^exp, every entry checked on two rules.
 
@@ -415,7 +380,7 @@ def _bracket(alpha, pairs: list, s: int, dps: int) -> tuple[list[int], int]:
     npoints = _bucket(max(n1 + n2 for n1, n2 in pairs) + s)
     # the larger rule first: past MAX_NODES, fail before building the smaller
     sizes = (_bucket(2 * npoints), npoints)
-    (fine, exp), (coarse, _) = (_rule_sums(alpha, size, pairs, s, dps) for size in sizes)
+    (fine, exp), (coarse, _) = (_rule_sums(k, size, pairs, s, dps) for size in sizes)
     unit = 1 << -exp
     for f, c in zip(fine, coarse):
         # |c - f| / max(1, |f|) > 1e-14
@@ -452,11 +417,12 @@ def _rounded(num: int, den: int, exp: int, dps: int) -> mpf:
     return mp.make_mpf((int(num < 0), MPZ(man), exp - shift + drop + zeros, man.bit_length()))
 
 
-@functools.cache
-def _half(k: int) -> int | Fraction:
-    """k / 2 in lowest terms, an int or a Fraction, made once per k so that a
-    warm quad_matrix_element builds no Fraction."""
-    return k // 2 if k % 2 == 0 else Fraction(k, 2)
+def _order(d: int, l: int) -> int:
+    """k = 2 alpha = 2 l + d - 2, the Laguerre order alpha = l + d/2 - 1 of the
+    states at d and l as one int.  Raises UnsupportedDimension below d = 2."""
+    if d < 2:
+        raise UnsupportedDimension("quadrature oracle requires d >= 2")
+    return 2 * l + d - 2
 
 
 def quad_expectation(q: QuantumNumbers, s: int) -> mpf:
@@ -466,20 +432,17 @@ def quad_expectation(q: QuantumNumbers, s: int) -> mpf:
 
 def quad_matrix_element(n1: int, n2: int, l: int, d: int, s: int) -> mpf:
     """<u_{n1,l}|eta^s|u_{n2,l}> by quadrature, cross-checked on two buckets of nodes."""
-    if d < 2:
-        raise UnsupportedDimension("quadrature oracle requires d >= 2")
+    k = _order(d, l)
     if not isinstance(s, int):
         raise ValueError(f"s must be an int, got {s!r}")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    if type(n1) is type(n2) is type(l) is type(d) is int and min(n1, n2, l) >= 0:
-        alpha = _half(2 * l + d - 2)
-    else:
-        # InvalidQuantumNumbers for a negative or non-integer n1, n2 or l
-        alpha = QuantumNumbers(d, n1, l).alpha
+    if not (type(n1) is type(n2) is type(l) is type(d) is int and min(n1, n2, l) >= 0):
+        # InvalidQuantumNumbers for a negative or non-integer n1, n2, l or d
+        QuantumNumbers(d, n1, l)
         QuantumNumbers(d, n2, l)
     dps = working_precision()
-    (total,), exp = _bracket(alpha, [(n1, n2)], s, dps)
+    (total,), exp = _bracket(k, [(n1, n2)], s, dps)
     return _rounded(total, 1, exp, dps)
 
 
@@ -491,12 +454,11 @@ def orthonormality_check(l: int, d: int, n_max: int) -> mpf:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if d < 2:
-        raise UnsupportedDimension("quadrature oracle requires d >= 2")
-    alpha = QuantumNumbers(d, 0, l).alpha
+    k = _order(d, l)
+    QuantumNumbers(d, 0, l)  # InvalidQuantumNumbers for a negative or non-integer l
     pairs = [(n1, n2) for n1 in range(n_max + 1) for n2 in range(n1, n_max + 1)]
     dps = working_precision()
-    gram, exp = _bracket(alpha, pairs, 0, dps)
+    gram, exp = _bracket(k, pairs, 0, dps)
     one = 1 << -exp
     worst = max(abs(g - one if n1 == n2 else g) for g, (n1, n2) in zip(gram, pairs))
     return _rounded(worst, 1, exp, dps)
@@ -514,69 +476,19 @@ def sum_over_states_check(q: QuantumNumbers, n_cutoff: int) -> mpf:
     n = int(q.n)
     if n_cutoff < n + 2:
         raise ValueError(f"cutoff must be >= n+2 = {n + 2}, got {n_cutoff}")
-    if q.d < 2:
-        raise UnsupportedDimension("quadrature oracle requires d >= 2")
+    k = _order(q.d, q.l)
     others = [m for m in range(n_cutoff + 1) if m != n]
     dps = working_precision()
-    elements, exp = _bracket(q.alpha, [(m, n) for m in others], 2, dps)
+    elements, exp = _bracket(k, [(m, n) for m in others], 2, dps)
     lcm = math.lcm(*(n - m for m in others))
     total = sum(e * e * (lcm // (n - m)) for e, m in zip(elements, others))
     return _rounded(total, lcm, 2 * exp - 7, dps)
 
 
-def normalization(q: QuantumNumbers) -> mpf:
-    """Normalization constant A_nl = sqrt(2 n! / Gamma(n + l + d/2)) as a high-precision real."""
-    n = int(q.n)
-    return mp.sqrt(2 * mp.factorial(n) / mp.gamma(n + q.l + mpf(q.d) / 2))
-
-
-def u_derivatives(q: QuantumNumbers, radii) -> list[tuple[mpf, mpf, mpf]]:
-    """[(u, u', u'') at each radius r > 0], derivatives taken analytically.
-
-    Uses dL_n^(a)/dx = -L_{n-1}^(a+1) so the result is exact up to rounding.
-    Every radius is checked before any work; the normalization and the three
-    Laguerre orders are computed once for all of them.  The package does not
-    call it: it is the tests' reference for the exact radial_residual.
-    """
-    if q.d < 2:
-        raise UnsupportedDimension("u_derivatives is defined for d >= 2 only")
-    radii = [_to_mpf(r) for r in radii]
-    if any(r <= 0 for r in radii):
-        raise ValueError("r must be > 0")
-    n, l = int(q.n), q.l
-    alphas = [_to_mpf(q.alpha + k) for k in range(3)]
-    a = normalization(q)
-
-    def p(k):  # L_{n-k}^(alpha+k)(eta) at the current eta, 0 for a negative index
-        return (laguerre_values(n - k, alphas[k], eta) or [0])[-1]
-
-    result = []
-    for r in radii:
-        eta = r * r
-        p0, p1, p2 = p(0), -p(1), p(2)
-        e = mp.exp(-eta / 2)
-        r1, r2, r3 = r ** (l + 1), r ** (l + 2), r ** (l + 3)
-        ae = a * e
-        # u = A r^(l+1) e^(-r^2/2) P(r^2)
-        u = a * r1 * e * p0
-        # h := e^(eta/2) u' / A
-        h = (l + 1) * r**l * p0 - r2 * p0 + 2 * r2 * p1
-        hp = (
-            l * (l + 1) * (r ** (l - 1) if l > 0 else 0) * p0
-            + 2 * (l + 1) * r1 * p1
-            - (l + 2) * r1 * p0
-            - 2 * r3 * p1
-            + 2 * (l + 2) * r1 * p1
-            + 4 * r3 * p2
-        )
-        result.append((u, ae * h, ae * (hp - r * h)))
-    return result
-
-
 def _laguerre_int(n: int, p: int, q: int, a: int, b: int) -> int:
     """L_n^(alpha)(eta) n! (q b)^n as an exact int, with alpha = p/q and eta = a/b.
 
-    The recurrence of laguerre_values times k! (q b)^(k+1), from Z_0 = 1:
+    The recurrence of laguerre_fixed times k! (q b)^(k+1), from Z_0 = 1:
     Z_(k+1) = ((2k + 1) q b + p b - q a) Z_k - k (k q + p) q b^2 Z_(k-1).
     n < 0 gives 0.
     """
@@ -613,8 +525,7 @@ def radial_residual(q: QuantumNumbers, sample_etas, energy=None) -> mpf:
     has power: a wrong energy must produce a large residual), is read exactly
     by Fraction(), so an mpf raises TypeError before any work.
     """
-    if q.d < 2:
-        raise UnsupportedDimension("radial residual requires d >= 2")
+    k = _order(q.d, q.l)
     etas = [Fraction(eta) for eta in sample_etas]
     if not etas or any(eta <= 0 for eta in etas):
         raise ValueError(f"sample points must be a non-empty list of eta > 0, got {etas}")
@@ -622,7 +533,7 @@ def radial_residual(q: QuantumNumbers, sample_etas, energy=None) -> mpf:
     e_num, e_den = e.numerator, e.denominator
     n, l, d = int(q.n), q.l, q.d
     ang = d - 3 + l * (l + d - 2)
-    ap, aq = q.alpha.numerator, q.alpha.denominator
+    ap, aq = k, 2  # alpha = k/2
     worst, worst_scale = 0, 1  # the worst ratio so far, as two ints
     for eta in etas:
         a, b = eta.numerator, eta.denominator

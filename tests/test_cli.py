@@ -203,8 +203,8 @@ class TestVerify:
         assert (code, err) == (expected_code, "")
 
     def test_quadrature_failure_is_usage_error(self, capsys, monkeypatch):
-        def fail(alpha, npoints, dps):
-            raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
+        def fail(k, npoints, dps):
+            raise ArithmeticError(f"rule alpha={k}/2 npoints={npoints} failed its checks")
 
         monkeypatch.setattr(oracle, "_rule_entry", fail)
         code, out, err = run(capsys, "verify")

@@ -128,14 +128,15 @@ _rule_entry = oracle._rule_entry
 def scaled_rules(only=None):
     """oracle._rule_entry with every table entry of every rule, or of the
     `only`-node rules, times sqrt(1 + 1e-9), so each sum on them is 1 + 1e-9
-    times too large; the cached entries stay as they are."""
+    times too large; the cached entries stay as they are, and each rule's
+    power tables, of its xs, pass through untouched."""
     factor = math.isqrt(2**128 + 2**128 // 10**9)  # sqrt(1 + 1e-9) 2^64
 
-    def entry(alpha, npoints, dps):
-        bits, xs, columns = _rule_entry(alpha, npoints, dps)
+    def entry(k, npoints, dps):
+        bits, xs, columns, tables = _rule_entry(k, npoints, dps)
         if only in (None, npoints):
             columns = tuple(tuple(q * factor >> 64 for q in column) for column in columns)
-        return bits, xs, columns
+        return bits, xs, columns, tables
 
     return entry
 
@@ -352,12 +353,12 @@ def scaled_column(order: int, only: int):
     """oracle._rule_entry with the column of p_order on the `only`-node rule
     1 + 1e-9 times too large, so that only the sums that read it are off."""
 
-    def entry(alpha, npoints, dps):
-        bits, xs, columns = _rule_entry(alpha, npoints, dps)
+    def entry(k, npoints, dps):
+        bits, xs, columns, tables = _rule_entry(k, npoints, dps)
         if npoints == only:
             column = tuple(q + q // 10**9 for q in columns[order])
             columns = columns[:order] + (column,) + columns[order + 1 :]
-        return bits, xs, columns
+        return bits, xs, columns, tables
 
     return entry
 

@@ -121,8 +121,8 @@ def test_oracle_table_is_int_from_end_to_end():
     # mantissa, so every entry is an int product rounded once
     for name in ("_rule_entry", "_root", "_scales", "_table_row"):
         assert loaded_names("oracle", name).isdisjoint({"mp", "mpf", "mpmath", "_mpf_"}), name
-    # the power tables and the shared-pair sums are ints too, with no Fraction
-    for name in ("_power_table", "_rule_sums", "_bracket"):
+    # the sums, with their power tables, are ints too, with no Fraction
+    for name in ("_rule_sums", "_bracket"):
         assert loaded_names("oracle", name).isdisjoint(
             {"mp", "mpf", "mpmath", "_mpf_", "Fraction"}
         ), name
@@ -137,6 +137,9 @@ def test_oracle_table_is_int_from_end_to_end():
     for name in entry_points:
         names = loaded_names("oracle", name, body_only=True)
         assert "_rounded" in names and names.isdisjoint({"mp", "mpf", "fdiv", "_mpf_"}), name
+        # its Laguerre order comes from _order, so it is decided in one place,
+        # and it loads no alpha of its own
+        assert "_order" in names and "alpha" not in names, name
     assert "mpf" in loaded_names("oracle", "_rounded")
 
 
@@ -169,7 +172,6 @@ UNUSED_EXPORTS = {
     "ladder2d.expectation": "the tests' reference for diagonal elements",
     "spectrum.landau_analogue": "the paper's two-dimensional physical example",
     "oracle.rule_cache_stats": "rule-cache hits, misses and build time for a run's report",
-    "oracle.u_derivatives": "the tests' reference eigenfunction, which the exact residual replaces",
 }
 
 

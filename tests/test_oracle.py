@@ -17,14 +17,12 @@ from salpeter_qho.kramers import moment_eta
 from salpeter_qho.laguerre_me import second_order_part2
 from salpeter_qho.oracle import (
     laguerre_fixed,
-    laguerre_values,
     orthonormality_check,
     quad_expectation,
     quad_matrix_element,
     radial_residual,
     rule_cache_stats,
     sum_over_states_check,
-    u_derivatives,
     working_precision,
 )
 from salpeter_qho.states import (
@@ -33,6 +31,8 @@ from salpeter_qho.states import (
     UnsupportedDimension,
     energy_unperturbed,
 )
+
+from reference import laguerre_values, u_derivatives
 
 F = Fraction
 
@@ -44,17 +44,21 @@ CRITERION_5_STATES = [
 CRITERION_5_ETAS = [F(1, 10), F(1, 2), 1, 2, F(7, 2), 5]
 
 
-def rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
-    """oracle._rule_entry at the working precision."""
-    return oracle._rule_entry(alpha, npoints, working_precision())
+def int_order(alpha) -> int:
+    """k = 2 alpha, the int by which the oracle carries a Laguerre order."""
+    k = 2 * Fraction(alpha)
+    assert k.denominator == 1, f"alpha = {alpha} is not a half-integer"
+    return int(k)
 
 
-def rule_key(alpha, npoints: int, s: int | None = None) -> tuple:
-    """The _rule_cache key of a rule at the working precision, or with s, of
-    its power table of power s: ints only, alpha = a/b in lowest terms."""
-    alpha = Fraction(alpha)
-    key = (alpha.numerator, alpha.denominator, npoints, working_precision())
-    return key if s is None else (*key, s)
+def rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple, dict]:
+    """oracle._rule_entry of the rule at alpha at the working precision."""
+    return oracle._rule_entry(int_order(alpha), npoints, working_precision())
+
+
+def rule_key(alpha, npoints: int) -> tuple:
+    """The _rule_cache key of the rule at alpha at the working precision: ints only."""
+    return (int_order(alpha), npoints, working_precision())
 
 
 def case_id(value) -> str:
@@ -102,15 +106,15 @@ def orthonormal_rows(alpha, nodes, order: int) -> list[list]:
 
 def table_sum(entry: tuple, s: int) -> mpf:
     """sum_i X_i^s Q_i0^2 2^(-B (s + 2)) = sum_i w_i x_i^s / Gamma(alpha + 1) from a
-    rule's int table (bits, xs, columns), at the current precision."""
-    bits, xs, columns = entry
+    rule's int table (bits, xs, columns, tables), at the current precision."""
+    bits, xs, columns, _ = entry
     return mpf((sum(x**s * q * q for x, q in zip(xs, columns[0])), -bits * (s + 2)))
 
 
 def assert_table_matches(entry: tuple, alpha, nodes: list, weights: list, order: int) -> None:
     """Every X_i and Q_ik, k <= order, of a rule's int table is within one unit of
     x_i 2^B and sqrt(w_i) p_k(x_i) 2^B from reference mpf nodes and weights."""
-    bits, xs, columns = entry
+    bits, xs, columns, _ = entry
     assert len(xs) == len(nodes)
     unit = mpf(2) ** bits
     for i, (x, w, row) in enumerate(zip(nodes, weights, orthonormal_rows(alpha, nodes, order))):
@@ -136,7 +140,7 @@ class TestRule:
             assert abs(table_sum(rule_entry(F(3, 2), 6), 0) - 1) < mpf("1e-45")
 
     def test_nodes_positive_increasing(self):
-        _, xs, _ = rule_entry(F(1, 2), 10)
+        _, xs, _, _ = rule_entry(F(1, 2), 10)
         assert_nodes_increase(xs)
 
     def test_memoized(self):
@@ -152,9 +156,9 @@ class TestRule:
     def test_guard_digits(self, monkeypatch):
         # each entry of the table, rounded to nearest at B bits, is within one
         # unit of the same rule's table built with 30 more digits
-        bits, xs, columns = rule_entry(F(9, 2), 60)
+        bits, xs, columns, _ = rule_entry(F(9, 2), 60)
         monkeypatch.setenv("SALPETER_PRECISION", str(working_precision() + 30))
-        ref_bits, ref_xs, ref_columns = rule_entry(F(9, 2), 60)
+        ref_bits, ref_xs, ref_columns, _ = rule_entry(F(9, 2), 60)
         extra = ref_bits - bits
         assert extra > 90
         for column, ref_column in zip((xs, *columns), (ref_xs, *ref_columns), strict=True):
@@ -170,12 +174,12 @@ class TestRule:
 
     def test_one_point(self):
         # L_1^(alpha) = 1 + alpha - x: one node at alpha + 1 carrying Gamma(alpha + 1)
-        bits, (x,), columns = rule_entry(F(5, 2), 1)
+        bits, (x,), columns, _ = rule_entry(F(5, 2), 1)
         assert abs(x - (7 << bits) // 2) <= 1
         assert abs(columns[0][0] - (1 << bits)) <= 1
 
     def test_failed_build_raises_and_is_not_cached(self, monkeypatch):
-        alpha, npoints = F(11, 3), 4
+        alpha, npoints = F(23, 2), 4  # a rule no other test builds
         monkeypatch.setattr(oracle, "_seed_zeros", lambda a, n: [float(a) + 1] * n)
         with pytest.raises(ArithmeticError):
             rule_entry(alpha, npoints)
@@ -236,8 +240,8 @@ class TestRule:
 
     def test_cache_stats(self):
         before = rule_cache_stats()
-        first = rule_entry(F(7, 3), 3)  # a rule no other test builds
-        assert rule_entry(F(7, 3), 3) is first
+        first = rule_entry(F(25, 2), 3)  # a rule no other test builds
+        assert rule_entry(F(25, 2), 3) is first
         after = rule_cache_stats()
         assert after["misses"] - before["misses"] == 1
         assert after["hits"] - before["hits"] == 1
@@ -317,7 +321,7 @@ class TestSeeds:
         # alpha = 49999), and from (alpha + 1) / n more than 100 + 3 n (486 at
         # alpha = 4999999)
         alpha = F(alpha)
-        entry = bits, xs, _ = rule_entry(alpha, npoints)
+        entry = bits, xs, _, _ = rule_entry(alpha, npoints)
         seeds = oracle._seed_zeros(alpha, npoints)
         assert max(abs(s * (1 << bits) / x - 1) for s, x in zip(seeds, xs, strict=True)) <= 1e-12
         with mp.workdps(working_precision()):
@@ -335,7 +339,7 @@ class TestSeeds:
         # lies between x_(i-1) and x_i, with x* where Q peaks
         a = float(alpha)
         for n in (8, 24, 96):
-            bits, xs, _ = rule_entry(alpha, n)
+            bits, xs, _, _ = rule_entry(alpha, n)
             nodes = [x / (1 << bits) for x in xs]
             peak = (a * a - 1) / (2 * n + a + 1)
             for lo, hi in zip(nodes, nodes[1:]):
@@ -394,11 +398,10 @@ class TestBuckets:
         sum_over_states_check(q, cutoff)
         assert rule_cache_stats()["misses"] - before == 2
         coarse = oracle._bucket(cutoff + 2 + 2)
-        # the pair's two rules and their power tables of eta^2, nothing else
+        # the pair's two rules, each with its power table of eta^2, nothing else
         rules = [(q.alpha, coarse), (q.alpha, oracle._bucket(2 * coarse))]
-        assert set(cache) == {rule_key(*rule) for rule in rules} | {
-            rule_key(*rule, 2) for rule in rules
-        }
+        assert set(cache) == {rule_key(*rule) for rule in rules}
+        assert all(set(entry[3]) == {2} for entry in cache.values())
 
 
 def fdot_rule_sum(nodes, weights, rows, n1: int, n2: int, s: int) -> mpf:
@@ -417,7 +420,7 @@ class TestNodeTable:
     def assert_fixed_point_table(alpha, npoints):
         """Every entry is an int within one unit of its value from the Golub-Welsch
         rule at dps + 10: x_i 2^B and sqrt(w_i) p_k(x_i) 2^B, k <= 2 npoints - 1."""
-        entry = bits, xs, columns = rule_entry(alpha, npoints)
+        entry = bits, xs, columns, _ = rule_entry(alpha, npoints)
         assert len(xs) == npoints and len(columns) == 2 * npoints
         assert all(type(v) is int for v in xs)
         assert all(type(q) is int for column in columns for q in column)
@@ -447,7 +450,7 @@ class TestNodeTable:
         # k >= npoints carry no such bound, so hold them to what is measured
         for alpha in (F(-1, 2), 0, F(9, 2), 40):
             for npoints in (1, 2, 3, 8, 24):
-                bits, _, columns = rule_entry(alpha, npoints)
+                bits, _, columns, _ = rule_entry(alpha, npoints)
                 low = max(abs(q) for column in columns[:npoints] for q in column)
                 high = max(abs(q) for column in columns[npoints:] for q in column)
                 assert low <= 1 << bits
@@ -458,7 +461,7 @@ class TestNodeTable:
         with mp.workdps(dps):
             rounding = mpf(2) ** -mp.prec  # the int sum's one rounding to working precision
         for alpha, npoints in [(F(5, 2), 12), (F(17, 2), 8)]:
-            bits = rule_entry(alpha, npoints)[0]
+            bits, k = rule_entry(alpha, npoints)[0], int_order(alpha)
             with mp.workdps(dps + 10):
                 nodes, weights = golub_welsch_rule(alpha, npoints)
                 rows = orthonormal_rows(alpha, nodes, 2 * npoints - 1)
@@ -467,29 +470,37 @@ class TestNodeTable:
                 # every n1 <= n2 with n1 + n2 + s <= 2 npoints - 1
                 for n1 in range(2 * npoints - s):
                     for n2 in range(n1, 2 * npoints - s - n1):
-                        (total,), exp = oracle._rule_sums(alpha, npoints, [(n1, n2)], s, dps)
+                        (total,), exp = oracle._rule_sums(k, npoints, [(n1, n2)], s, dps)
                         with mp.workdps(dps):
                             value = mpf((total, exp))
                         with mp.workdps(dps + 10):
                             reference = fdot_rule_sum(nodes, weights, rows, n1, n2, s)
                             assert abs(value - reference) <= bound + abs(reference) * rounding
 
-    def test_cached_entry_holds_ints_only(self):
-        # no mpf is kept: the entry is (bits, xs, columns), all ints
+    def test_cached_entry_holds_ints_only(self, monkeypatch):
+        # no mpf is kept: the entry is (bits, xs, columns, tables), all ints,
+        # with a power table of s = 3 in tables after a sum of eta^3
+        monkeypatch.setattr(oracle, "_rule_cache", {})
         npoints = 8
         entry = rule_entry(F(3, 2), npoints)
+        oracle._rule_sums(int_order(F(3, 2)), npoints, [(0, 1)], 3, working_precision())
         found = []
 
         def walk(value):
-            if isinstance(value, (tuple, list)):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    walk(key)
+                    walk(item)
+            elif isinstance(value, (tuple, list)):
                 for item in value:
                     walk(item)
             else:
                 found.append(type(value))
 
         walk(entry)
-        assert type(entry) is tuple and len(entry) == 3
-        assert found == [int] * (1 + npoints + 2 * npoints * npoints)
+        assert type(entry) is tuple and len(entry) == 4 and type(entry[3]) is dict
+        assert list(entry[3]) == [3]
+        assert found == [int] * (1 + npoints + 2 * npoints * npoints + 1 + npoints)
 
     def test_power_tables_are_kept_beside_their_rule(self, monkeypatch):
         cache = {}
@@ -497,11 +508,12 @@ class TestNodeTable:
         alpha = F(5, 2)
         quad_matrix_element(1, 2, 2, 3, 3)  # on the rules of 8 and 12 nodes
         for npoints in (8, 12):
-            _, xs, _ = cache[rule_key(alpha, npoints)]
-            assert cache[rule_key(alpha, npoints, 3)] == tuple(x**3 for x in xs)
+            _, xs, _, tables = cache[rule_key(alpha, npoints)]
+            assert tables == {3: tuple(x**3 for x in xs)}
         # s = 0 needs no table
         quad_matrix_element(1, 2, 2, 3, 0)
-        assert set(cache) == {rule_key(alpha, n, s) for n in (8, 12) for s in (None, 3)}
+        assert set(cache) == {rule_key(alpha, n) for n in (8, 12)}
+        assert all(list(entry[3]) == [3] for entry in cache.values())
 
     def test_sixteen_threads_share_rules_and_power_tables(self, monkeypatch):
         # threads that build and read the same rules and power tables at once
@@ -510,6 +522,7 @@ class TestNodeTable:
         cache = {}
         monkeypatch.setattr(oracle, "_rule_cache", cache)
         alpha, dps = F(7, 2), working_precision()
+        k = int_order(alpha)
         entry, reads = oracle._rule_entry, []
 
         def counted(*args):
@@ -525,9 +538,9 @@ class TestNodeTable:
 
         def ask(i, n1, n2, s):
             barrier.wait(timeout=60)
-            _, xs, _ = oracle._rule_entry(alpha, 12, dps)
-            table = oracle._power_table(alpha, 12, dps, xs, s)
-            results[i] = (quad_matrix_element(n1, n2, 3, 3, s), table)
+            tables = oracle._rule_entry(k, 12, dps)[3]
+            value = quad_matrix_element(n1, n2, 3, 3, s)
+            results[i] = (value, tables[s])
 
         threads = [threading.Thread(target=ask, args=(i, *job)) for i, job in enumerate(jobs)]
         interval = sys.getswitchinterval()
@@ -547,15 +560,15 @@ class TestNodeTable:
         hits, misses = (after[name] - before[name] for name in ("hits", "misses"))
         assert hits + misses == len(reads)
         assert misses == len({rule_key(alpha, 8), rule_key(alpha, 12)} & set(cache)) == 2
-        _, xs, _ = oracle._rule_entry(alpha, 12, dps)
+        _, xs, _, tables = oracle._rule_entry(k, 12, dps)
         for i, (n1, n2, s) in enumerate(jobs):
             value, table = results[i]
-            assert table is oracle._power_table(alpha, 12, dps, xs, s)
+            assert table is tables[s]
             assert table == tuple(x**s for x in xs)
             assert value == quad_matrix_element(n1, n2, 3, 3, s)
 
     def test_table_disagreeing_with_its_weights_is_not_cached(self, monkeypatch):
-        alpha, npoints = F(13, 3), 6
+        alpha, npoints = F(27, 2), 6  # a rule no other test builds
         table_row = oracle._table_row
         # every entry 1 + 1e-9 times too large: sum_i Q_i0^2 is then 2^(2B) (1 + 2e-9)
         monkeypatch.setattr(
@@ -625,15 +638,18 @@ def reference_rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple]:
 
 class TestCacheKeys:
     def test_equal_orders_share_one_entry(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_rule_cache", {})
-        dps = working_precision()
-        assert oracle._rule_entry(3, 8, dps) is oracle._rule_entry(F(6, 2), 8, dps)
-        assert oracle._rule_entry(F(3), 12, dps) is oracle._rule_entry(3.0, 12, dps)
-        assert list(oracle._rule_cache) == [rule_key(3, 8), rule_key(3, 12)]
-        # alpha = l + d/2 - 1 = 3 at d = 4, l = 2: its rules of 8 and 12 nodes are built
-        misses = rule_cache_stats()["misses"]
-        quad_matrix_element(1, 2, 2, 4, 2)
-        assert rule_cache_stats()["misses"] == misses
+        # the interdimensional degeneracy: 2 l + d - 2 = 6 at each (d, l), so
+        # a call at any one builds the rules of 8 and 12 nodes that the
+        # other two read
+        degenerate = [(2, 3), (4, 2), (6, 1)]
+        for d, l in degenerate:
+            monkeypatch.setattr(oracle, "_rule_cache", {})
+            quad_matrix_element(1, 2, l, d, 2)
+            misses = rule_cache_stats()["misses"]
+            for other_d, other_l in degenerate:
+                quad_matrix_element(1, 2, other_l, other_d, 2)
+            assert rule_cache_stats()["misses"] == misses
+            assert set(oracle._rule_cache) == {rule_key(3, 8), rule_key(3, 12)}
 
     def test_warm_calls_hash_no_fraction(self, monkeypatch):
         monkeypatch.setattr(oracle, "_rule_cache", {})
@@ -664,9 +680,9 @@ class TestCacheKeys:
             counted.clear()
             warm.append(call())
             seen.append(set(counted))
-        # quad_matrix_element makes no Fraction; the checks make their alpha
-        assert seen[:2] == [set(), set()]
-        assert all(names <= {"__new__"} for names in seen)
+        # no warm call makes a Fraction but orthonormality_check, whose
+        # QuantumNumbers(d, 0, l) checks l and makes n = Fraction(0)
+        assert seen == [set(), set(), set(), {"__new__"}]
         assert [v._mpf_ for v in warm] == [v._mpf_ for v in cold]
         assert all(
             type(key) is tuple and all(type(k) is int for k in key) for key in oracle._rule_cache
@@ -683,7 +699,7 @@ class TestIntBuild:
         shift = math.ceil((working_precision() + 10) * math.log2(10)) + 32
         for alpha in self.ALPHAS:
             for npoints in (8, 24, 96):
-                bits, xs, _ = rule_entry(alpha, npoints)
+                bits, xs, _, _ = rule_entry(alpha, npoints)
                 order = 2 * npoints - 1
                 for X in xs if npoints < 96 else (xs[0], xs[-1]):
                     X <<= shift - bits
@@ -698,7 +714,7 @@ class TestIntBuild:
         monkeypatch.setattr(oracle, "_rule_cache", {})
         for alpha in self.ALPHAS:
             for npoints in (1, 8, 12, 24, 48):
-                bits, xs, columns = rule_entry(alpha, npoints)
+                bits, xs, columns, _ = rule_entry(alpha, npoints)
                 ref_bits, ref_xs, ref_columns = reference_rule_entry(alpha, npoints)
                 assert bits == ref_bits and xs == ref_xs
                 for column, ref_column in zip(columns, ref_columns, strict=True):
@@ -799,6 +815,12 @@ class TestOrthonormality:
         with pytest.raises(ValueError):
             orthonormality_check(0, 3, -1)
 
+    @pytest.mark.parametrize("l", [-1, -2, 1.5])
+    def test_bad_l_rejected(self, l):
+        # at d = 3, l = -1 would give alpha = -1/2, a rule that exists
+        with pytest.raises(InvalidQuantumNumbers):
+            orthonormality_check(l, 3, 4)
+
 
 class TestSumOverStates:
     def test_matches_exact_part2(self):
@@ -865,11 +887,11 @@ class TestSharedRulePair:
     def test_shared_pair_entries_match_quad_matrix_element(self, d):
         # the entries themselves, on the Gram matrix's triangle and the
         # sum-over-states column, each to within 1e-45 of its own element
-        alpha, dps = QuantumNumbers(d, 0, 2).alpha, working_precision()
+        k, dps = int_order(QuantumNumbers(d, 0, 2).alpha), working_precision()
         triangle = [(n1, n2) for n1 in range(9) for n2 in range(n1, 9)]
         column = [(m, 5) for m in range(14) if m != 5]
         for pairs, s in ((triangle, 0), (column, 2)):
-            totals, exp = oracle._bracket(alpha, pairs, s, dps)
+            totals, exp = oracle._bracket(k, pairs, s, dps)
             assert len(totals) == len(pairs)
             for total, (n1, n2) in zip(totals, pairs):
                 element = quad_matrix_element(n1, n2, 2, d, s)

@@ -1,4 +1,4 @@
-"""Quantum numbers and energies, and the oracle's Laguerre recurrence and radial eigenfunction."""
+"""Quantum numbers and energies, and the reference Laguerre recurrence and radial eigenfunction."""
 
 from fractions import Fraction
 
@@ -7,14 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from salpeter_qho import oracle
-from salpeter_qho.oracle import laguerre_values, u_derivatives
 from salpeter_qho.states import (
     InvalidQuantumNumbers,
     QuantumNumbers,
     UnsupportedDimension,
     energy_unperturbed,
 )
+
+import reference
+from reference import laguerre_values, u_derivatives
 
 F = Fraction
 
@@ -163,7 +164,7 @@ class TestUDerivatives:
     @pytest.mark.parametrize("r", [0, -1, F(-1, 2)])
     def test_rejects_non_positive_radius(self, r, monkeypatch):
         calls = []
-        monkeypatch.setattr(oracle, "normalization", lambda q: calls.append(q))
+        monkeypatch.setattr(reference, "normalization", lambda q: calls.append(q))
         for radii in ([r], [1, 2, r]):
             with pytest.raises(ValueError):
                 u_derivatives(QuantumNumbers(3, 0, 0), radii)
