@@ -39,8 +39,6 @@ __all__ = [
     "FockState2D",
     "LadderExpr",
     "GENERATORS",
-    "matrix_element_squared",
-    "expectation",
     "p2_expr",
     "p4_operators",
     "p4_expr",
@@ -164,16 +162,6 @@ def _poly(monomials: tuple, n_a: int, n_b: int) -> int:
     return c
 
 
-def _apply(expr: LadderExpr, n_a: int, n_b: int) -> dict[tuple[int, int], int]:
-    """expr on the unnormalized |n_a n_b): the nonzero int coefficient per image (n_a', n_b')."""
-    image: dict[tuple[int, int], int] = {}
-    for da, db, monomials in expr.form:
-        c = _poly(monomials, n_a, n_b)
-        if c:
-            image[n_a + da, n_b + db] = c
-    return image
-
-
 def _diagonal(expr: LadderExpr, s: FockState2D) -> int:
     """(n_a n_b|expr|n_a n_b), the int diagonal coefficient: the shift-(0, 0) polynomial."""
     for da, db, monomials in expr.form:
@@ -187,23 +175,6 @@ def _factorial_ratio(top: int, bottom: int) -> tuple[int, int]:
     if top >= bottom:
         return math.perm(top, top - bottom), 1
     return 1, math.perm(bottom, bottom - top)
-
-
-def matrix_element_squared(expr: LadderExpr, bra: FockState2D, ket: FockState2D) -> Fraction:
-    """|<bra|expr|ket>|^2 = c^2 (n_a'!/n_a!) (n_b'!/n_b!), exact.
-
-    |n) = sqrt(n!)|n>, so the coefficient c of the unnormalized image carries
-    the same radical sqrt(n_a'! n_b'! / (n_a! n_b!)) on every path.
-    """
-    c = _apply(expr, ket.n_a, ket.n_b).get((bra.n_a, bra.n_b), 0)
-    ra, sa = _factorial_ratio(bra.n_a, ket.n_a)
-    rb, sb = _factorial_ratio(bra.n_b, ket.n_b)
-    return Fraction(c * c * ra * rb, sa * sb)
-
-
-def expectation(expr: LadderExpr, s: FockState2D) -> Fraction:
-    """<s|expr|s>: the diagonal coefficient, where the normalizations cancel."""
-    return Fraction(_diagonal(expr, s))
 
 
 def p2_expr() -> LadderExpr:

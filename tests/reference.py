@@ -1,13 +1,22 @@
-"""Test-side references for the quadrature oracle, which the package does not call.
+"""Test-side references for the quadrature oracle and the 2D ladder, which the
+package does not call.
 
 laguerre_values is the generic three-term Laguerre recurrence, in any number
 type; normalization and u_derivatives give the normalized radial eigenfunction
 and its first two derivatives in mpf on it.  The tests hold the oracle's int
 recurrences and its exact radial residual to these.
+
+_apply is a LadderExpr's image of one unnormalized Fock state, and
+matrix_element_squared and expectation its exact single transition
+amplitudes and diagonal elements, which the tests hold the ladder's
+operator algebra and corrections to.
 """
+
+from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from salpeter_qho.ladder2d import FockState2D, LadderExpr, _diagonal, _factorial_ratio, _poly
 from salpeter_qho.oracle import _to_mpf
 from salpeter_qho.states import QuantumNumbers, UnsupportedDimension
 
@@ -74,3 +83,30 @@ def u_derivatives(q: QuantumNumbers, radii) -> list[tuple[mpf, mpf, mpf]]:
         )
         result.append((u, ae * h, ae * (hp - r * h)))
     return result
+
+
+def _apply(expr: LadderExpr, n_a: int, n_b: int) -> dict[tuple[int, int], int]:
+    """expr on the unnormalized |n_a n_b): the nonzero int coefficient per image (n_a', n_b')."""
+    image: dict[tuple[int, int], int] = {}
+    for da, db, monomials in expr.form:
+        c = _poly(monomials, n_a, n_b)
+        if c:
+            image[n_a + da, n_b + db] = c
+    return image
+
+
+def matrix_element_squared(expr: LadderExpr, bra: FockState2D, ket: FockState2D) -> Fraction:
+    """|<bra|expr|ket>|^2 = c^2 (n_a'!/n_a!) (n_b'!/n_b!), exact.
+
+    |n) = sqrt(n!)|n>, so the coefficient c of the unnormalized image carries
+    the same radical sqrt(n_a'! n_b'! / (n_a! n_b!)) on every path.
+    """
+    c = _apply(expr, ket.n_a, ket.n_b).get((bra.n_a, bra.n_b), 0)
+    ra, sa = _factorial_ratio(bra.n_a, ket.n_a)
+    rb, sb = _factorial_ratio(bra.n_b, ket.n_b)
+    return Fraction(c * c * ra * rb, sa * sb)
+
+
+def expectation(expr: LadderExpr, s: FockState2D) -> Fraction:
+    """<s|expr|s>: the diagonal coefficient, where the normalizations cancel."""
+    return Fraction(_diagonal(expr, s))

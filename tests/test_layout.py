@@ -168,8 +168,6 @@ def test_scan_sees_package_imports():
 BENCHMARK_DIR = Path(__file__).parents[1] / "benchmarks"
 # exported names that no package or benchmark code loads, each kept for a reason
 UNUSED_EXPORTS = {
-    "ladder2d.matrix_element_squared": "the tests' reference for single transition amplitudes",
-    "ladder2d.expectation": "the tests' reference for diagonal elements",
     "spectrum.landau_analogue": "the paper's two-dimensional physical example",
     "oracle.rule_cache_stats": "rule-cache hits, misses and build time for a run's report",
 }

@@ -1,5 +1,6 @@
 """Gauss-Laguerre quadrature oracle: floating cross-checks of exact results."""
 
+import hashlib
 import math
 import random
 import sys
@@ -689,8 +690,48 @@ class TestCacheKeys:
         )
 
 
+def laguerre_fixed_per_step(n: int, alpha: Fraction, X: int, bits: int) -> list[int]:
+    """oracle.laguerre_fixed with each step's coefficients formed afresh from k,
+    ((2k + 1) b + a) 2^bits - b X, k b + a and b (k + 1)."""
+    a, b = alpha.numerator, alpha.denominator
+    one = 1 << bits
+    values = [one][: n + 1]
+    prev, curr, bx = 0, one, b * X
+    for k in range(n):
+        factor = ((2 * k + 1) * b + a) * one - bx
+        prev, curr = curr, ((factor * curr >> bits) - (k * b + a) * prev) // (b * (k + 1))
+        values.append(curr)
+    return values
+
+
+# sha256 over (k, npoints, dps, bits, xs, columns) of each rule of RULE_DIGEST_RULES,
+# in that order, as the build gave them before it carried running coefficients
+RULE_DIGEST_RULES = [(k, n, dps) for k in (0, 1, 3, 7) for n in (8, 12, 16, 24) for dps in (15, 50)]
+RULE_DIGEST = "603aded668690dc44d5c7388f6e7ce707bd0c7f06b8afea0db061fd2b949955a"
+
+
 class TestIntBuild:
     ALPHAS = (F(-1, 2), 0, F(9, 2), 40)
+
+    def test_rules_match_their_golden_digest(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        digest = hashlib.sha256()
+        for k, npoints, dps in RULE_DIGEST_RULES:
+            bits, xs, columns, _ = oracle._rule_entry(k, npoints, dps)
+            digest.update(repr((k, npoints, dps, bits, xs, columns)).encode())
+        assert digest.hexdigest() == RULE_DIGEST
+
+    def test_recurrence_matches_the_per_step_formula(self):
+        rng = random.Random(32)
+        cases = [(n, F(1, 2), 3 << 64, 64) for n in (-1, 0, 1)]
+        for _ in range(300):
+            n, den = rng.randrange(-1, 80), rng.randrange(1, 8)
+            alpha = F(rng.randrange(1 - den, 200), den)  # alpha > -1
+            bits = rng.choice((0, 1, 64, 200))
+            X = rng.randrange(-(1 << bits), 400 << bits)
+            cases.append((n, alpha, X, bits))
+        for n, alpha, X, bits in cases:
+            assert laguerre_fixed(n, alpha, X, bits) == laguerre_fixed_per_step(n, alpha, X, bits)
 
     def test_fixed_point_recurrence_within_its_bound(self):
         # at the nodes, on the oracle's scale 2^P; exact Fraction references are
@@ -803,6 +844,15 @@ class TestMatrixElement:
     def test_negative_power_message(self):
         with pytest.raises(ValueError, match=r"^s must be >= 0, got -1$"):
             quad_matrix_element(2, 0, 0, 3, -1)
+
+    def test_cancelling_element_names_its_cause(self, monkeypatch):
+        # <u_0|eta^30|u_40> is exactly 0 (n2 > s), but the terms it cancels
+        # reach x_max^30 and leave more than 1e-14 at 50 digits: the two rules
+        # differ only within their int sums' error bound
+        monkeypatch.delenv("SALPETER_PRECISION", raising=False)
+        message = r"^<u_0\|eta\^30\|u_40> cancels below the working digits"
+        with pytest.raises(ArithmeticError, match=message):
+            quad_matrix_element(0, 40, 0, 3, 30)
 
 
 class TestOrthonormality:
@@ -1157,3 +1207,18 @@ class TestPrecisionControl:
         monkeypatch.setenv("SALPETER_PRECISION", "10")
         with pytest.raises(ValueError):
             working_precision()
+
+    def test_each_call_reads_the_variable(self, monkeypatch):
+        # each distinct value is parsed once, but the variable is read at every call
+        for value in ("30", "60", "30"):
+            monkeypatch.setenv("SALPETER_PRECISION", value)
+            assert working_precision() == int(value)
+        monkeypatch.delenv("SALPETER_PRECISION")
+        assert working_precision() == 50
+
+    def test_bad_value_raises_at_every_call(self, monkeypatch):
+        for value in ("10", "abc", "10"):
+            monkeypatch.setenv("SALPETER_PRECISION", value)
+            message = rf"^SALPETER_PRECISION must be an integer >= 15, got '{value}'$"
+            with pytest.raises(ValueError, match=message):
+                working_precision()
