@@ -1,15 +1,17 @@
 """Independent high-precision verification by generalized Gauss-Laguerre
 quadrature.
 
-Nodes are the zeros of L_n^(alpha), found by Newton steps on the three-term
-recurrence, O(n^2) per rule (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29
-(2007) 1420), all on one recurrence: laguerre_fixed, in Python-int fixed
-point with alpha = a/b kept as two ints.  The seeds, by Newton with
-deflation at 64 bits from Sturm-bounded starts, hold about 12 digits and
-cannot overflow: only L_n / (x L_n') becomes a float.  The polish takes each node as an int
-X = x 2^P, with P = ceil((dps + 10) log2 10) + 32 guard bits for dps working
-digits (232 at the default 50), and its steps double the seeds' digits until
-X holds dps + 10.  Weights come from the derivative at each node,
+Nodes are the zeros of L_n^(alpha), found by Laguerre's method and Halley
+steps on the three-term recurrence, O(n^2) per rule (Glaser, Liu & Rokhlin,
+SIAM J. Sci. Comput. 29 (2007) 1420), all on one recurrence: laguerre_fixed,
+in Python-int fixed point with alpha = a/b kept as two ints.  The seeds, by
+Laguerre's method with deflation at 64 bits from Sturm-bounded starts, hold
+about 12 digits and cannot overflow: only L_n / L_n' becomes a float.  The
+polish takes each node as an int X = x 2^P, with
+P = ceil((dps + 10) log2 10) + 32 guard bits for dps working digits (232 at
+the default 50), and its Halley steps, with L_n'' from the Laguerre
+equation, triple the seeds' digits until X holds dps + 10.  Weights come
+from the derivative at each node,
 w_i = Gamma(n + alpha + 1) / (n! x_i L_n^(alpha)'(x_i)^2), with
 x L_n' = n L_n - (n + alpha) L_(n-1) read off the same int recurrence that
 fills the node's table row, the only place a weight is held.  Working
@@ -48,11 +50,11 @@ keyed by ints only, (k, npoints, dps), so (d, l) = (2, 3), (4, 2) and (6, 1)
 share their rules.  A hit reads the cache without a lock, which only the hit
 count takes, so a warm oracle call makes no Fraction; rules are built one at
 a time, so each is built once.
-Each build checks its polish (a last Newton step small enough for
-X to hold dps + 10 digits), its nodes (positive, strictly increasing) and
-sum_i Q_i0^2 = <p_0|p_0> 2^(2B) against 2^(2B) to 10^(5 - dps), which is
-sum_i w_i = Gamma(alpha + 1) on the numbers the sums read, so a table with
-wrong weights is never cached.
+Each build checks its polish (the Newton step at each polished node, read
+off the node's table row, small enough for X to hold dps + 10 digits), its
+nodes (positive, strictly increasing) and sum_i Q_i0^2 = <p_0|p_0> 2^(2B)
+against 2^(2B) to 10^(5 - dps), which is sum_i w_i = Gamma(alpha + 1) on the
+numbers the sums read, so a table with wrong weights is never cached.
 
 Error bound: for k < npoints, Q_ik / 2^B is an orthogonal matrix (Golub &
 Welsch, Math. Comp. 23 (1969) 221), so |Q_ik| <= 2^B; the rows k >= npoints
@@ -183,40 +185,54 @@ def laguerre_fixed(n: int, alpha: Fraction, X: int, bits: int) -> list[int]:
 def _seed_zeros(alpha: Fraction, n: int) -> list[float]:
     """Zeros of L_n^(alpha) to about double precision, smallest first.
 
-    Newton on L_n^(alpha)(z) / prod_{j<i} (z - x_j) converges monotonically to
-    x_i from any start between x_{i-1} and x_i, because the polynomial is
-    real-rooted.  The first zero starts at the larger of two bounds below
-    every zero: (alpha + 1) / n, the reciprocals of the zeros summing to
-    n / (alpha + 1), and the Laguerre-Samuelson (n + alpha) - (n - 1)
-    sqrt(n + alpha), from their mean n + alpha and variance (n + alpha)(n - 1).
-    Far below the zeros a step covers about 1/n of the way: the first zero
-    takes up to 2.5 n steps at large alpha, and each gets 100 + 3 n.  Each
-    later zero starts at x_(i-1) + pi / sqrt(Q(max(x_(i-1), x*))), between
-    x_(i-1) and x_i by Sturm comparison (Szego, Orthogonal Polynomials, ch. 6):
+    Laguerre's method (Wilkinson, The Algebraic Eigenvalue Problem (1965);
+    Numerical Recipes, sect. 9.5) on the deflated polynomial
+    L_n^(alpha)(z) / prod_{j<i} (z - x_j), of degree m = n - i: with
+    G = L_n' / L_n - sum_j 1 / (z - x_j) and H = -dG/dz, each step is
+    m / (G + sign(G) sqrt((m - 1)(m H - G^2))), with L_n'' from the Laguerre
+    equation, x L_n'' = (x - alpha - 1) L_n' - n L_n.  The polynomial is
+    real-rooted, so from a start below its smallest zero x_i the method
+    converges to x_i monotonically and cubically.  The first zero starts at
+    (alpha + 1) / n, below every zero, whose reciprocals sum to
+    n / (alpha + 1).  Far below the zeros a step still covers most of the
+    way: the first zero takes 3 to 7 runs up to alpha = 40, and at most 19
+    at 384 nodes up to alpha = 5e10, so each zero gets 40.  Each later zero
+    starts at x_(i-1) + pi / sqrt(Q(max(x_(i-1), x*))), between x_(i-1) and
+    x_i by Sturm comparison (Szego, Orthogonal Polynomials, ch. 6):
     u = x^((alpha + 1) / 2) e^(-x / 2) L_n^(alpha) solves u'' + Q u = 0, with
     Q(x) = (2 n + alpha + 1) / (2 x) + (1 - alpha^2) / (4 x^2) - 1/4 falling
     on x > 0 if alpha^2 <= 1, else after its peak at
-    x* = (alpha^2 - 1) / (2 n + alpha + 1).  It takes 4 to 7 steps, mostly 4
-    or 5, to a step of at most 1e-12 z: Newton leaves about K delta^2 after a
-    step of relative size delta, far below the 12 digits the polish assumes.
-    L_n comes from laguerre_fixed at SEED_SHIFT bits, and only L_n / (x L_n')
-    becomes a float, by int true division, so nothing overflows.
+    x* = (alpha^2 - 1) / (2 n + alpha + 1).  It takes 2 to 4 runs, mostly 3,
+    to a step of at most 1e-12 z, or to L_n = 0: Laguerre's method leaves
+    about K delta^3 after a step of relative size delta, far below the 12
+    digits the polish assumes.  L_n comes from laguerre_fixed at SEED_SHIFT
+    bits, and only d = L_n / L_n' becomes a float, by int true division, so
+    nothing overflows: the step is taken as
+    m d / (g + sign(g) sqrt((m - 1)(m h - g^2))), with g = G d and h = H d^2,
+    which stay bounded at the zero.
     """
     a, b = alpha.numerator, alpha.denominator
     alpha_f, top = float(alpha), 2 * n + float(alpha) + 1
     nb, nba = n * b, n * b + a
     zeros: list[float] = []
-    z = max((alpha_f + 1) / n, n + alpha_f - (n - 1) * math.sqrt(n + alpha_f))
+    z = (alpha_f + 1) / n
     for i in range(n):
         if i:  # pi / sqrt(Q(max(x_(i-1), x*))) past the previous zero
             at = max(z, (alpha_f**2 - 1) / top)
             z += math.pi / math.sqrt(top / (2 * at) + (1 - alpha_f**2) / (4 * at * at) - 0.25)
-        for _ in range(100 + 3 * n):
+        m = n - i
+        for _ in range(40):
             values = laguerre_fixed(n, alpha, int(math.ldexp(z, SEED_SHIFT)), SEED_SHIFT)
             prev, curr = values[-2], values[-1]
+            if not curr:
+                break
             # L_n / L_n' = x b Y_n / (n b Y_n - (n b + a) Y_(n-1))
-            ratio = z * (b * curr / (nb * curr - nba * prev))
-            step = ratio / (1 - ratio * sum([1 / (z - x) for x in zeros]))
+            d = z * (b * curr / (nb * curr - nba * prev))
+            poles = [1 / (z - x) for x in zeros]
+            g = 1 - d * sum(poles)
+            h = 1 - d * ((z - alpha_f - 1) - n * d) / z - d * d * sum([p * p for p in poles])
+            root = math.sqrt(max(0.0, (m - 1) * (m * h - g * g)))
+            step = m * d / (g + math.copysign(root, g))
             z -= step
             if abs(step) <= 1e-12 * z:
                 break
@@ -234,12 +250,13 @@ def _fixed(sign: int, man: int, exp: int, bits: int) -> int:
 def _polish(z: float, n: int, alpha: Fraction, shift: int, steps: int) -> int:
     """The zero of L_n^(alpha) next to the seed z, times 2^shift, as an int.
 
-    Newton steps on X = x 2^shift with the int recurrence, each
-    X -= X L_n / (x L_n') with x L_n' = n L_n - (n + alpha) L_(n-1).  The
-    last step measures the error before it, and Newton leaves about its
-    square, so X holds its dps + 10 digits, shift - GUARD_BITS bits, only if
-    that step is at most X 2^-((shift - GUARD_BITS) // 2).  A larger one, from
-    a seed poorer than the step count assumes, raises ArithmeticError.
+    Halley steps on X = x 2^shift with the int recurrence.  With
+    D = X L_n / (x L_n') the Newton step, x L_n' = n L_n - (n + alpha) L_(n-1),
+    and L_n'' / L_n' = (x - alpha - 1 - n L_n / L_n') / x from the Laguerre
+    equation, Halley's step D / (1 - D L_n'' / (2 L_n') 2^-shift) is, with
+    alpha = a/b and c = 2 b X 2^shift, D c // (c - D (b X - (a + b) 2^shift - n b D)).
+    Each step triples the digits; _rule_entry checks that X holds its
+    dps + 10 digits.
     """
     a, b = alpha.numerator, alpha.denominator
     num, den = z.as_integer_ratio()
@@ -247,10 +264,9 @@ def _polish(z: float, n: int, alpha: Fraction, shift: int, steps: int) -> int:
     for _ in range(steps):
         values = laguerre_fixed(n, alpha, X, shift)
         prev, curr = values[-2], values[-1]
-        step = X * b * curr // (n * b * curr - (n * b + a) * prev)
-        X -= step
-    if abs(step) > X >> ((shift - GUARD_BITS) // 2):
-        raise ArithmeticError(f"rule alpha={alpha} npoints={n}: Newton polish did not converge")
+        D = X * b * curr // (n * b * curr - (n * b + a) * prev)
+        c = 2 * b * X << shift
+        X -= D * c // (c - D * (b * X - ((a + b) << shift) - n * b * D))
     return X
 
 
@@ -303,8 +319,12 @@ def _rule_entry(k: int, npoints: int, dps: int) -> tuple[int, tuple, tuple, dict
     for j <= 2 npoints - 1, all Python ints; tables, filled by _rule_sums, maps
     s to the power table (X_i^s for each node).  Builds hold _build_lock, so a
     thread that waited on another's build of the same rule counts a hit, and
-    each rule is built once.  Raises ArithmeticError if a build fails its
-    checks, ValueError if alpha <= -1 or npoints is not 1 to MAX_NODES.
+    each rule is built once.  The polish takes the fewest Halley steps t with
+    12 3^t >= dps + 10, and each node's table row also gives the Newton step
+    at the polished node: one larger than X 2^-(shift - GUARD_BITS), from a
+    seed poorer than the step count assumes, leaves X short of its dps + 10
+    digits.  Raises ArithmeticError if a build fails its checks, ValueError if
+    alpha <= -1 or npoints is not 1 to MAX_NODES.
     """
     key = (k, npoints, dps)
     entry = _cache_hit(key)
@@ -325,8 +345,10 @@ def _rule_entry(k: int, npoints: int, dps: int) -> tuple[int, tuple, tuple, dict
         seeds = _seed_zeros(alpha, npoints)
         # the recurrence at dps + 10 digits and GUARD_BITS
         shift = math.ceil((dps + 10) * math.log2(10)) + GUARD_BITS
-        # the seeds hold about 12 digits and each Newton step doubles them
-        steps = math.ceil(math.log2((dps + 10) / 12))
+        # the seeds hold about 12 digits and each Halley step triples them
+        steps, digits = 0, 12
+        while digits < dps + 10:
+            steps, digits = steps + 1, 3 * digits
         fixed_nodes = [_polish(z, npoints, alpha, shift, steps) for z in seeds]
         if fixed_nodes[0] <= 0 or any(lo >= hi for lo, hi in zip(fixed_nodes, fixed_nodes[1:])):
             raise ArithmeticError(f"rule alpha={alpha} npoints={npoints} failed its checks")
@@ -339,6 +361,11 @@ def _rule_entry(k: int, npoints: int, dps: int) -> tuple[int, tuple, tuple, dict
             values = laguerre_fixed(2 * npoints - 1, alpha, X, shift)
             # b x L_n' 2^shift, so 1 / (x L_n'^2) = b^2 X 2^shift / slope^2
             slope = npoints * b * values[npoints] - (npoints * b + a) * values[npoints - 1]
+            # the Newton step at the node, X L_n / (x L_n') = X b Y_n / slope
+            if abs(X * b * values[npoints] // slope) > X >> (shift - GUARD_BITS):
+                raise ArithmeticError(
+                    f"rule alpha={alpha} npoints={npoints}: Newton polish did not converge"
+                )
             node_scale = _root(b * b * X << shift, slope * slope, bits + 32)
             rows.append(_table_row(values, node_scale, scales, shift, bits))
         xs = tuple(_fixed(0, X, -shift, bits) for X in fixed_nodes)

@@ -7,11 +7,13 @@ imports none of them.  The exact layer, states and the methods, imports only
 exact standard-library modules, so no float or mpf routine is within its
 reach, and importing the package loads no mpmath.  Every name in a module's
 __all__ is loaded by package or benchmark code, or is kept in UNUSED_EXPORTS
-with its reason, and every package name the benchmark loads exists.
+with its reason, and every package name the benchmark loads exists.  Every
+BENCH_*.json at the repo's root parses and holds the same top-level fields.
 """
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -235,3 +237,15 @@ def test_benchmark_uses_only_names_that_exist():
         and not (module == "salpeter_qho" and name in MODULES)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(BENCHMARK_DIR.parent.glob("BENCH_*.json")), ids=lambda path: path.name
+)
+def test_bench_entries_share_one_shape(path):
+    # a hand-made BENCH entry says what it measured against which parent, on
+    # which host, by which commands, and whether its claim was met
+    entry = json.loads(path.read_text())
+    assert {"what", "parent", "host", "commands", "claim"} <= set(entry)
+    assert {"nproc", "python", "mpmath_backend"} <= set(entry["host"])
+    assert type(entry["claim"]["met"]) is bool

@@ -295,6 +295,19 @@ def float_seeds(alpha: float, n: int) -> list[float]:
     return zeros
 
 
+def recurrence_runs(monkeypatch) -> list[tuple[int, int, int]]:
+    """(n, X, shift) of each oracle.laguerre_fixed call from now on, in order."""
+    runs = []
+    evaluate = oracle.laguerre_fixed
+
+    def spy(n, alpha, X, shift):
+        runs.append((n, X, shift))
+        return evaluate(n, alpha, X, shift)
+
+    monkeypatch.setattr(oracle, "laguerre_fixed", spy)
+    return runs
+
+
 class TestSeeds:
     def test_seeds_reach_the_cap(self):
         # the double-precision seeds overflowed here
@@ -349,8 +362,9 @@ class TestSeeds:
                 assert lo < lo + math.pi / math.sqrt(q) < hi
 
     def test_few_recurrence_runs_per_zero(self, monkeypatch):
-        # about 5 runs per zero at 192 nodes from the Sturm-bounded starts,
-        # against about 11 from a hundredth of the last gap
+        # about 3 runs per zero at 192 nodes, Laguerre's method from the
+        # Sturm-bounded starts, against about 5 for Newton's and about 11
+        # for Newton's from a hundredth of the last gap
         bits = []
         evaluate = oracle.laguerre_fixed
 
@@ -361,7 +375,32 @@ class TestSeeds:
         monkeypatch.setattr(oracle, "laguerre_fixed", spy)
         monkeypatch.setattr(oracle, "_rule_cache", {})
         rule_entry(F(1, 2), 192)
-        assert 192 <= bits.count(oracle.SEED_SHIFT) <= 6 * 192
+        assert 192 <= bits.count(oracle.SEED_SHIFT) <= 3.5 * 192
+
+    def test_first_zero_far_from_zero_takes_few_runs(self, monkeypatch):
+        # the first zero at alpha = 49999 lies near 46026, far from its start
+        # (alpha + 1) / n = 521; Newton's method took 187 runs to reach it from
+        # 28831, the Laguerre-Samuelson bound
+        alpha, npoints = F(49999), 96
+        runs = recurrence_runs(monkeypatch)
+        seeds = oracle._seed_zeros(alpha, npoints)
+        start = runs[0][1]
+        assert start == int(math.ldexp(50000 / npoints, oracle.SEED_SHIFT))
+        # the first search rises to x_0, and every later run lies past it
+        first = math.ldexp(seeds[0] * (1 + 1e-9), oracle.SEED_SHIFT)
+        assert 1 < sum(X < first for _, X, _ in runs) <= 12
+
+    @pytest.mark.parametrize("dps,steps", [(15, 1), (50, 2), (120, 3)])
+    def test_halley_steps_per_node(self, monkeypatch, dps, steps):
+        # the smallest t with 12 3^t >= dps + 10: each Halley step triples the
+        # seeds' 12 digits
+        npoints = 24
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        runs = recurrence_runs(monkeypatch)
+        oracle._rule_entry(1, npoints, dps)
+        polish = [n for n, _, shift in runs if shift != oracle.SEED_SHIFT and n == npoints]
+        table = [n for n, _, shift in runs if shift != oracle.SEED_SHIFT and n != npoints]
+        assert len(polish) == steps * npoints and table == [2 * npoints - 1] * npoints
 
 
 BUCKETS = sorted({2**k for k in range(3, 12)} | {3 * 2 ** (k - 1) for k in range(3, 12)})
@@ -708,6 +747,15 @@ def laguerre_fixed_per_step(n: int, alpha: Fraction, X: int, bits: int) -> list[
 # in that order, as the build gave them before it carried running coefficients
 RULE_DIGEST_RULES = [(k, n, dps) for k in (0, 1, 3, 7) for n in (8, 12, 16, 24) for dps in (15, 50)]
 RULE_DIGEST = "603aded668690dc44d5c7388f6e7ce707bd0c7f06b8afea0db061fd2b949955a"
+# the same over the six rules of a cold benchmark pass, k = 1 at 96 nodes at
+# each polish length, and two rules at the ends of the order, as the build gave
+# them with Newton seeds and a Newton polish
+BUILDER_DIGEST_RULES = (
+    [(k, n, 50) for k in (0, 7, 9) for n in (8, 12)]
+    + [(1, 96, dps) for dps in (15, 50, 120)]
+    + [(99998, 24, 50), (-1, 8, 50)]
+)
+BUILDER_DIGEST = "06480307b2d8ebbb3dabce7d2c8e08e6fb9bc96868fafdbcabf7bc8c55877bd5"
 
 
 class TestIntBuild:
@@ -720,6 +768,14 @@ class TestIntBuild:
             bits, xs, columns, _ = oracle._rule_entry(k, npoints, dps)
             digest.update(repr((k, npoints, dps, bits, xs, columns)).encode())
         assert digest.hexdigest() == RULE_DIGEST
+
+    def test_builder_rules_match_their_golden_digest(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_rule_cache", {})
+        digest = hashlib.sha256()
+        for k, npoints, dps in BUILDER_DIGEST_RULES:
+            bits, xs, columns, _ = oracle._rule_entry(k, npoints, dps)
+            digest.update(repr((k, npoints, dps, bits, xs, columns)).encode())
+        assert digest.hexdigest() == BUILDER_DIGEST
 
     def test_recurrence_matches_the_per_step_formula(self):
         rng = random.Random(32)
