@@ -5,16 +5,20 @@ N - m even), with occupations n_a = (N - m)/2 and n_b = (N + m)/2.
 Operators act on the unnormalized Fock states |n_a n_b) = ad^n_a bd^n_b |0>,
 where a|n) = n|n - 1) and ad|n) = |n + 1), so every coefficient is an int.
 Since |n) = sqrt(n!)|n>, each path from ket to bra carries the same factor
-sqrt(n_a'! n_b'! / (n_a! n_b!)), which squared is a short rational product.
+sqrt(n_a'! n_b'! / (n_a! n_b!)), and on a closed path, from ket back to
+itself, the factors cancel.
 
 A LadderExpr is one int polynomial in (n_a, n_b) per shift (dn_a, dn_b):
 its image of |n_a n_b) at that shift has coefficient sum c n_a^i n_b^j.
 The four generators are such forms, mono composes them, sums merge the
 polynomials shift by shift and a product composes them pairwise, so a
 product costs shifts times shifts.  Coefficients are ints; any other raises
-TypeError.  The corrections apply (p^2)^2 and (p^2)^3, built once at
-import, and build one Fraction per result; one evaluator, _poly, reads
-every shift.
+TypeError.  The corrections read one diagonal each, built once at import,
+and build one Fraction per result.  eps1 is -1/8 of (p^2)^2's diagonal.
+eps2 is W's diagonal over 256, where W is 16 (p^2)^3 plus, for each shift
+h = +-1, +-2 of (p^2)^2, the closed path out at h and back at -h, weighted
+by part II's resolvent -2/h: closed paths need no normalization, so no
+factorial ratio enters.  One evaluator, _poly, reads every shift.
 
 The form is canonical: two LadderExprs act alike on every Fock state
 exactly when they are equal.  Each polynomial gives the image coefficient at
@@ -170,13 +174,6 @@ def _diagonal(expr: LadderExpr, s: FockState2D) -> int:
     return 0
 
 
-def _factorial_ratio(top: int, bottom: int) -> tuple[int, int]:
-    """top!/bottom! as (numerator, denominator), one of them the short product between the two."""
-    if top >= bottom:
-        return math.perm(top, top - bottom), 1
-    return 1, math.perm(bottom, bottom - top)
-
-
 def p2_expr() -> LadderExpr:
     """p^2 in units hbar m omega: ad.a + bd.b - ad.bd - a.b + 1."""
     m = LadderExpr.mono
@@ -215,29 +212,30 @@ def p4_expr() -> LadderExpr:
     return ops["K0"] + ops["R4"] + ops["L4"] + ops["R2"] + ops["L2"]
 
 
-# LadderExpr is immutable, so the powers of p^2 that the corrections apply are
+def _second_order_operator(p4: LadderExpr, p6: LadderExpr) -> LadderExpr:
+    """W = 256 eps2 as one diagonal operator: 16 (p^2)^3's diagonal, part I,
+    plus part II's closed paths.
+
+    p^4 keeps m, so its entry B(h) at shift (h, h) takes N to N' = N + 2h.  The
+    path out with B(h) and back with B(-h) takes |n) to c_(-h)(n + h) c_h(n)|n),
+    which is |<N'|p^4|N>|^2, since the normalizations of |n) and |n + h) cancel
+    on a closed path; its resolvent 1/(64 (N - N')) = -1/(128 h) is -2/h over 256.
+    """
+
+    def at(expr: LadderExpr, h: int) -> LadderExpr:
+        return LadderExpr(tuple(entry for entry in expr.form if entry[:2] == (h, h)))
+
+    w = LadderExpr.one(16) * at(p6, 0)
+    for h in (-2, -1, 1, 2):
+        w = w + LadderExpr.one(-2 // h) * at(p4, -h) * at(p4, h)
+    return w
+
+
+# LadderExpr is immutable, so the operators that the corrections apply are
 # built once, at import
 _P4 = p2_expr() * p2_expr()
 _P6 = _P4 * p2_expr()
-
-
-def _part2(s: FockState2D) -> tuple[int, int]:
-    """Part II as (numerator, denominator): sum |<N',m|p^4|N,m>|^2 / (64 (N - N')), N' != N.
-
-    p^4 keeps m, so each shift moves both occupations by h; those with h != 0,
-    the R2, L2, R4 and L4 blocks, reach N' = N + 2h with the squared element
-    c^2 (n_a+h)!/n_a! (n_b+h)!/n_b!.  A zero c, past the vacuum, is skipped.
-    """
-    n_a, n_b = s.n_a, s.n_b
-    num, total = 0, 1
-    for h, _, monomials in _P4.form:
-        c = h and _poly(monomials, n_a, n_b)
-        if c:
-            ra, sa = _factorial_ratio(n_a + h, n_a)
-            rb, sb = _factorial_ratio(n_b + h, n_b)
-            step = -2 * h * sa * sb  # N - N'
-            num, total = num * step + c * c * ra * rb * total, total * step
-    return num, 64 * total
+_W = _second_order_operator(_P4, _P6)
 
 
 def first_order_2d(s: FockState2D) -> Fraction:
@@ -246,10 +244,8 @@ def first_order_2d(s: FockState2D) -> Fraction:
 
 
 def second_order_2d(s: FockState2D) -> Fraction:
-    """Full 2D second-order correction as one Fraction: part I, the diagonal
-    of (p^2)^3 over 16, plus part II from the squared N-changing elements of (p^2)^2."""
-    num, total = _part2(s)
-    return Fraction(_diagonal(_P6, s) * total + 16 * num, 16 * total)
+    """Full 2D second-order correction as one Fraction, the diagonal of W over 256."""
+    return Fraction(_diagonal(_W, s), 256)
 
 
 def map_Nm_to_nl(s: FockState2D) -> QuantumNumbers:

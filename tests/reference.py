@@ -9,14 +9,16 @@ recurrences and its exact radial residual to these.
 _apply is a LadderExpr's image of one unnormalized Fock state, and
 matrix_element_squared and expectation its exact single transition
 amplitudes and diagonal elements, which the tests hold the ladder's
-operator algebra and corrections to.
+operator algebra and corrections to; _factorial_ratio gives the
+normalization of a single transition as a short int product.
 """
 
+import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from salpeter_qho.ladder2d import FockState2D, LadderExpr, _diagonal, _factorial_ratio, _poly
+from salpeter_qho.ladder2d import FockState2D, LadderExpr, _diagonal, _poly
 from salpeter_qho.oracle import _to_mpf
 from salpeter_qho.states import QuantumNumbers, UnsupportedDimension
 
@@ -93,6 +95,13 @@ def _apply(expr: LadderExpr, n_a: int, n_b: int) -> dict[tuple[int, int], int]:
         if c:
             image[n_a + da, n_b + db] = c
     return image
+
+
+def _factorial_ratio(top: int, bottom: int) -> tuple[int, int]:
+    """top!/bottom! as (numerator, denominator), one of them the short product between the two."""
+    if top >= bottom:
+        return math.perm(top, top - bottom), 1
+    return 1, math.perm(bottom, bottom - top)
 
 
 def matrix_element_squared(expr: LadderExpr, bra: FockState2D, ket: FockState2D) -> Fraction:

@@ -96,8 +96,8 @@ def kramers_angular_off_by_one(q, s):
     return curr.numerator, curr.denominator
 
 
-_factorial_ratio = ladder2d._factorial_ratio
 _p4_operators = ladder2d.p4_operators
+_second_order_operator = ladder2d._second_order_operator
 _shifted = ladder2d._shifted
 
 
@@ -115,10 +115,12 @@ def shifted_cross_species(monomials, da, db):
     return _shifted(monomials, da, db + (da > 0))
 
 
-# (p^2)^2 composed under that fault, as the corrections would apply it had it
-# been built so at import
+# (p^2)^2 and W composed under that fault, as the corrections would apply them
+# had they been built so at import
 with mock.patch.object(ladder2d, "_shifted", shifted_cross_species):
     P4_CROSS_SPECIES = ladder2d.p2_expr() * ladder2d.p2_expr()
+    P6_CROSS_SPECIES = P4_CROSS_SPECIES * ladder2d.p2_expr()
+    W_CROSS_SPECIES = _second_order_operator(P4_CROSS_SPECIES, P6_CROSS_SPECIES)
 
 
 _degeneracy_level = spectrum.degeneracy_level
@@ -209,11 +211,15 @@ FAULTS = {
         kramers_angular_off_by_one,
         {"first_order", "oracle"},
     ),
-    # part II's int normalization (n'!/n! as numerator, denominator), upside down
-    "ladder-factorial-ratio-inverted": (
+    # W's closed paths weighted by N' - N in place of N - N', +2/h for -2/h:
+    # W is part I plus the paths, so with part I alone, W built from a zero
+    # (p^2)^2, the flipped W is twice part I less W
+    "ladder-resolvent-sign-flipped": (
         ladder2d,
-        "_factorial_ratio",
-        lambda top, bottom: _factorial_ratio(bottom, top),
+        "_W",
+        ladder2d.LadderExpr.one(2)
+        * _second_order_operator(ladder2d.LadderExpr.one(0), ladder2d._P6)
+        - ladder2d._W,
         {"ladder"},
     ),
     # the (p^2)^2 whose diagonal first_order_2d applies, with one extra ad.a
@@ -224,19 +230,19 @@ FAULTS = {
         ladder2d._P4 + ladder2d.LadderExpr.mono("ad", "a"),
         {"ladder"},
     ),
-    # the (p^2)^3 whose diagonal second_order_2d applies, with one extra ad.a term
+    # W built from a (p^2)^3 with one extra ad.a term
     "ladder-p6-extra-term": (
         ladder2d,
-        "_P6",
-        ladder2d._P6 + ladder2d.LadderExpr.mono("ad", "a"),
+        "_W",
+        _second_order_operator(ladder2d._P4, ladder2d._P6 + ladder2d.LadderExpr.mono("ad", "a")),
         {"ladder"},
     ),
-    # the (p^2)^2 whose N-changing shifts part II sums, with one extra ad.bd
-    # term at R2's shift
+    # W built from a (p^2)^2 with one extra ad.bd term at R2's shift, which
+    # only W's closed paths read
     "ladder-hopping-extra-term": (
         ladder2d,
-        "_P4",
-        ladder2d._P4 + ladder2d.LadderExpr.mono("ad", "bd"),
+        "_W",
+        _second_order_operator(ladder2d._P4 + ladder2d.LadderExpr.mono("ad", "bd"), ladder2d._P6),
         {"ladder"},
     ),
     # p^4 as printed, built afresh by the self-test; the corrections apply
@@ -255,11 +261,18 @@ FAULTS = {
         shifted_cross_species,
         {"operator_self_test"},
     ),
-    # the (p^2)^2 of the corrections, composed under the same fault
+    # the (p^2)^2 of eps1, composed under the same fault
     "ladder-composition-cross-species-p4": (
         ladder2d,
         "_P4",
         P4_CROSS_SPECIES,
+        {"ladder"},
+    ),
+    # the W of eps2, built under the same fault
+    "ladder-composition-cross-species-w": (
+        ladder2d,
+        "_W",
+        W_CROSS_SPECIES,
         {"ladder"},
     ),
     "degeneracy-off-by-one": (

@@ -35,8 +35,14 @@ def part1(s):
 
 
 def part2(s):
-    """Part II of the 2D second-order correction, from the squared hopping transitions."""
-    return F(*ladder2d._part2(s))
+    """Part II of the 2D second-order correction, sum |<N',m|(p^2)^2|N,m>|^2 / (64 (N - N'))
+    over N' = N +- 2, N +- 4, each squared element normalized on its own."""
+    total = F(0)
+    for N in (s.N - 4, s.N - 2, s.N + 2, s.N + 4):
+        if N >= abs(s.m):
+            bra = FockState2D(N, s.m)
+            total += matrix_element_squared(ladder2d._P4, bra, s) / (64 * (s.N - N))
+    return total
 
 
 def images(expr, ket, N_max):
@@ -449,6 +455,29 @@ class TestCorrections2D:
         q = map_Nm_to_nl(s)
         assert first_order_2d(s) == epsilon1_general(q)
         assert second_order_2d(s) == epsilon2_general(q)
+
+
+class TestSecondOrderOperator:
+    """W, whose diagonal second_order_2d reads, against part I and part II summed apart."""
+
+    def test_diagonal_is_both_parts_on_the_grid(self):
+        for s in ladder_grid(40):
+            assert expectation(ladder2d._W, s) == 256 * (part1(s) + part2(s))
+
+    @given(n_a=occupations, n_b=occupations)
+    def test_diagonal_is_both_parts_at_large_occupations(self, n_a, n_b):
+        s = FockState2D(n_a + n_b, n_b - n_a)
+        assert expectation(ladder2d._W, s) == 256 * (part1(s) + part2(s))
+
+    def test_shape(self):
+        # one diagonal, of total degree 3 like (p^2)^3's, with all 10 monomials,
+        # and symmetric under n_a <-> n_b, as eps2 depends on m only through m^2
+        ((da, db, monomials),) = ladder2d._W.form
+        assert (da, db) == (0, 0)
+        assert sorted((i, j) for _, i, j in monomials) == [
+            (i, j) for i in range(4) for j in range(4 - i)
+        ]
+        assert sorted(monomials) == sorted((c, j, i) for c, i, j in monomials)
 
 
 class TestMapAndBuild:

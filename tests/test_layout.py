@@ -156,9 +156,13 @@ def test_radial_residual_is_exact():
 
 def test_ladder_corrections_do_not_read_the_printed_blocks():
     # the corrections apply powers of p^2, so the paper's p^4 blocks, which the
-    # self-test compares with (p^2)^2, stay an independent check
-    for name in ("first_order_2d", "second_order_2d", "_part2"):
-        assert loaded_names("ladder2d", name).isdisjoint({"p4_operators", "p4_expr"}), name
+    # self-test compares with (p^2)^2, stay an independent check; and they read
+    # closed paths only, which need no factorial normalization
+    for name in ("first_order_2d", "second_order_2d", "_second_order_operator"):
+        loaded = loaded_names("ladder2d", name)
+        assert loaded.isdisjoint({"p4_operators", "p4_expr"}), name
+        assert loaded.isdisjoint({"perm", "factorial", "_factorial_ratio"}), name
+    assert "_W" in loaded_names("ladder2d", "second_order_2d")
 
 
 def test_scan_sees_package_imports():

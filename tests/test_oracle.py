@@ -330,10 +330,9 @@ class TestSeeds:
         # the zeros sit near alpha, with gaps far smaller than the zeros.  Each
         # later start is the Sturm bound on the gap past the previous zero, which
         # stays below the next zero however close they sit; at 12 and 24 nodes a
-        # start a hundredth of the first zero past it would pass the second.  The
-        # first zero takes more than 100 Newton steps (96 nodes: 187 at
-        # alpha = 49999), and from (alpha + 1) / n more than 100 + 3 n (486 at
-        # alpha = 4999999)
+        # start a hundredth of the first zero past it would pass the second.  From
+        # (alpha + 1) / n, Laguerre's method takes the first zero in 11 runs at
+        # 96 nodes, at alpha = 49999 and at alpha = 4999999, of the 40 each zero gets
         alpha = F(alpha)
         entry = bits, xs, _, _ = rule_entry(alpha, npoints)
         seeds = oracle._seed_zeros(alpha, npoints)
