@@ -1,6 +1,7 @@
 """Command-line interface: correct | table | diagram | verify | oracle.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an input that
+runs out of memory too), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -326,7 +327,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     with mp.workdps(max(mp.dps, dps)):
-        return args.func(args)
+        try:
+            return args.func(args)
+        except MemoryError:
+            # an input too large for the memory is a usage error, not a failed verification
+            print(f"error: {args.command} ran out of memory; try a smaller input", file=sys.stderr)
+            return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -34,10 +34,9 @@ dropped, so those give equal forms.  Operator identities, such as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .states import InvalidQuantumNumbers, QuantumNumbers
+from .states import InvalidQuantumNumbers, QuantumNumbers, _Frozen
 
 __all__ = [
     "FockState2D",
@@ -60,16 +59,16 @@ GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class FockState2D:
-    N: int
-    m: int
+class FockState2D(_Frozen):
+    __slots__ = _fields = ("N", "m")
 
-    def __post_init__(self):
-        if not isinstance(self.N, int) or not isinstance(self.m, int):
-            raise InvalidQuantumNumbers(f"N and m must be integers, got N={self.N!r}, m={self.m!r}")
-        if self.N < 0 or abs(self.m) > self.N or (self.N - self.m) % 2 != 0:
-            raise InvalidQuantumNumbers(f"invalid 2D state (N={self.N}, m={self.m})")
+    def __init__(self, N: int, m: int):
+        if not isinstance(N, int) or not isinstance(m, int):
+            raise InvalidQuantumNumbers(f"N and m must be integers, got N={N!r}, m={m!r}")
+        if N < 0 or abs(m) > N or (N - m) % 2 != 0:
+            raise InvalidQuantumNumbers(f"invalid 2D state (N={N}, m={m})")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "m", m)
 
     @property
     def n_a(self) -> int:
@@ -80,15 +79,17 @@ class FockState2D:
         return (self.N + self.m) // 2
 
 
-@dataclass(frozen=True)
-class LadderExpr:
+class LadderExpr(_Frozen):
     """An int-coefficient operator in its canonical form.
 
     An entry (da, db, ((c, i, j), ...)) of `form` takes |n_a n_b) to
     sum(c n_a^i n_b^j) |n_a + da, n_b + db).
     """
 
-    form: tuple[tuple, ...]
+    __slots__ = _fields = ("form",)
+
+    def __init__(self, form: tuple[tuple, ...]):
+        object.__setattr__(self, "form", form)
 
     @classmethod
     def mono(cls, *gens: str, coeff=1) -> "LadderExpr":
@@ -249,5 +250,6 @@ def second_order_2d(s: FockState2D) -> Fraction:
 
 
 def map_Nm_to_nl(s: FockState2D) -> QuantumNumbers:
-    """Polar (N, m) to radial (d=2, n=(N-|m|)/2, l=|m|)."""
-    return QuantumNumbers(2, Fraction(s.N - abs(s.m), 2), abs(s.m))
+    """Polar (N, m) to radial (d=2, n=(N-|m|)/2, l=|m|); N - m is even, so n is an int."""
+    m = abs(s.m)
+    return QuantumNumbers(2, (s.N - m) // 2, m)

@@ -1,8 +1,9 @@
 """Degeneracies, level splitting, level tables, diagram data and the
 Landau-analogue energies.
 
-Table values are exact rationals; renderers print them as "p/q". A
-LevelRow is a NamedTuple whose field order is the CSV column order, and
+Table values are exact rationals; renderers print them as "p/q". The
+records LevelRow, LevelTable, DiagramLevel and DiagramModel are
+NamedTuples. A LevelRow's field order is the CSV column order, and
 level_table builds each row positionally. The renderers write their text
 directly with one %-template per row or sub-level, so each Fraction goes
 through str once: render_csv formats the row tuple as it is, and
@@ -17,7 +18,6 @@ range, and formats the x columns of the sub-levels once per sub-level count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
@@ -89,8 +89,7 @@ class LevelRow(NamedTuple):
     degeneracy: int
 
 
-@dataclass(frozen=True)
-class LevelTable:
+class LevelTable(NamedTuple):
     d: int
     lam: Fraction
     rows: tuple[LevelRow, ...]
@@ -152,15 +151,13 @@ def landau_analogue(q: float, k: float, mass: float, N_max: int = 10, hbar: floa
     }
 
 
-@dataclass(frozen=True)
-class DiagramLevel:
+class DiagramLevel(NamedTuple):
     N: int
     baseline: Fraction
     sublevels: tuple[tuple[int, Fraction, int], ...]  # (l, shifted position, degeneracy)
 
 
-@dataclass(frozen=True)
-class DiagramModel:
+class DiagramModel(NamedTuple):
     d: int
     lam: Fraction
     exaggeration: Fraction

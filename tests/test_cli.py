@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from salpeter_qho import kramers, oracle
+from salpeter_qho import kramers, oracle, spectrum
 from salpeter_qho.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -306,6 +306,17 @@ class TestUsageErrors:
         assert code == 2
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["table", "diagram"])
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch, command):
+        # a level table too large for the host ends in one error line and exit 2, not a traceback
+        def exhaust(N_max, d, lam):
+            raise MemoryError
+
+        monkeypatch.setattr(spectrum, "level_table", exhaust)
+        code, out, err = run(capsys, command, "--d", "3", "--Nmax", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} ran out of memory; try a smaller input\n"
 
     def test_precision_is_scoped(self, capsys):
         with mp.workdps(20):

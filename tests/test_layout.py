@@ -5,7 +5,8 @@ another's code, so corrections, kramers, laguerre_me and ladder2d may import
 nothing from the package but states, and the oracle, which checks them,
 imports none of them.  The exact layer, states and the methods, imports only
 exact standard-library modules, so no float or mpf routine is within its
-reach, and importing the package loads no mpmath.  Every name in a module's
+reach, importing the package loads no mpmath, and importing the CLI loads
+neither dataclasses nor inspect.  Every name in a module's
 __all__ is loaded by package or benchmark code, or is kept in UNUSED_EXPORTS
 with its reason, and every package name the benchmark loads exists.  Every
 BENCH_*.json at the repo's root parses and holds the same top-level fields.
@@ -28,7 +29,7 @@ PACKAGE_DIR = Path(salpeter_qho.__path__[0])
 MODULES = sorted(m.name for m in pkgutil.iter_modules(salpeter_qho.__path__))
 METHODS = ["corrections", "kramers", "laguerre_me", "ladder2d"]
 # all the exact layer may import: Fractions, ints and plain data
-EXACT_STDLIB = {"__future__", "dataclasses", "fractions", "functools", "math"}
+EXACT_STDLIB = {"__future__", "fractions", "functools", "math"}
 
 
 def imported_modules(module: str) -> set[str]:
@@ -104,6 +105,23 @@ assert "mpmath" not in sys.modules, "mpmath loaded"
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_cli_imports_no_introspection_modules():
+    # dataclasses would pull in inspect, ast, dis and tokenize, which no run of the
+    # package needs; compare sys.modules around the import, so that modules a site
+    # hook loads at start-up do not count
+    code = """
+import sys
+before = set(sys.modules)
+import salpeter_qho.cli
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+"""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 def test_oracle_imports_no_method():

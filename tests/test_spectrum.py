@@ -1,8 +1,10 @@
 """Degeneracies, level tables, diagram data and the Landau analogue."""
 
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -275,6 +277,52 @@ class TestLevelRow:
         assert (row.N, row.l) == (2, 0)
         assert LevelRow(**row._asdict()) == LevelRow(*row) == row
         assert row._replace(l=2) != row
+
+
+class TestRecords:
+    TABLE = level_table(1, 3, F(1, 10))
+    MODEL = diagram_data(TABLE)
+    # the reprs the frozen dataclasses gave
+    ROWS = (
+        "(LevelRow(N=0, l=0, eps0=Fraction(3, 2), eps1=Fraction(-15, 32), eps2=Fraction(255, 512), "
+        "energy=Fraction(14931, 10240), degeneracy=1), LevelRow(N=1, l=1, eps0=Fraction(5, 2), "
+        "eps1=Fraction(-35, 32), eps2=Fraction(735, 512), energy=Fraction(24627, 10240), "
+        "degeneracy=3))"
+    )
+    LEVEL_0 = (
+        "DiagramLevel(N=0, baseline=Fraction(3, 2), sublevels=((0, Fraction(14931, 10240), 1),))"
+    )
+    LEVEL_1 = (
+        "DiagramLevel(N=1, baseline=Fraction(5, 2), sublevels=((1, Fraction(24627, 10240), 3),))"
+    )
+    MODEL_HEAD = "DiagramModel(d=3, lam=Fraction(1, 10), exaggeration=Fraction(1, 1), levels="
+    RECORDS = [
+        (TABLE, f"LevelTable(d=3, lam=Fraction(1, 10), rows={ROWS})"),
+        (MODEL.levels[0], LEVEL_0),
+        (MODEL, f"{MODEL_HEAD}({LEVEL_0}, {LEVEL_1}))"),
+    ]
+    IDS = ["LevelTable", "DiagramLevel", "DiagramModel"]
+
+    @pytest.mark.parametrize("record,text", RECORDS, ids=IDS)
+    def test_immutable_with_the_dataclass_repr(self, record, text):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 0)
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("record,text", RECORDS, ids=IDS)
+    def test_copies_are_equal(self, record, text):
+        for other in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(other) is type(record) and other == record and repr(other) == text
+
+    def test_records_are_tuples(self):
+        d, lam, rows = self.TABLE
+        assert self.TABLE == (3, F(1, 10), rows) and rows == self.TABLE.rows
+        N, baseline, sublevels = self.MODEL.levels[0]
+        assert (N, baseline, sublevels) == (0, F(3, 2), ((0, F(14931, 10240), 1),))
+        assert self.MODEL == (d, lam, F(1), self.MODEL.levels)
+        assert LevelTable(*self.TABLE) == LevelTable(**self.TABLE._asdict()) == self.TABLE
+        assert DiagramModel(*self.MODEL) == self.MODEL
+        assert DiagramLevel(*self.MODEL.levels[0]) == self.MODEL.levels[0]
 
 
 class TestLandau:

@@ -1,5 +1,7 @@
 """Quantum numbers and energies, and the reference Laguerre recurrence and radial eigenfunction."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from salpeter_qho.ladder2d import FockState2D, LadderExpr, p2_expr
 from salpeter_qho.states import (
     InvalidQuantumNumbers,
     QuantumNumbers,
@@ -42,6 +45,25 @@ class TestQuantumNumbers:
         with pytest.raises(InvalidQuantumNumbers):
             QuantumNumbers(d, n, l)
 
+    @pytest.mark.parametrize(
+        "d,n,l,message",
+        [
+            # the checks run in this order: d, l, the sign of n, then its integrality
+            (-1, -1, -1, "dimension must be an integer >= 1, got -1"),
+            (2.0, 0, 0, "dimension must be an integer >= 1, got 2.0"),
+            (3, -1, 1.0, "l must be a non-negative integer, got 1.0"),
+            (3, F(-1, 2), 0, "n must be non-negative, got -1/2"),
+            (1, F(-1, 3), 1, "n must be non-negative, got -1/3"),
+            (1, F(1, 3), 1, "d=1 requires l=0"),
+            (1, "1/4", 0, "d=1 requires 2n integer, got n=1/4"),
+            (2, 0.5, 0, "d>=2 requires integer n, got 1/2"),
+        ],
+    )
+    def test_invalid_message(self, d, n, l, message):
+        with pytest.raises(InvalidQuantumNumbers) as info:
+            QuantumNumbers(d, n, l)
+        assert str(info.value) == message
+
     def test_one_dim_is_half_integer(self):
         q = QuantumNumbers.one_dim(3)
         assert q.n == F(3, 2) and q.l == 0 and q.big_N == 3
@@ -59,6 +81,52 @@ class TestQuantumNumbers:
         other = QuantumNumbers(q.d, q.n, q.l)
         object.__setattr__(other, "big_N", q.big_N + 1)
         assert other == q and hash(other) == hash(q) and repr(other) == repr(q)
+
+
+# each immutable value type, one instance of it, and the repr a frozen dataclass gave
+VALUE_TYPES = [
+    (QuantumNumbers(3, 1, 2), "QuantumNumbers(d=3, n=Fraction(1, 1), l=2)"),
+    (QuantumNumbers.one_dim(3), "QuantumNumbers(d=1, n=Fraction(3, 2), l=0)"),
+    (FockState2D(4, -2), "FockState2D(N=4, m=-2)"),
+    (LadderExpr.mono("a", "b", coeff=-4), "LadderExpr(form=((-1, -1, ((-4, 1, 1),)),))"),
+]
+VALUE_IDS = ["QuantumNumbers", "one_dim", "FockState2D", "LadderExpr"]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("value,text", VALUE_TYPES, ids=VALUE_IDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, value, text):
+        for name in ("d", "n", "l", "big_N", "N", "m", "form", "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+    @pytest.mark.parametrize("value,text", VALUE_TYPES, ids=VALUE_IDS)
+    def test_repr_is_the_dataclass_repr(self, value, text):
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value,text", VALUE_TYPES, ids=VALUE_IDS)
+    def test_copies_are_equal(self, value, text):
+        for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(other) is type(value)
+            assert other == value and hash(other) == hash(value) and repr(other) == text
+        if isinstance(value, QuantumNumbers):
+            assert copy.deepcopy(value).big_N == value.big_N
+
+    def test_equality_is_by_field_values(self):
+        q = QuantumNumbers(2, 3, 1)
+        assert q == QuantumNumbers(2, F(3), 1) and hash(q) == hash(QuantumNumbers(2, F(3), 1))
+        assert q == QuantumNumbers(d=2, n=3, l=1) and q != QuantumNumbers(2, 3, 0)
+        # as with a dataclass, only the same type compares equal, never a tuple of the fields
+        assert q != (2, F(3), 1) and FockState2D(2, 0) != (2, 0)
+        assert hash(FockState2D(2, 0)) == hash((2, 0))
+        assert p2_expr() == p2_expr() and hash(p2_expr()) == hash((p2_expr().form,))
+
+    def test_n_is_a_fraction(self):
+        for n in (3, F(3), "3", F(6, 2)):
+            q = QuantumNumbers(2, n, 1)
+            assert type(q.n) is Fraction and q.n == 3 and q.big_N == 7
 
 
 class TestEnergy:
