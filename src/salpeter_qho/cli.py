@@ -1,7 +1,8 @@
 """Command-line interface: correct | table | diagram | verify | oracle.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an input that
-runs out of memory too), 3 I/O error.
+runs out of memory too, and a diagram past MAX_DIAGRAM_SUBLEVELS, refused
+before any work), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .oracle import _to_mpf
 from .states import InvalidQuantumNumbers, QuantumNumbers, energy_unperturbed
 
 USAGE_ERROR, VERIFY_ERROR, IO_ERROR = 2, 1, 3
+MAX_DIAGRAM_SUBLEVELS = 50_000  # an SVG with more sub-levels than this is not a diagram
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -137,8 +139,25 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _sublevel_count(N_max: int, d: int) -> int:
+    """Rows of level_table(N_max, d, lam): N_max + 1 at d = 1, else one per l
+    of N's parity for each N <= N_max, sum_N (N // 2 + 1), which is
+    (N_max // 2 + 1) ((N_max + 1) // 2 + 1)."""
+    if d == 1:
+        return N_max + 1
+    return (N_max // 2 + 1) * ((N_max + 1) // 2 + 1)
+
+
 def cmd_diagram(args) -> int:
     try:
+        # refused before any work; an invalid input gets level_table's own error
+        if args.lam > 0 and args.d >= 1 and args.Nmax >= 0:
+            count = _sublevel_count(args.Nmax, args.d)
+            if count > MAX_DIAGRAM_SUBLEVELS:
+                raise ValueError(
+                    f"diagram of {count} sub-levels exceeds MAX_DIAGRAM_SUBLEVELS = "
+                    f"{MAX_DIAGRAM_SUBLEVELS}; try a smaller --Nmax"
+                )
         table = spectrum.level_table(args.Nmax, args.d, args.lam)
         model = spectrum.diagram_data(table, exaggeration=args.exaggeration)
         text = spectrum.render_svg(model)

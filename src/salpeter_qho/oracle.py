@@ -41,15 +41,18 @@ straight from the int L_k(x_i) 2^P, times c_k sqrt(w_i) = sqrt(rho_k) /
 int ratio rho_k = k! Gamma(n + alpha + 1) / (n! Gamma(k + alpha + 1)) and of
 1 / (x_i L_n'(x_i)^2) from the node's ints, so the table is int from end to
 end.  A sum on one rule is then one int sum, sum_i X_i^s Q_(i,n1) Q_(i,n2) =
-<u_n1|eta^s|u_n2> 2^(B (s + 2)).  The only other thing kept is derived from a
-rule: its power table, (X_i^s for each node), made on the first sum of power
-s on the rule and kept in the rule's own cache entry, so a cache that is
-dropped takes its power tables with it.  Every order asked for is a
-half-integer, carried as one int k = 2 alpha = 2 l + d - 2, and the cache is
-keyed by ints only, (k, npoints, dps), so (d, l) = (2, 3), (4, 2) and (6, 1)
-share their rules.  A hit reads the cache without a lock, which only the hit
-count takes, so a warm oracle call makes no Fraction; rules are built one at
-a time, so each is built once.
+<u_n1|eta^s|u_n2> 2^(B (s + 2)).  The only other things kept are derived
+from a rule, each made on first use and kept in the rule's own cache entry,
+so a cache that is dropped takes them with it: its power tables,
+(X_i^s for each node) made on the first sum of power s, and its squared
+columns, (Q_in^2 for each node) made on the first diagonal sum of column n.
+A diagonal element <u_n|eta^s|u_n> is then sum_i X_i^s Q_in^2, one int
+product per node, and the same square serves every s.  Every order asked
+for is a half-integer, carried as one int k = 2 alpha = 2 l + d - 2, and the
+cache is keyed by ints only, (k, npoints, dps), so (d, l) = (2, 3), (4, 2)
+and (6, 1) share their rules.  A hit reads the cache without a lock, which
+only the hit count takes, so a warm oracle call makes no Fraction; rules are
+built one at a time, so each is built once.
 Each build checks its polish (the Newton step at each polished node, read
 off the node's table row, small enough for X to hold dps + 10 digits), its
 nodes (positive, strictly increasing) and sum_i Q_i0^2 = <p_0|p_0> 2^(2B)
@@ -113,8 +116,8 @@ MAX_NODES = 384  # the fine rule of <eta^2> at n = 250
 SEED_SHIFT = 64  # fixed-point bits of the seeds: a double's mantissa at the smallest zero
 GUARD_BITS = 32  # of the polish, beyond the dps + 10 digits each node holds
 
-# (k, npoints, dps) -> (bits, xs, columns, tables) of the rule at alpha = k/2,
-# see _rule_entry: keys of ints only, read without a lock
+# (k, npoints, dps) -> (bits, xs, columns, tables, squares) of the rule at
+# alpha = k/2, see _rule_entry: keys of ints only, read without a lock
 _rule_cache: dict = {}
 _rule_lock = threading.Lock()  # guards _rule_stats and each store into _rule_cache
 _build_lock = threading.Lock()  # one rule build at a time
@@ -301,34 +304,29 @@ def _table_row(values: list[int], node_scale, scales: list, shift: int, bits: in
     ]
 
 
-def _cache_hit(key: tuple) -> tuple | None:
-    """The entry of _rule_cache at key, read without the lock and counted as a
-    hit, or None."""
+def _rule_entry(k: int, npoints: int, dps: int) -> tuple[int, tuple, tuple, dict, dict]:
+    """The cache entry (bits, xs, columns, tables, squares) of the rule at
+    alpha = k/2 and dps digits, keyed (k, npoints, dps) and built on a miss.
+
+    xs[i] = round(x_i 2^bits) and columns[j][i] = round(sqrt(w_i) p_j(x_i) 2^bits)
+    for j <= 2 npoints - 1, all Python ints.  The two dicts start empty and
+    _rule_sums fills them: tables maps s to the power table (X_i^s for each
+    node), and squares maps n to the squared column (columns[n][i]^2 for each
+    node).  A hit reads the cache without a lock and counts itself under
+    _rule_lock.  Builds hold _build_lock, so a thread that waited on another's
+    build of the same rule counts a hit, and each rule is built once.  The
+    polish takes the fewest Halley steps t with 12 3^t >= dps + 10, and each
+    node's table row also gives the Newton step at the polished node: one
+    larger than X 2^-(shift - GUARD_BITS), from a seed poorer than the step
+    count assumes, leaves X short of its dps + 10 digits.  Raises
+    ArithmeticError if a build fails its checks, ValueError if alpha <= -1 or
+    npoints is not 1 to MAX_NODES.
+    """
+    key = (k, npoints, dps)
     entry = _rule_cache.get(key)
     if entry is not None:
         with _rule_lock:
             _rule_stats["hits"] += 1
-    return entry
-
-
-def _rule_entry(k: int, npoints: int, dps: int) -> tuple[int, tuple, tuple, dict]:
-    """The cache entry (bits, xs, columns, tables) of the rule at alpha = k/2
-    and dps digits, keyed (k, npoints, dps) and built on a miss.
-
-    xs[i] = round(x_i 2^bits) and columns[j][i] = round(sqrt(w_i) p_j(x_i) 2^bits)
-    for j <= 2 npoints - 1, all Python ints; tables, filled by _rule_sums, maps
-    s to the power table (X_i^s for each node).  Builds hold _build_lock, so a
-    thread that waited on another's build of the same rule counts a hit, and
-    each rule is built once.  The polish takes the fewest Halley steps t with
-    12 3^t >= dps + 10, and each node's table row also gives the Newton step
-    at the polished node: one larger than X 2^-(shift - GUARD_BITS), from a
-    seed poorer than the step count assumes, leaves X short of its dps + 10
-    digits.  Raises ArithmeticError if a build fails its checks, ValueError if
-    alpha <= -1 or npoints is not 1 to MAX_NODES.
-    """
-    key = (k, npoints, dps)
-    entry = _cache_hit(key)
-    if entry is not None:
         return entry
     alpha = Fraction(k, 2)
     if alpha <= -1:
@@ -336,11 +334,11 @@ def _rule_entry(k: int, npoints: int, dps: int) -> tuple[int, tuple, tuple, dict
     if not 1 <= npoints <= MAX_NODES:
         raise ValueError(f"npoints must be 1 to MAX_NODES = {MAX_NODES}, got {npoints}")
     with _build_lock:
-        entry = _cache_hit(key)
+        entry = _rule_cache.get(key)
+        with _rule_lock:
+            _rule_stats["misses" if entry is None else "hits"] += 1
         if entry is not None:
             return entry
-        with _rule_lock:
-            _rule_stats["misses"] += 1
         start = time.perf_counter()
         seeds = _seed_zeros(alpha, npoints)
         # the recurrence at dps + 10 digits and GUARD_BITS
@@ -374,7 +372,7 @@ def _rule_entry(k: int, npoints: int, dps: int) -> tuple[int, tuple, tuple, dict
         one = 1 << 2 * bits
         if abs(sum(q * q for q in columns[0]) - one) * 10 ** (dps - 5) > one:
             raise ArithmeticError(f"rule alpha={alpha} npoints={npoints}: sum_i Q_i0^2 != 2^(2B)")
-        entry = (bits, xs, columns, {})
+        entry = (bits, xs, columns, {}, {})
         with _rule_lock:
             _rule_cache[key] = entry
             _rule_stats["build_s"] += time.perf_counter() - start
@@ -397,16 +395,26 @@ def _rule_sums(k: int, npoints: int, pairs: list, s: int, dps: int) -> tuple[lis
     """([total for each (n1, n2) in pairs], exp) with
     sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = total 2^exp on one rule.
 
-    Each distinct n2 has its column times the power table formed once, so a
-    sum is one int product per node.  The table of s is kept in the rule's
-    tables, set once per s by dict.setdefault, which is atomic for an int key."""
-    bits, xs, columns, tables = _rule_entry(k, npoints, dps)
+    A diagonal pair is sum_i X_i^s Q_(i,n)^2 on the rule's squared column of
+    n, one int product per node, or the column's plain sum at s = 0.  Off the
+    diagonal, each distinct n2 has its column times the power table formed
+    once, so a sum is one int product per node too.  The power table of s and
+    the squared column of n are kept in the rule's entry, each set once by
+    dict.setdefault, which is atomic for an int key."""
+    bits, xs, columns, tables, squares = _rule_entry(k, npoints, dps)
     powers = tables.get(s)
     if powers is None and s:
         powers = tables.setdefault(s, tuple(map(pow, xs, repeat(s))))
     weighted: dict = {}  # n2 -> (X_i^s Q_(i,n2) for each node)
     totals = []
     for n1, n2 in pairs:
+        if n1 == n2:
+            square = squares.get(n1)
+            if square is None:
+                column = columns[n1]
+                square = squares.setdefault(n1, tuple(map(mul, column, column)))
+            totals.append(sum(map(mul, powers, square)) if s else sum(square))
+            continue
         row = weighted.get(n2)
         if row is None:
             row = weighted[n2] = tuple(map(mul, powers, columns[n2])) if s else columns[n2]
@@ -428,7 +436,8 @@ def _bracket(k: int, pairs: list, s: int, dps: int) -> tuple[list[int], int]:
     npoints = _bucket(max(n1 + n2 for n1, n2 in pairs) + s)
     # the larger rule first: past MAX_NODES, fail before building the smaller
     sizes = (_bucket(2 * npoints), npoints)
-    (fine, exp), (coarse, _) = (_rule_sums(k, size, pairs, s, dps) for size in sizes)
+    fine, exp = _rule_sums(k, sizes[0], pairs, s, dps)
+    coarse, _ = _rule_sums(k, npoints, pairs, s, dps)
     unit = 1 << -exp
     for (n1, n2), f, c in zip(pairs, fine, coarse):
         # |c - f| / max(1, |f|) > 1e-14
@@ -437,7 +446,7 @@ def _bracket(k: int, pairs: list, s: int, dps: int) -> tuple[list[int], int]:
             # is npoints (s + 1) max(2^B, X_max)^s 2^B in units of 2^exp = 2^(-B (s + 2))
             bound = 0
             for size in sizes:
-                bits, xs, _, _ = _rule_entry(k, size, dps)
+                bits, xs = _rule_entry(k, size, dps)[:2]
                 bound += size * (s + 1) * max(1 << bits, xs[-1]) ** s << bits
             if abs(c - f) <= bound:
                 raise ArithmeticError(
@@ -486,7 +495,8 @@ def _order(d: int, l: int) -> int:
 
 def quad_expectation(q: QuantumNumbers, s: int) -> mpf:
     """<eta^s> by quadrature, cross-checked on two buckets of nodes."""
-    return quad_matrix_element(int(q.n), int(q.n), q.l, q.d, s)
+    n = (q.big_N - q.l) // 2  # the int n of a state with d >= 2; d = 1 is refused by _order
+    return quad_matrix_element(n, n, q.l, q.d, s)
 
 
 def quad_matrix_element(n1: int, n2: int, l: int, d: int, s: int) -> mpf:

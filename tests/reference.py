@@ -4,7 +4,10 @@ package does not call.
 laguerre_values is the generic three-term Laguerre recurrence, in any number
 type; normalization and u_derivatives give the normalized radial eigenfunction
 and its first two derivatives in mpf on it.  The tests hold the oracle's int
-recurrences and its exact radial residual to these.
+recurrences and its exact radial residual to these.  rule_sums gives the
+oracle's int sums on one rule as they were made before its squared
+columns, with one weighted row per n2 for every pair, diagonal or not;
+the tests hold the oracle's sums to its ints exactly.
 
 _apply is a LadderExpr's image of one unnormalized Fock state, and
 matrix_element_squared and expectation its exact single transition
@@ -15,11 +18,12 @@ normalization of a single transition as a short int product.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from mpmath import mp, mpf
 
 from salpeter_qho.ladder2d import FockState2D, LadderExpr, _diagonal, _poly
-from salpeter_qho.oracle import _to_mpf
+from salpeter_qho.oracle import _rule_entry, _to_mpf
 from salpeter_qho.states import QuantumNumbers, UnsupportedDimension
 
 
@@ -85,6 +89,24 @@ def u_derivatives(q: QuantumNumbers, radii) -> list[tuple[mpf, mpf, mpf]]:
         )
         result.append((u, ae * h, ae * (hp - r * h)))
     return result
+
+
+def rule_sums(k: int, npoints: int, pairs: list, s: int, dps: int) -> tuple[list[int], int]:
+    """([total for each (n1, n2) in pairs], exp) with
+    sum_i w_i x_i^s p_n1(x_i) p_n2(x_i) = total 2^exp on the oracle's rule.
+
+    Each distinct n2 has its column times the powers X_i^s formed once, and
+    every pair is that weighted row times the column of n1, summed: two int
+    products per node on the diagonal, where the oracle makes one."""
+    bits, xs, columns = _rule_entry(k, npoints, dps)[:3]
+    weighted: dict = {}  # n2 -> (X_i^s Q_(i,n2) for each node)
+    totals = []
+    for n1, n2 in pairs:
+        row = weighted.get(n2)
+        if row is None:
+            row = weighted[n2] = tuple(x**s * q for x, q in zip(xs, columns[n2]))
+        totals.append(sum(map(mul, row, columns[n1])))
+    return totals, -bits * (s + 2)
 
 
 def _apply(expr: LadderExpr, n_a: int, n_b: int) -> dict[tuple[int, int], int]:

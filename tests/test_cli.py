@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from salpeter_qho import kramers, oracle, spectrum
-from salpeter_qho.cli import main
+from salpeter_qho.cli import MAX_DIAGRAM_SUBLEVELS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -152,6 +155,44 @@ class TestDiagram:
         )
         assert code == 0 and "firebrick" in out
 
+    @pytest.mark.parametrize(
+        "d,n_max,count",
+        # the sub-level count at and just past the cap: N_max + 1 at d = 1,
+        # (N_max // 2 + 1) ((N_max + 1) // 2 + 1) above
+        [(1, 49999, 50000), (1, 50000, 50001), (3, 445, 49952), (3, 446, 50176), (2, 446, 50176)],
+    )
+    def test_sublevel_cap_is_checked_before_any_work(self, capsys, monkeypatch, d, n_max, count):
+        tables = []
+
+        def level_table(N_max, d, lam):
+            tables.append((N_max, d))
+            raise ValueError("level_table reached")
+
+        monkeypatch.setattr(spectrum, "level_table", level_table)
+        code, out, err = run(capsys, "diagram", "--d", str(d), "--Nmax", str(n_max))
+        assert (code, out) == (2, "")
+        if count <= MAX_DIAGRAM_SUBLEVELS:
+            assert tables == [(n_max, d)] and err == "error: level_table reached\n"
+        else:
+            assert tables == []
+            assert err == (
+                f"error: diagram of {count} sub-levels exceeds MAX_DIAGRAM_SUBLEVELS = "
+                f"{MAX_DIAGRAM_SUBLEVELS}; try a smaller --Nmax\n"
+            )
+
+    def test_huge_diagram_is_refused_at_once(self):
+        # in a fresh interpreter, so the time is that of the whole command
+        argv = [sys.executable, "-m", "salpeter_qho.cli", "diagram", "--d", "3", "--Nmax", "1500"]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        start = time.perf_counter()
+        result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: diagram of 564001 sub-levels exceeds")
+        assert result.stderr.count("\n") == 1
+        # the command's import takes about 0.15 s; the level table alone took 8 s
+        assert elapsed < 1.0
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):
@@ -243,6 +284,15 @@ class TestOracleCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "SALPETER_PRECISION" in err
 
+    def test_d1_is_refused_before_any_work(self, capsys, monkeypatch):
+        # n = 2 at d = 1 is a valid state, N = 4, but the oracle needs d >= 2
+        def fail(*args):
+            raise AssertionError("a rule was read")
+
+        monkeypatch.setattr(oracle, "_rule_entry", fail)
+        code, out, err = run(capsys, "oracle", "--d", "1", "--n", "2")
+        assert (code, out, err) == (2, "", "error: quadrature oracle requires d >= 2\n")
+
     def test_rule_out_of_reach_gets_no_precision_hint(self, capsys):
         # the fine rule has 512 nodes, past MAX_NODES at any precision
         code, out, err = run(capsys, "oracle", "--d", "3", "--n", "255", "--l", "0", "--s", "2")
@@ -294,6 +344,10 @@ class TestUsageErrors:
             (None, ["diagram", "--d", "3", "--Nmax", "2", "--exaggeration", "-1"]),
             (None, ["diagram", "--d", "3", "--Nmax", "2", "--exaggeration", "1e400"]),
             (None, ["diagram", "--d", "3", "--Nmax", "2", "--lambda", "1e400"]),
+            # past the diagram's sub-level cap
+            (None, ["diagram", "--d", "3", "--Nmax", "1500"]),
+            (None, ["diagram", "--d", "1", "--Nmax", "50000"]),
+            (None, ["diagram", "--d", "100", "--Nmax", "100000000", "--lambda", "1/2"]),
         ],
     )
     def test_exit_2_with_one_error_line(self, capsys, monkeypatch, precision, argv):

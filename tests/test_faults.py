@@ -130,15 +130,18 @@ _rule_entry = oracle._rule_entry
 def scaled_rules(only=None):
     """oracle._rule_entry with every table entry of every rule, or of the
     `only`-node rules, times sqrt(1 + 1e-9), so each sum on them is 1 + 1e-9
-    times too large; the cached entries stay as they are, and each rule's
-    power tables, of its xs, pass through untouched."""
+    times too large; the cached entries stay as they are, each rule's power
+    tables, of its xs, pass through untouched, and a scaled rule's squared
+    columns start from an empty dict, so they square the scaled columns and
+    never reach the cache."""
     factor = math.isqrt(2**128 + 2**128 // 10**9)  # sqrt(1 + 1e-9) 2^64
 
     def entry(k, npoints, dps):
-        bits, xs, columns, tables = _rule_entry(k, npoints, dps)
+        bits, xs, columns, tables, squares = _rule_entry(k, npoints, dps)
         if only in (None, npoints):
             columns = tuple(tuple(q * factor >> 64 for q in column) for column in columns)
-        return bits, xs, columns, tables
+            squares = {}
+        return bits, xs, columns, tables, squares
 
     return entry
 
@@ -364,14 +367,17 @@ def test_one_scaled_rule_of_a_shared_pair_trips_the_check(check, rule, monkeypat
 
 def scaled_column(order: int, only: int):
     """oracle._rule_entry with the column of p_order on the `only`-node rule
-    1 + 1e-9 times too large, so that only the sums that read it are off."""
+    1 + 1e-9 times too large, so that only the sums that read it are off; that
+    rule's squared columns start from an empty dict, so they square the
+    scaled column and never reach the cache."""
 
     def entry(k, npoints, dps):
-        bits, xs, columns, tables = _rule_entry(k, npoints, dps)
+        bits, xs, columns, tables, squares = _rule_entry(k, npoints, dps)
         if npoints == only:
             column = tuple(q + q // 10**9 for q in columns[order])
             columns = columns[:order] + (column,) + columns[order + 1 :]
-        return bits, xs, columns, tables
+            squares = {}
+        return bits, xs, columns, tables, squares
 
     return entry
 

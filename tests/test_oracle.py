@@ -33,7 +33,7 @@ from salpeter_qho.states import (
     energy_unperturbed,
 )
 
-from reference import laguerre_values, u_derivatives
+from reference import laguerre_values, rule_sums, u_derivatives
 
 F = Fraction
 
@@ -52,7 +52,7 @@ def int_order(alpha) -> int:
     return int(k)
 
 
-def rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple, dict]:
+def rule_entry(alpha, npoints: int) -> tuple[int, tuple, tuple, dict, dict]:
     """oracle._rule_entry of the rule at alpha at the working precision."""
     return oracle._rule_entry(int_order(alpha), npoints, working_precision())
 
@@ -107,15 +107,15 @@ def orthonormal_rows(alpha, nodes, order: int) -> list[list]:
 
 def table_sum(entry: tuple, s: int) -> mpf:
     """sum_i X_i^s Q_i0^2 2^(-B (s + 2)) = sum_i w_i x_i^s / Gamma(alpha + 1) from a
-    rule's int table (bits, xs, columns, tables), at the current precision."""
-    bits, xs, columns, _ = entry
+    rule's int table (bits, xs, columns, tables, squares), at the current precision."""
+    bits, xs, columns, _, _ = entry
     return mpf((sum(x**s * q * q for x, q in zip(xs, columns[0])), -bits * (s + 2)))
 
 
 def assert_table_matches(entry: tuple, alpha, nodes: list, weights: list, order: int) -> None:
     """Every X_i and Q_ik, k <= order, of a rule's int table is within one unit of
     x_i 2^B and sqrt(w_i) p_k(x_i) 2^B from reference mpf nodes and weights."""
-    bits, xs, columns, _ = entry
+    bits, xs, columns, _, _ = entry
     assert len(xs) == len(nodes)
     unit = mpf(2) ** bits
     for i, (x, w, row) in enumerate(zip(nodes, weights, orthonormal_rows(alpha, nodes, order))):
@@ -141,7 +141,7 @@ class TestRule:
             assert abs(table_sum(rule_entry(F(3, 2), 6), 0) - 1) < mpf("1e-45")
 
     def test_nodes_positive_increasing(self):
-        _, xs, _, _ = rule_entry(F(1, 2), 10)
+        _, xs, _, _, _ = rule_entry(F(1, 2), 10)
         assert_nodes_increase(xs)
 
     def test_memoized(self):
@@ -157,9 +157,9 @@ class TestRule:
     def test_guard_digits(self, monkeypatch):
         # each entry of the table, rounded to nearest at B bits, is within one
         # unit of the same rule's table built with 30 more digits
-        bits, xs, columns, _ = rule_entry(F(9, 2), 60)
+        bits, xs, columns, _, _ = rule_entry(F(9, 2), 60)
         monkeypatch.setenv("SALPETER_PRECISION", str(working_precision() + 30))
-        ref_bits, ref_xs, ref_columns, _ = rule_entry(F(9, 2), 60)
+        ref_bits, ref_xs, ref_columns, _, _ = rule_entry(F(9, 2), 60)
         extra = ref_bits - bits
         assert extra > 90
         for column, ref_column in zip((xs, *columns), (ref_xs, *ref_columns), strict=True):
@@ -175,7 +175,7 @@ class TestRule:
 
     def test_one_point(self):
         # L_1^(alpha) = 1 + alpha - x: one node at alpha + 1 carrying Gamma(alpha + 1)
-        bits, (x,), columns, _ = rule_entry(F(5, 2), 1)
+        bits, (x,), columns, _, _ = rule_entry(F(5, 2), 1)
         assert abs(x - (7 << bits) // 2) <= 1
         assert abs(columns[0][0] - (1 << bits)) <= 1
 
@@ -334,7 +334,7 @@ class TestSeeds:
         # (alpha + 1) / n, Laguerre's method takes the first zero in 11 runs at
         # 96 nodes, at alpha = 49999 and at alpha = 4999999, of the 40 each zero gets
         alpha = F(alpha)
-        entry = bits, xs, _, _ = rule_entry(alpha, npoints)
+        entry = bits, xs, _, _, _ = rule_entry(alpha, npoints)
         seeds = oracle._seed_zeros(alpha, npoints)
         assert max(abs(s * (1 << bits) / x - 1) for s, x in zip(seeds, xs, strict=True)) <= 1e-12
         with mp.workdps(working_precision()):
@@ -352,7 +352,7 @@ class TestSeeds:
         # lies between x_(i-1) and x_i, with x* where Q peaks
         a = float(alpha)
         for n in (8, 24, 96):
-            bits, xs, _, _ = rule_entry(alpha, n)
+            bits, xs, _, _, _ = rule_entry(alpha, n)
             nodes = [x / (1 << bits) for x in xs]
             peak = (a * a - 1) / (2 * n + a + 1)
             for lo, hi in zip(nodes, nodes[1:]):
@@ -459,7 +459,7 @@ class TestNodeTable:
     def assert_fixed_point_table(alpha, npoints):
         """Every entry is an int within one unit of its value from the Golub-Welsch
         rule at dps + 10: x_i 2^B and sqrt(w_i) p_k(x_i) 2^B, k <= 2 npoints - 1."""
-        entry = bits, xs, columns, _ = rule_entry(alpha, npoints)
+        entry = bits, xs, columns, _, _ = rule_entry(alpha, npoints)
         assert len(xs) == npoints and len(columns) == 2 * npoints
         assert all(type(v) is int for v in xs)
         assert all(type(q) is int for column in columns for q in column)
@@ -489,7 +489,7 @@ class TestNodeTable:
         # k >= npoints carry no such bound, so hold them to what is measured
         for alpha in (F(-1, 2), 0, F(9, 2), 40):
             for npoints in (1, 2, 3, 8, 24):
-                bits, _, columns, _ = rule_entry(alpha, npoints)
+                bits, _, columns, _, _ = rule_entry(alpha, npoints)
                 low = max(abs(q) for column in columns[:npoints] for q in column)
                 high = max(abs(q) for column in columns[npoints:] for q in column)
                 assert low <= 1 << bits
@@ -517,12 +517,13 @@ class TestNodeTable:
                             assert abs(value - reference) <= bound + abs(reference) * rounding
 
     def test_cached_entry_holds_ints_only(self, monkeypatch):
-        # no mpf is kept: the entry is (bits, xs, columns, tables), all ints,
-        # with a power table of s = 3 in tables after a sum of eta^3
+        # no mpf is kept: the entry is (bits, xs, columns, tables, squares), all
+        # ints, with a power table of s = 3 in tables after a sum of eta^3 and
+        # the squared column of 2 in squares after a diagonal sum of u_2
         monkeypatch.setattr(oracle, "_rule_cache", {})
         npoints = 8
         entry = rule_entry(F(3, 2), npoints)
-        oracle._rule_sums(int_order(F(3, 2)), npoints, [(0, 1)], 3, working_precision())
+        oracle._rule_sums(int_order(F(3, 2)), npoints, [(0, 1), (2, 2)], 3, working_precision())
         found = []
 
         def walk(value):
@@ -537,9 +538,26 @@ class TestNodeTable:
                 found.append(type(value))
 
         walk(entry)
-        assert type(entry) is tuple and len(entry) == 4 and type(entry[3]) is dict
-        assert list(entry[3]) == [3]
-        assert found == [int] * (1 + npoints + 2 * npoints * npoints + 1 + npoints)
+        assert type(entry) is tuple and len(entry) == 5
+        assert type(entry[3]) is dict and type(entry[4]) is dict
+        assert list(entry[3]) == [3] and list(entry[4]) == [2]
+        assert found == [int] * (1 + npoints + 2 * npoints * npoints + 2 * (1 + npoints))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(-1, 20),
+        npoints=st.sampled_from([8, 12, 16, 24, 32, 48]),
+        s=st.integers(0, 12),
+        dps=st.sampled_from([15, 50, 120]),
+        data=st.data(),
+    )
+    def test_sums_are_the_weighted_row_ints(self, k, npoints, s, dps, data):
+        # a diagonal pair, summed on its squared column, and an off-diagonal
+        # one give the very ints of one weighted row per n2 for every pair
+        n = st.integers(0, 2 * npoints - 1)
+        pair = st.tuples(n, n) | n.map(lambda m: (m, m))
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=6))
+        assert oracle._rule_sums(k, npoints, pairs, s, dps) == rule_sums(k, npoints, pairs, s, dps)
 
     def test_power_tables_are_kept_beside_their_rule(self, monkeypatch):
         cache = {}
@@ -547,17 +565,39 @@ class TestNodeTable:
         alpha = F(5, 2)
         quad_matrix_element(1, 2, 2, 3, 3)  # on the rules of 8 and 12 nodes
         for npoints in (8, 12):
-            _, xs, _, tables = cache[rule_key(alpha, npoints)]
+            _, xs, _, tables, _ = cache[rule_key(alpha, npoints)]
             assert tables == {3: tuple(x**3 for x in xs)}
         # s = 0 needs no table
         quad_matrix_element(1, 2, 2, 3, 0)
         assert set(cache) == {rule_key(alpha, n) for n in (8, 12)}
         assert all(list(entry[3]) == [3] for entry in cache.values())
 
+    def test_squared_columns_are_kept_beside_their_rule(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(oracle, "_rule_cache", cache)
+        alpha = F(5, 2)
+        # off the diagonal, no column is squared
+        quad_matrix_element(1, 2, 2, 3, 3)  # on the rules of 8 and 12 nodes
+        assert [entry[4] for entry in cache.values()] == [{}, {}]
+        quad_matrix_element(2, 2, 2, 3, 3)
+        squares = {}
+        for npoints in (8, 12):
+            _, _, columns, tables, squares[npoints] = cache[rule_key(alpha, npoints)]
+            assert squares[npoints] == {2: tuple(q * q for q in columns[2])}
+            assert list(tables) == [3]
+        kept = {npoints: squares[npoints][2] for npoints in (8, 12)}
+        # every power of the same element reads the same square, s = 0 included
+        for s in (0, 1, 4):
+            quad_matrix_element(2, 2, 2, 3, s)
+        assert set(cache) == {rule_key(alpha, n) for n in (8, 12)}
+        for npoints in (8, 12):
+            assert list(squares[npoints]) == [2] and squares[npoints][2] is kept[npoints]
+
     def test_sixteen_threads_share_rules_and_power_tables(self, monkeypatch):
-        # threads that build and read the same rules and power tables at once
-        # get the values of a serial run, and one power table per (rule, s);
-        # each rule is built once, and every read counts one hit or one miss
+        # threads that build and read the same rules, power tables and squared
+        # columns at once get the values of a serial run, one power table per
+        # (rule, s) and one squared column per (rule, n); each rule is built
+        # once, and every read counts one hit or one miss
         cache = {}
         monkeypatch.setattr(oracle, "_rule_cache", cache)
         alpha, dps = F(7, 2), working_precision()
@@ -570,7 +610,9 @@ class TestNodeTable:
 
         monkeypatch.setattr(oracle, "_rule_entry", counted)
         before = rule_cache_stats()
-        # (n1, n2, s) on l = 3, d = 3, each summed on the rules of 8 and 12 nodes
+        # (n1, n2, s) on l = 3, d = 3, each summed on the rules of 8 and 12 nodes,
+        # and the diagonal (n, n, t) with n = i % 2 and t = i % 3 that other
+        # threads ask too, summed on the same two rules
         jobs = [(i % 4, i % 3, 1 + i % 5) for i in range(16)]
         barrier = threading.Barrier(len(jobs))
         results = {}
@@ -579,7 +621,9 @@ class TestNodeTable:
             barrier.wait(timeout=60)
             tables = oracle._rule_entry(k, 12, dps)[3]
             value = quad_matrix_element(n1, n2, 3, 3, s)
-            results[i] = (value, tables[s])
+            diagonal = quad_matrix_element(i % 2, i % 2, 3, 3, i % 3)
+            squares = [oracle._rule_entry(k, npoints, dps)[4][i % 2] for npoints in (8, 12)]
+            results[i] = (value, tables[s], diagonal, squares)
 
         threads = [threading.Thread(target=ask, args=(i, *job)) for i, job in enumerate(jobs)]
         interval = sys.getswitchinterval()
@@ -594,17 +638,26 @@ class TestNodeTable:
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(results) == list(range(len(jobs)))
         after = rule_cache_stats()
-        # one read by each thread itself and two by its quad_matrix_element
-        assert len(reads) == 3 * len(jobs)
+        # three reads by each thread itself and two by each quad_matrix_element
+        assert len(reads) == 7 * len(jobs)
         hits, misses = (after[name] - before[name] for name in ("hits", "misses"))
         assert hits + misses == len(reads)
         assert misses == len({rule_key(alpha, 8), rule_key(alpha, 12)} & set(cache)) == 2
-        _, xs, _, tables = oracle._rule_entry(k, 12, dps)
+        _, xs, _, tables, _ = oracle._rule_entry(k, 12, dps)
         for i, (n1, n2, s) in enumerate(jobs):
-            value, table = results[i]
+            value, table, diagonal, _ = results[i]
             assert table is tables[s]
             assert table == tuple(x**s for x in xs)
             assert value == quad_matrix_element(n1, n2, 3, 3, s)
+            assert diagonal == quad_matrix_element(i % 2, i % 2, 3, 3, i % 3)
+        for rule, npoints in enumerate((8, 12)):
+            _, _, columns, _, squares = oracle._rule_entry(k, npoints, dps)
+            # the jobs' diagonal elements, (0, 0), (1, 1) and (2, 2), add n = 2
+            assert set(squares) == {0, 1, 2}
+            for n, square in squares.items():
+                assert square == tuple(q * q for q in columns[n])
+            for i in results:
+                assert results[i][3][rule] is squares[i % 2]
 
     def test_table_disagreeing_with_its_weights_is_not_cached(self, monkeypatch):
         alpha, npoints = F(27, 2), 6  # a rule no other test builds
@@ -764,7 +817,7 @@ class TestIntBuild:
         monkeypatch.setattr(oracle, "_rule_cache", {})
         digest = hashlib.sha256()
         for k, npoints, dps in RULE_DIGEST_RULES:
-            bits, xs, columns, _ = oracle._rule_entry(k, npoints, dps)
+            bits, xs, columns, _, _ = oracle._rule_entry(k, npoints, dps)
             digest.update(repr((k, npoints, dps, bits, xs, columns)).encode())
         assert digest.hexdigest() == RULE_DIGEST
 
@@ -772,7 +825,7 @@ class TestIntBuild:
         monkeypatch.setattr(oracle, "_rule_cache", {})
         digest = hashlib.sha256()
         for k, npoints, dps in BUILDER_DIGEST_RULES:
-            bits, xs, columns, _ = oracle._rule_entry(k, npoints, dps)
+            bits, xs, columns, _, _ = oracle._rule_entry(k, npoints, dps)
             digest.update(repr((k, npoints, dps, bits, xs, columns)).encode())
         assert digest.hexdigest() == BUILDER_DIGEST
 
@@ -795,7 +848,7 @@ class TestIntBuild:
         shift = math.ceil((working_precision() + 10) * math.log2(10)) + 32
         for alpha in self.ALPHAS:
             for npoints in (8, 24, 96):
-                bits, xs, _, _ = rule_entry(alpha, npoints)
+                bits, xs, _, _, _ = rule_entry(alpha, npoints)
                 order = 2 * npoints - 1
                 for X in xs if npoints < 96 else (xs[0], xs[-1]):
                     X <<= shift - bits
@@ -810,7 +863,7 @@ class TestIntBuild:
         monkeypatch.setattr(oracle, "_rule_cache", {})
         for alpha in self.ALPHAS:
             for npoints in (1, 8, 12, 24, 48):
-                bits, xs, columns, _ = rule_entry(alpha, npoints)
+                bits, xs, columns, _, _ = rule_entry(alpha, npoints)
                 ref_bits, ref_xs, ref_columns = reference_rule_entry(alpha, npoints)
                 assert bits == ref_bits and xs == ref_xs
                 for column, ref_column in zip(columns, ref_columns, strict=True):
@@ -835,9 +888,15 @@ class TestExpectation:
                         exact = to_float(moment_eta(q, s))
                         assert abs(quad_expectation(q, s) / exact - 1) < mpf("1e-40")
 
-    def test_d1_unsupported(self):
-        with pytest.raises(UnsupportedDimension):
-            quad_expectation(QuantumNumbers.one_dim(0), 2)
+    def test_d1_unsupported(self, monkeypatch):
+        # whole and half-integer n alike, before a rule is read
+        def fail(*args):
+            raise AssertionError("a rule was read")
+
+        monkeypatch.setattr(oracle, "_rule_entry", fail)
+        for N in range(4):
+            with pytest.raises(UnsupportedDimension, match=r"^quadrature oracle requires d >= 2$"):
+                quad_expectation(QuantumNumbers.one_dim(N), 2)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
