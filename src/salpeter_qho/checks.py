@@ -18,7 +18,6 @@ from mpmath import mp, mpf
 from . import kramers, ladder2d, laguerre_me, oracle, spectrum
 from .corrections import epsilon1_general, epsilon1_rewritten, epsilon2_general
 from .ladder2d import FockState2D, LadderExpr, map_Nm_to_nl, p2_expr, p4_expr
-from .oracle import _to_mpf
 from .states import QuantumNumbers
 
 # "large" is the acceptance grid.
@@ -40,6 +39,9 @@ TOL_ORTHO = mpf("1e-12")
 TOL_RESIDUAL = mpf("1e-10")
 TOL_SPARSE = mpf("1e-12")
 
+# criterion 5's sample points of the radial equation
+RESIDUAL_ETAS = (Fraction(1, 10), Fraction(1, 2), 1, 2, Fraction(7, 2), 5)
+
 
 def radial_grid(d_max: int, nl_max: int, N1_max: int) -> list[QuantumNumbers]:
     """d=1 states N <= N1_max, then (d, n, l) for 2 <= d <= d_max, n, l <= nl_max."""
@@ -58,10 +60,17 @@ def ladder_grid(N_max: int) -> list[FockState2D]:
     return [FockState2D(N, m) for N in range(N_max + 1) for m in range(-N, N + 1, 2)]
 
 
+def to_mpf(x) -> mpf:
+    """Convert a number (including Fraction) to mpf at working precision."""
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / x.denominator
+    return mpf(x)
+
+
 def rel_error(approx, exact: Fraction):
     """|approx - exact| / |approx| at the working precision."""
     with mp.workdps(oracle.working_precision()):
-        return abs(approx - _to_mpf(exact)) / abs(approx)
+        return abs(approx - to_mpf(exact)) / abs(approx)
 
 
 def first_order_failure(grid, target=epsilon1_general):
@@ -149,3 +158,8 @@ def sum_over_states_error(cases):
         rel_error(oracle.sum_over_states_check(q, cutoff), laguerre_me.second_order_part2(q))
         for q, cutoff in cases
     )
+
+
+def residual_error(states, etas):
+    """Worst relative residual of the radial equation over states at the sample points etas."""
+    return max(oracle.radial_residual(q, etas) for q in states)

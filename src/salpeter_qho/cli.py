@@ -1,8 +1,9 @@
 """Command-line interface: correct | table | diagram | verify | oracle.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (an input that
-runs out of memory too, and a diagram past MAX_DIAGRAM_SUBLEVELS, refused
-before any work), 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+No command catches an exception: main maps every ValueError, ArithmeticError
+and MemoryError from any of them to exit 2, and _write_output maps an
+unwritable --out or --report path to exit 3.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from mpmath import mp, mpf, nstr
 from . import checks, kramers, ladder2d, laguerre_me, oracle, spectrum
 from .corrections import epsilon1_general, epsilon2_general
 from .ladder2d import FockState2D, map_Nm_to_nl
-from .oracle import _to_mpf
 from .states import InvalidQuantumNumbers, QuantumNumbers, energy_unperturbed
 
 USAGE_ERROR, VERIFY_ERROR, IO_ERROR = 2, 1, 3
@@ -32,7 +32,7 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _dec(x) -> str:
-    return nstr(_to_mpf(x), 12)
+    return nstr(checks.to_mpf(x), 12)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -68,12 +68,7 @@ def _state_from_args(args) -> QuantumNumbers:
 
 
 def cmd_correct(args) -> int:
-    try:
-        q = _state_from_args(args)
-    except InvalidQuantumNumbers as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
+    q = _state_from_args(args)
     methods = {}
     wanted = args.method
     if wanted in ("all", "closed"):
@@ -90,8 +85,7 @@ def cmd_correct(args) -> int:
             s = FockState2D(q.big_N, args.m if args.m is not None else q.l)
             methods["ladder"] = (ladder2d.first_order_2d(s), ladder2d.second_order_2d(s))
         elif wanted == "ladder":
-            print("error: ladder method requires d=2", file=sys.stderr)
-            return USAGE_ERROR
+            raise InvalidQuantumNumbers("ladder method requires d=2")
 
     eps1_values = {v[0] for v in methods.values()}
     eps2_values = {v[1] for v in methods.values() if v[1] is not None}
@@ -129,11 +123,7 @@ def cmd_correct(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        table = spectrum.level_table(args.Nmax, args.d, args.lam)
-    except (ValueError, InvalidQuantumNumbers) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    table = spectrum.level_table(args.Nmax, args.d, args.lam)
     text = spectrum.render_json(table) if args.format == "json" else spectrum.render_csv(table)
     _write_output(text, args.out)
     return 0
@@ -149,35 +139,25 @@ def _sublevel_count(N_max: int, d: int) -> int:
 
 
 def cmd_diagram(args) -> int:
-    try:
-        # refused before any work; an invalid input gets level_table's own error
-        if args.lam > 0 and args.d >= 1 and args.Nmax >= 0:
-            count = _sublevel_count(args.Nmax, args.d)
-            if count > MAX_DIAGRAM_SUBLEVELS:
-                raise ValueError(
-                    f"diagram of {count} sub-levels exceeds MAX_DIAGRAM_SUBLEVELS = "
-                    f"{MAX_DIAGRAM_SUBLEVELS}; try a smaller --Nmax"
-                )
-        table = spectrum.level_table(args.Nmax, args.d, args.lam)
-        model = spectrum.diagram_data(table, exaggeration=args.exaggeration)
-        text = spectrum.render_svg(model)
-    except (ValueError, InvalidQuantumNumbers) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    _write_output(text, args.out)
+    # refused before any work; an invalid input gets level_table's own error
+    if args.lam > 0 and args.d >= 1 and args.Nmax >= 0:
+        count = _sublevel_count(args.Nmax, args.d)
+        if count > MAX_DIAGRAM_SUBLEVELS:
+            raise ValueError(
+                f"diagram of {count} sub-levels exceeds MAX_DIAGRAM_SUBLEVELS = "
+                f"{MAX_DIAGRAM_SUBLEVELS}; try a smaller --Nmax"
+            )
+    table = spectrum.level_table(args.Nmax, args.d, args.lam)
+    model = spectrum.diagram_data(table, exaggeration=args.exaggeration)
+    _write_output(spectrum.render_svg(model), args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    try:
-        q = QuantumNumbers(args.d, Fraction(args.n), args.l)
-        # the quadrature first: a rule past MAX_NODES fails before any exact work
-        approx = oracle.quad_expectation(q, args.s)
-        exact = kramers.moment_eta(q, args.s)
-    except (InvalidQuantumNumbers, ValueError, ArithmeticError) as exc:
-        hint = "; try a higher SALPETER_PRECISION" if isinstance(exc, ArithmeticError) else ""
-        print(f"error: {exc}{hint}", file=sys.stderr)
-        return USAGE_ERROR
+    q = QuantumNumbers(args.d, args.n, args.l)
+    # the quadrature first: a rule past MAX_NODES fails before any exact work
+    approx = oracle.quad_expectation(q, args.s)
+    exact = kramers.moment_eta(q, args.s)
     rel = checks.rel_error(approx, exact)
     print(f"<eta^{args.s}> exact      = {exact} (~{_dec(exact)})")
     print(f"<eta^{args.s}> quadrature = {nstr(approx, 30)}")
@@ -262,7 +242,7 @@ def run_verification(grid: str = "small", perturb: bool = False) -> tuple[bool, 
     ok = checks.sum_over_states_error([(q, 6)]) <= checks.TOL_SUM
     case = "sum-over-states part II at d=3 ground state"
     records.append(_record(case, "oracle", laguerre_me.second_order_part2(q), ok))
-    residual = oracle.radial_residual(QuantumNumbers(3, 2, 1), [Fraction(1, 2), 1, 2])
+    residual = checks.residual_error([QuantumNumbers(3, 2, 1)], [Fraction(1, 2), 1, 2])
     ok = residual <= checks.TOL_RESIDUAL
     records.append(_record("radial-equation residual d=3 n=2 l=1", "oracle", residual, ok))
 
@@ -270,11 +250,7 @@ def run_verification(grid: str = "small", perturb: bool = False) -> tuple[bool, 
 
 
 def cmd_verify(args) -> int:
-    try:
-        passed, records = run_verification(grid=args.grid, perturb=args.perturb)
-    except ArithmeticError as exc:
-        print(f"error: {exc}; try a higher SALPETER_PRECISION", file=sys.stderr)
-        return USAGE_ERROR
+    passed, records = run_verification(grid=args.grid, perturb=args.perturb)
     report = {"grid": args.grid, "perturb": args.perturb, "passed": passed, "checks": records}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     _write_output(text, args.report)
@@ -340,18 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the one place a command's failure becomes exit 2
     try:
-        dps = oracle.working_precision()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    with mp.workdps(max(mp.dps, dps)):
-        try:
+        with mp.workdps(max(mp.dps, oracle.working_precision())):
             return args.func(args)
-        except MemoryError:
-            # an input too large for the memory is a usage error, not a failed verification
-            print(f"error: {args.command} ran out of memory; try a smaller input", file=sys.stderr)
-            return USAGE_ERROR
+    except MemoryError:
+        # an input too large for the memory is a usage error, not a failed verification
+        print(f"error: {args.command} ran out of memory; try a smaller input", file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"error: {exc}; try a higher SALPETER_PRECISION", file=sys.stderr)
+    except ValueError as exc:  # InvalidQuantumNumbers and UnsupportedDimension too
+        print(f"error: {exc}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -144,13 +144,6 @@ def rule_cache_stats() -> dict:
         return dict(_rule_stats)
 
 
-def _to_mpf(x) -> mpf:
-    """Convert a number (including Fraction) to mpf at working precision."""
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
-
-
 def laguerre_fixed(n: int, alpha: Fraction, X: int, bits: int) -> list[int]:
     """[Y_0, ..., Y_n] with Y_k = L_k^(alpha)(x) 2^bits in int fixed point, at x = X / 2^bits.
 

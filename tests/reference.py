@@ -23,7 +23,8 @@ from operator import mul
 from mpmath import mp, mpf
 
 from salpeter_qho.ladder2d import FockState2D, LadderExpr, _diagonal, _poly
-from salpeter_qho.oracle import _rule_entry, _to_mpf
+from salpeter_qho.checks import to_mpf
+from salpeter_qho.oracle import _rule_entry
 from salpeter_qho.states import QuantumNumbers, UnsupportedDimension
 
 
@@ -58,11 +59,11 @@ def u_derivatives(q: QuantumNumbers, radii) -> list[tuple[mpf, mpf, mpf]]:
     """
     if q.d < 2:
         raise UnsupportedDimension("u_derivatives is defined for d >= 2 only")
-    radii = [_to_mpf(r) for r in radii]
+    radii = [to_mpf(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise ValueError("r must be > 0")
     n, l = int(q.n), q.l
-    alphas = [_to_mpf(q.alpha + k) for k in range(3)]
+    alphas = [to_mpf(q.alpha + k) for k in range(3)]
     a = normalization(q)
 
     def p(k):  # L_{n-k}^(alpha+k)(eta) at the current eta, 0 for a negative index

@@ -86,12 +86,9 @@ def test_criterion_5_oracle_agreement():
     worst_ortho = max(oracle.orthonormality_check(l, d, 8) for d in (2, 3, 5) for l in (0, 3, 8))
     ok &= worst_ortho <= checks.TOL_ORTHO
 
-    etas = [F(1, 10), F(1, 2), 1, 2, F(7, 2), 5]
-    worst_res = max(
-        oracle.radial_residual(QuantumNumbers(d, n, l), etas)
-        for d in (2, 3, 5)
-        for n in (0, 3, 8)
-        for l in (0, 2, 8)
+    worst_res = checks.residual_error(
+        [QuantumNumbers(d, n, l) for d in (2, 3, 5) for n in (0, 3, 8) for l in (0, 2, 8)],
+        checks.RESIDUAL_ETAS,
     )
     ok &= worst_res <= checks.TOL_RESIDUAL
     report(

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from salpeter_qho import kramers, oracle, spectrum
+from salpeter_qho import checks, cli, kramers, oracle, spectrum
 from salpeter_qho.cli import MAX_DIAGRAM_SUBLEVELS, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -371,6 +371,33 @@ class TestUsageErrors:
         code, out, err = run(capsys, command, "--d", "3", "--Nmax", "2")
         assert (code, out) == (2, "")
         assert err == f"error: {command} ran out of memory; try a smaller input\n"
+
+    @pytest.mark.parametrize(
+        "exc,hint",
+        [(ValueError, ""), (ArithmeticError, "; try a higher SALPETER_PRECISION")],
+        ids=["ValueError", "ArithmeticError"],
+    )
+    @pytest.mark.parametrize(
+        "target,name,argv",
+        [
+            (cli, "epsilon1_general", ["correct", "--d", "3", "--n", "0"]),
+            (spectrum, "level_table", ["table", "--d", "3", "--Nmax", "1"]),
+            (spectrum, "diagram_data", ["diagram", "--d", "3", "--Nmax", "1"]),
+            (checks, "first_order_failure", ["verify"]),
+            (oracle, "quad_expectation", ["oracle", "--d", "3", "--n", "0"]),
+        ],
+        ids=["correct", "table", "diagram", "verify", "oracle"],
+    )
+    def test_main_maps_every_command_error_to_exit_2(
+        self, capsys, monkeypatch, target, name, argv, exc, hint
+    ):
+        # each command's core call fails; main alone turns the failure into exit 2
+        def fail(*args, **kwargs):
+            raise exc("boom")
+
+        monkeypatch.delenv("SALPETER_PRECISION", raising=False)
+        monkeypatch.setattr(target, name, fail)
+        assert run(capsys, *argv) == (2, "", f"error: boom{hint}\n")
 
     def test_precision_is_scoped(self, capsys):
         with mp.workdps(20):

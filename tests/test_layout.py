@@ -6,7 +6,8 @@ nothing from the package but states, and the oracle, which checks them,
 imports none of them.  The exact layer, states and the methods, imports only
 exact standard-library modules, so no float or mpf routine is within its
 reach, importing the package loads no mpmath, and importing the CLI loads
-neither dataclasses nor inspect.  Every name in a module's
+neither dataclasses nor inspect.  The CLI's commands catch no exception:
+main alone turns a command's failure into exit 2.  Every name in a module's
 __all__ is loaded by package or benchmark code, or is kept in UNUSED_EXPORTS
 with its reason, and every package name the benchmark loads exists.  Every
 BENCH_*.json at the repo's root parses and holds the same top-level fields.
@@ -122,6 +123,33 @@ print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+def test_cli_commands_leave_errors_to_main():
+    # exit 2 is decided in main alone, so a command cannot catch less than the
+    # others; _parse_rational's handler re-raises Fraction's errors as
+    # argparse's ArgumentTypeError, which parse_args turns into exit 2
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = [name for name in functions if name.startswith("cmd_")] + ["run_verification"]
+    assert len(commands) == 6
+    try_nodes = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    for name in commands:
+        assert not any(isinstance(n, try_nodes) for n in ast.walk(functions[name])), name
+
+    def caught(handler) -> set[str]:
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return {node.id for node in types if isinstance(node, ast.Name)}
+
+    deciding = {
+        name
+        for name, function in functions.items()
+        for handler in ast.walk(function)
+        if isinstance(handler, ast.ExceptHandler)
+        and caught(handler) & {"ValueError", "ArithmeticError"}
+        and not any(isinstance(node, ast.Raise) for node in ast.walk(handler))
+    }
+    assert deciding == {"main"}
 
 
 def test_oracle_imports_no_method():
